@@ -135,10 +135,15 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
 }
 
 double max_estimate_push(const AttackContext& ctx, LinkId link) {
+  return max_estimate_push(ctx, link, ctx.attacker_path_indices());
+}
+
+double max_estimate_push(const AttackContext& ctx, LinkId link,
+                         const std::vector<std::size_t>& support) {
   assert(ctx.estimator != nullptr && ctx.estimator->ok());
   const Matrix& g = ctx.estimator->pseudo_inverse();
   double acc = ctx.x_true[link];
-  for (std::size_t i : ctx.attacker_path_indices()) {
+  for (std::size_t i : support) {
     const double coeff = g(link, i);
     if (coeff > kCoeffTol) acc += coeff * ctx.per_path_cap;
   }

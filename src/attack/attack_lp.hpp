@@ -65,4 +65,9 @@ enum class CollateralPolicy {
 // to prune hopeless victim candidates before solving LPs.
 double max_estimate_push(const AttackContext& ctx, LinkId link);
 
+// The same bound over a support the caller computed once as
+// ctx.attacker_path_indices() — for attack loops that bound many links.
+double max_estimate_push(const AttackContext& ctx, LinkId link,
+                         const std::vector<std::size_t>& support);
+
 }  // namespace scapegoat

@@ -24,10 +24,12 @@ MaxDamageResult max_damage_attack(const AttackContext& ctx,
     pool.resize(ctx.estimator->num_links());
     for (LinkId l = 0; l < pool.size(); ++l) pool[l] = l;
   }
+  const std::vector<std::size_t> support = ctx.attacker_path_indices();
   std::vector<LinkId> candidates;
   for (LinkId l : pool) {
     if (is_controlled(l)) continue;
-    if (max_estimate_push(ctx, l) <= ctx.thresholds.upper + ctx.margin)
+    if (max_estimate_push(ctx, l, support) <=
+        ctx.thresholds.upper + ctx.margin)
       continue;
     candidates.push_back(l);
     if (candidates.size() >= opt.max_candidates) break;

@@ -12,10 +12,11 @@ namespace {
 // Total upward influence the attacker has on a link's estimate — the greedy
 // drop order: links it can barely move are the ones that make the band
 // constraints infeasible.
-double upward_influence(const AttackContext& ctx, LinkId link) {
+double upward_influence(const AttackContext& ctx, LinkId link,
+                        const std::vector<std::size_t>& support) {
   const Matrix& g = ctx.estimator->pseudo_inverse();
   double acc = 0.0;
-  for (std::size_t i : ctx.attacker_path_indices()) {
+  for (std::size_t i : support) {
     const double c = g(link, i);
     if (c > 0.0) acc += c;
   }
@@ -41,15 +42,18 @@ AttackResult obfuscation_attack(const AttackContext& ctx,
     pool.resize(ctx.estimator->num_links());
     for (LinkId l = 0; l < pool.size(); ++l) pool[l] = l;
   }
+  const std::vector<std::size_t> support = ctx.attacker_path_indices();
   std::vector<LinkId> victims;
+  std::vector<double> influence(ctx.estimator->num_links(), 0.0);
   for (LinkId l : pool) {
     if (is_controlled(l)) continue;
-    if (max_estimate_push(ctx, l) < ctx.thresholds.lower + ctx.margin)
+    if (max_estimate_push(ctx, l, support) < ctx.thresholds.lower + ctx.margin)
       continue;
     victims.push_back(l);
+    influence[l] = upward_influence(ctx, l, support);
   }
   std::sort(victims.begin(), victims.end(), [&](LinkId a, LinkId b) {
-    return upward_influence(ctx, a) > upward_influence(ctx, b);
+    return influence[a] > influence[b];
   });
   if (victims.size() > opt.max_victims) victims.resize(opt.max_victims);
 

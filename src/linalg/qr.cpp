@@ -183,15 +183,18 @@ robust::Expected<Matrix> try_pseudo_inverse(const Matrix& a) {
         "numerical rank " + std::to_string(qr.rank()) + " of " +
             std::to_string(a.cols()) + " columns"};
   }
-  return pseudo_inverse(a);
+  return pseudo_inverse(qr);
 }
 
 Matrix pseudo_inverse(const Matrix& a) {
+  return pseudo_inverse(QrDecomposition(a, QrDecomposition::Pivoting::kColumn));
+}
+
+Matrix pseudo_inverse(const QrDecomposition& qr) {
   obs::ScopedTimer timer("linalg.pinv.compute_us");
   obs::count("linalg.pinv.computes");
-  QrDecomposition qr(a, QrDecomposition::Pivoting::kColumn);
   assert(qr.full_column_rank() && "pseudo_inverse requires full column rank");
-  const std::size_t m = a.rows(), n = a.cols();
+  const std::size_t m = qr.rows(), n = qr.cols();
   // m back-solves against the shared factor: ~(2mn + n²) flops each.
   obs::count("linalg.pinv.flops", m * (2 * m * n + n * n));
   Matrix pinv(n, m);

@@ -62,6 +62,11 @@ std::size_t matrix_rank(const Matrix& a, double tol = 1e-10);
 // Asserts full column rank.
 Matrix pseudo_inverse(const Matrix& a);
 
+// The same pseudo-inverse from an existing pivoted factorization of a, for
+// callers that already hold one; bitwise equal to pseudo_inverse(a).
+// Asserts full column rank.
+Matrix pseudo_inverse(const QrDecomposition& qr);
+
 // Checked pseudo-inverse: reports rank deficiency (with the numerical rank
 // in the message) or an empty input as a structured error instead of
 // tripping the assert above. The crash-free entry point for degraded paths.

@@ -88,20 +88,20 @@ Expected<DegradedEstimate> degraded_estimate(const Matrix& r,
 
   DegradedEstimate est;
   est.paths_used = sys.r.rows();
-  est.rank = matrix_rank(sys.r);
+  // One pivoted factorization of the reduced system serves both the rank
+  // and the full-rank solve.
+  const QrDecomposition qr(sys.r, QrDecomposition::Pivoting::kColumn);
+  est.rank = qr.rank();
 
   // Full-rank certification via the conditioning diagnostic: it succeeds
   // exactly when the reduced RᵀR is SPD, i.e. the drop left the link
   // metrics identifiable, and reports κ for observability either way.
   if (est.rank == sys.r.cols() && sys.r.rows() >= sys.r.cols()) {
     if (auto cond = estimate_condition(sys.r)) {
-      auto x = least_squares(sys.r, sys.y, LeastSquaresMethod::kQr);
-      if (x) {
-        est.x = std::move(*x);
-        est.method = SolveMethod::kFullRank;
-        est.condition = cond->condition();
-        return est;
-      }
+      est.x = qr.solve(sys.y);
+      est.method = SolveMethod::kFullRank;
+      est.condition = cond->condition();
+      return est;
     }
   }
 

@@ -16,15 +16,18 @@
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "detect/detector.hpp"
+#include "graph/paths.hpp"
 #include "linalg/cgls.hpp"
 #include "linalg/conditioning.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "lp/simplex.hpp"
+#include "obs/obs.hpp"
 #include "simnet/multicast_probe.hpp"
 #include "testkit/gen.hpp"
 #include "testkit/oracles.hpp"
+#include "tomography/estimator.hpp"
 #include "tomography/multicast_mle.hpp"
 #include "tomography/sparse_recovery.hpp"
 
@@ -480,6 +483,133 @@ bool prop_detector_residual_matches_eq23(Source& src) {
   return true;
 }
 
+// ---- tomography_cached_factorization_matches_fresh_qr ---------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a[i], b[i])) return false;
+  return true;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      if (!same_bits(a(i, j), b(i, j))) return false;
+  return true;
+}
+
+// The least-squares estimator answers from the one QR factorization of R it
+// keeps, rather than factoring per call. Differential oracle: every answer
+// must be bitwise equal to the stateless kernels that factor R afresh —
+// least_squares(R, y, kQr) for estimate/try_estimate/residual and
+// pseudo_inverse(R) for G — on the constructed path set and again after
+// try_append_path (against an estimator built on the grown path set).
+// Under an installed registry, repeated calls and clone() must factor 0
+// more times than construction did.
+bool prop_cached_factorization_matches_fresh_qr(Source& src) {
+  auto sc = gen_er_scenario(src, 10 + src.index(8), 0.3);
+  if (!sc.has_value()) return true;  // unidentifiable draw: vacuous
+  std::vector<Path> paths = sc->estimator().paths();
+  const Graph& g = sc->graph();
+
+  // Compares one estimator's answers on y against fresh factorizations of
+  // its current R.
+  auto matches_fresh = [&](const Estimator& est, const Vector& y,
+                           const std::string& when) {
+    const auto fresh_x = least_squares(est.r(), y, LeastSquaresMethod::kQr);
+    if (!fresh_x.has_value()) {
+      src.note(when + ": fresh QR refused an identifiable system");
+      return false;
+    }
+    const auto tried = est.try_estimate(y);
+    const char* differs = nullptr;
+    if (!same_bits(est.estimate(y), *fresh_x)) {
+      differs = "estimate";
+    } else if (!tried.ok() || !same_bits(*tried, *fresh_x)) {
+      differs = "try_estimate";
+    } else if (!same_bits(est.residual(y), residual(est.r(), *fresh_x, y))) {
+      differs = "residual";
+    } else if (!same_bits(est.pseudo_inverse(), pseudo_inverse(est.r()))) {
+      differs = "pseudo_inverse";
+    }
+    if (differs == nullptr) return true;
+    src.note(when + ": " + differs + " not bitwise equal to a fresh QR on a " +
+             std::to_string(est.num_paths()) + "x" +
+             std::to_string(est.num_links()) + " system");
+    return false;
+  };
+
+  obs::MetricsRegistry registry;
+  std::uint64_t built = 0, reused = 0;
+  std::unique_ptr<Estimator> est;
+  std::unique_ptr<Estimator> copy;
+  Vector y = gen_vector(src, paths.size());
+  {
+    obs::ScopedInstrumentation scope(registry);
+    est = std::make_unique<TomographyEstimator>(g, paths);
+    built = registry.snapshot().counter_value("linalg.qr.factorizations");
+    if (!est->ok()) {
+      src.note("estimator refused the scenario's identifiable path set");
+      return false;
+    }
+    for (int round = 0; round < 2; ++round) {
+      (void)est->estimate(y);
+      (void)est->try_estimate(y);
+      (void)est->residual(y);
+      (void)est->pseudo_inverse();
+    }
+    copy = est->clone();
+    (void)copy->estimate(y);
+    (void)copy->residual(y);
+    reused = registry.snapshot().counter_value("linalg.qr.factorizations") -
+             built;
+  }
+  if (built != 1 || reused != 0) {
+    src.note("construction factored " + std::to_string(built) +
+             " times, later calls and clone() " + std::to_string(reused) +
+             " more");
+    return false;
+  }
+  if (!matches_fresh(*est, y, "constructed") ||
+      !matches_fresh(*copy, y, "clone")) {
+    return false;
+  }
+
+  // Grow the path set: repeats of existing routes and freshly sampled ones.
+  Rng rng = gen_rng(src);
+  const std::size_t appends = 1 + src.index(3);
+  for (std::size_t k = 0; k < appends; ++k) {
+    Path extra = paths[src.index(paths.size())];
+    if (src.maybe(0.5)) {
+      const auto ends = src.distinct_indices(g.num_nodes(), 2);
+      Path sampled = sample_simple_path(g, ends[0], ends[1], 8, rng);
+      if (!sampled.empty()) extra = std::move(sampled);
+    }
+    if (!est->try_append_path(extra).ok()) {
+      src.note("try_append_path refused a simple path of the graph");
+      return false;
+    }
+    paths.push_back(std::move(extra));
+  }
+  y = gen_vector(src, paths.size());
+  // pseudo_inverse() first: the order a service shard calls in.
+  const TomographyEstimator rebuilt(g, paths);
+  if (!same_bits(est->pseudo_inverse(), rebuilt.pseudo_inverse()) ||
+      !same_bits(est->estimate(y), rebuilt.estimate(y))) {
+    src.note("after " + std::to_string(appends) +
+             " appends: not bitwise equal to an estimator built on the grown "
+             "path set");
+    return false;
+  }
+  return matches_fresh(*est, y, "after append");
+}
+
 // ---- tomography_sparse_matches_least_squares ------------------------------
 
 // Differential oracle for the sparse-recovery family on identifiable
@@ -756,6 +886,8 @@ const std::map<std::string, NamedProperty>& property_registry() {
        {prop_attack_feasibility_matches_cut_condition, 40, 5}},
       {"detector_residual_matches_eq23",
        {prop_detector_residual_matches_eq23, 60, 4}},
+      {"tomography_cached_factorization_matches_fresh_qr",
+       {prop_cached_factorization_matches_fresh_qr, 60, 4}},
       {"tomography_sparse_matches_least_squares",
        {prop_sparse_recovery_matches_least_squares, 60, 4}},
       {"tomography_mle_matches_closed_form",

@@ -17,6 +17,11 @@
 //                                      to Eq. 23 (Theorem 3)
 //   detector_residual_matches_eq23     detect_scapegoating vs the literal
 //                                      Σ|y − Rx̂| evaluation
+//   tomography_cached_factorization_matches_fresh_qr  the least-squares
+//                                      estimator's kept QR factorization vs
+//                                      fresh least_squares / pseudo_inverse
+//                                      of R, bitwise, before and after path
+//                                      appends; construction factors once
 //   tomography_sparse_matches_least_squares  equality-mode ℓ1 recovery vs
 //                                      least squares on identifiable systems
 //                                      with a planted k-sparse anomaly (the

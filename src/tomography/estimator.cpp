@@ -4,7 +4,6 @@
 #include <string>
 
 #include "linalg/cgls.hpp"
-#include "linalg/qr.hpp"
 #include "obs/obs.hpp"
 
 namespace scapegoat {
@@ -33,6 +32,7 @@ Vector TomographyEstimator::estimate(const Vector& y) const {
     obs::count("tomography.estimate.cgls_fallback");
   }
   obs::count("tomography.estimate.dense");
+  if (method_ == LeastSquaresMethod::kQr) return factorization().solve(y);
   auto x = least_squares(r(), y, method_);
   assert(x.has_value());  // guaranteed by ok()
   return *x;
@@ -58,6 +58,7 @@ robust::Expected<Vector> TomographyEstimator::try_estimate(
     obs::count("tomography.estimate.cgls_fallback");
   }
   obs::count("tomography.estimate.dense");
+  if (method_ == LeastSquaresMethod::kQr) return factorization().solve(y);
   return try_least_squares(r(), y, method_);
 }
 

@@ -1,8 +1,11 @@
 // The least-squares tomography estimator — Eq. 2 of the paper, and the
 // EstimatorKind::kLeastSquares implementation of the Estimator interface
 // (estimator_interface.hpp, which owns the routing matrix, backend routing,
-// pseudo-inverse cache and path appends shared by every family):
-//   * estimate(y)        — x̂ = (RᵀR)⁻¹Rᵀ y (computed via QR),
+// the QR factorization of R, pseudo-inverse cache and path appends shared
+// by every family):
+//   * estimate(y)        — x̂ = (RᵀR)⁻¹Rᵀ y, one solve against the base
+//                          class's kept QR factorization (R is factored once
+//                          per estimator, not per call),
 //   * pseudo_inverse()   — G = R⁺, cached; the attack LPs are linear in G,
 //   * residual(y)        — y − R x̂(y), the quantity the detector thresholds.
 // Construction fails (ok() == false) when R lacks full column rank, i.e.

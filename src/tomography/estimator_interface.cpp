@@ -3,7 +3,6 @@
 #include <cassert>
 #include <ostream>
 
-#include "linalg/qr.hpp"
 #include "obs/obs.hpp"
 #include "tomography/estimator.hpp"
 #include "tomography/multicast_mle.hpp"
@@ -41,7 +40,10 @@ Estimator::Estimator(const Graph& g, std::vector<Path> paths,
       r_(routing_matrix(g, paths_)),
       rs_(sparse_routing_matrix(g, paths_)),
       backend_(backend) {
-  ok_ = is_identifiable(r_);
+  if (r_.rows() == 0 || r_.cols() == 0) return;  // nothing identifiable
+  qr_ = std::make_shared<const QrDecomposition>(
+      r_, QrDecomposition::Pivoting::kColumn);
+  ok_ = qr_->rank() == r_.cols();  // full column rank: identifiable
 }
 
 robust::Status Estimator::try_append_path(const Path& path) {
@@ -58,13 +60,26 @@ robust::Status Estimator::try_append_path(const Path& path) {
   for (LinkId l : path.links) grown(r_.rows(), l) = 1.0;
   r_ = std::move(grown);
   paths_.push_back(path);
-  pinv_.reset();  // G = R⁺ changed shape; recomputed on next use
+  // R changed shape: both caches are recomputed on next use.
+  qr_.reset();
+  pinv_.reset();
   return robust::ok_status();
+}
+
+const QrDecomposition& Estimator::factorization() const {
+  if (!qr_) {
+    qr_ = std::make_shared<const QrDecomposition>(
+        r_, QrDecomposition::Pivoting::kColumn);
+  }
+  return *qr_;
 }
 
 const Matrix& Estimator::pseudo_inverse() const {
   assert(ok_);
-  if (!pinv_) pinv_ = scapegoat::pseudo_inverse(r_);
+  if (!pinv_) {
+    pinv_ = qr_ ? scapegoat::pseudo_inverse(*qr_)
+                : scapegoat::pseudo_inverse(r_);
+  }
   return *pinv_;
 }
 

@@ -15,9 +15,12 @@
 //
 // The base class owns everything that is a property of the path set rather
 // than of the solve strategy: the routing matrix (dense + CSR mirror),
-// backend routing policy, identifiability, the lazily-cached pseudo-inverse
-// and the incremental path append. Virtuals cover the solve itself plus two
-// hooks the families genuinely differ on:
+// backend routing policy, the column-pivoted QR factorization of R,
+// identifiability (read off that factorization's rank), the lazily-cached
+// pseudo-inverse and the incremental path append. R is factored once, at
+// construction: least-squares estimates and G = R⁺ reuse that one
+// factorization, and clones share it rather than copy it. Virtuals cover
+// the solve itself plus two hooks the families genuinely differ on:
 //
 //   * streaming_estimate — the service shard's per-batch solve. Least
 //     squares caches G = R⁺ and never re-factorizes; sparse recovery has no
@@ -44,6 +47,7 @@
 #include "linalg/backend.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "lp/simplex.hpp"
 #include "robust/expected.hpp"
@@ -108,15 +112,25 @@ class Estimator {
   // shape, where monitors announce additional (possibly repeated, i.e.
   // redundancy-adding) probe routes mid-run. The CSR form grows via the
   // incremental SparseMatrix::try_append_row (no from-scratch triplet
-  // rebuild); the dense mirror is extended by a row copy and the cached
-  // pseudo-inverse is invalidated (recomputed lazily on next use). A row
-  // append can never lose column rank, so ok() is preserved. kInvalidInput
-  // when the path's links don't fit R's width or repeat a link.
+  // rebuild); the dense mirror is extended by a row copy, and the kept
+  // factorization and cached pseudo-inverse are dropped. The next
+  // pseudo_inverse() factors the grown R into a temporary it does not keep
+  // (a service shard then holds only G); the next least-squares estimate()
+  // re-factors and keeps the result. A row append can never lose column
+  // rank, so ok() is preserved. kInvalidInput when the path's links don't
+  // fit R's width or repeat a link.
+  //
+  // Thread safety: a constructed estimator's estimates only read the kept
+  // factorization, so concurrent callers may share one. pseudo_inverse()
+  // fills its cache on first call: make that call before sharing, as the
+  // experiment drivers do before they fan out. Const calls refill the
+  // caches an append empties, so after an append the estimator has a
+  // single owner until pseudo_inverse() and an estimate have run again.
   robust::Status try_append_path(const Path& path);
 
-  // Cached Moore-Penrose pseudo-inverse G = R⁺ (requires ok()). A property
-  // of R alone, so it lives here: the attack LPs are linear in G whichever
-  // family the defender runs.
+  // Cached Moore-Penrose pseudo-inverse G = R⁺ (requires ok()), solved from
+  // the kept factorization. A property of R alone, so it lives here: the
+  // attack LPs are linear in G whichever family the defender runs.
   const Matrix& pseudo_inverse() const;
 
   // y − R·estimate(y): zero (to numerical precision) iff y is consistent
@@ -135,12 +149,19 @@ class Estimator {
   Estimator(Estimator&&) = default;
   Estimator& operator=(Estimator&&) = default;
 
+  // The column-pivoted QR of R: made by the constructor, shared by clones,
+  // re-made (and kept) on first use after try_append_path.
+  const QrDecomposition& factorization() const;
+
  private:
   std::vector<Path> paths_;
   Matrix r_;
   SparseMatrix rs_;  // same R in CSR form (to_dense(rs_) == r_ exactly)
   BackendPolicy backend_;
   bool ok_ = false;
+  // Immutable once made, so copies share it; null after an append until
+  // factorization() refills it.
+  mutable std::shared_ptr<const QrDecomposition> qr_;
   mutable std::optional<Matrix> pinv_;  // lazily computed
 };
 

@@ -61,8 +61,9 @@ TEST_P(StrategyInvariants, MaxDamageDominatesSampledSingles) {
   for (LinkId v = 0; v < sc->graph().num_links(); ++v) {
     if (std::find(lm.begin(), lm.end(), v) != lm.end()) continue;
     const AttackResult single = chosen_victim_attack(ctx, {v});
-    if (single.success)
+    if (single.success) {
       EXPECT_GE(md.best.damage + 1e-6, single.damage) << "victim " << v;
+    }
   }
 }
 

@@ -31,7 +31,9 @@ TEST_F(ChosenVictimTest, EveryNonControlledLinkIsAttackable) {
   for (LinkId v : {LinkId{0}, LinkId{8}, LinkId{9}}) {
     const AttackResult r = chosen_victim_attack(ctx, {v});
     EXPECT_TRUE(r.success) << "victim " << v;
-    if (r.success) EXPECT_TRUE(verify_chosen_victim_result(ctx, r));
+    if (r.success) {
+      EXPECT_TRUE(verify_chosen_victim_result(ctx, r));
+    }
   }
 }
 
@@ -81,7 +83,9 @@ TEST_F(ChosenVictimTest, CollateralKeepNormalIsStricter) {
     // Stricter constraints can only reduce the achievable damage.
     EXPECT_LE(strict.damage, loose.damage + 1e-6);
     for (LinkId l = 0; l < strict.x_estimated.size(); ++l)
-      if (l != 9) EXPECT_EQ(strict.states[l], LinkState::kNormal);
+      if (l != 9) {
+        EXPECT_EQ(strict.states[l], LinkState::kNormal);
+      }
   }
 }
 

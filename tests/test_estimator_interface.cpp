@@ -13,6 +13,7 @@
 #include "tomography/estimator.hpp"
 #include "tomography/sparse_recovery.hpp"
 #include "topology/example_networks.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scapegoat {
 namespace {
@@ -91,6 +92,40 @@ TEST_F(EstimatorInterfaceTest, StreamingEstimateUsesTheCachedPseudoInverse) {
   const Vector fast = est.streaming_estimate(y);
   const Vector direct = est.pseudo_inverse() * y;
   for (std::size_t j = 0; j < fast.size(); ++j) EXPECT_EQ(fast[j], direct[j]);
+}
+
+TEST_F(EstimatorInterfaceTest, SharedFactorizationIsSafeAcrossThreads) {
+  // One least-squares estimator shared by every pool worker, as the
+  // experiment drivers share a scenario's: the estimates read the one kept
+  // factorization concurrently and must match the serial answers bitwise.
+  const TomographyEstimator est(scenario_.graph(),
+                                scenario_.estimator().paths());
+  ASSERT_TRUE(est.ok());
+  const Matrix g = est.pseudo_inverse();  // warm the cache before sharing
+  constexpr std::size_t kCalls = 64;
+  std::vector<Vector> ys(kCalls), serial(kCalls), parallel(kCalls);
+  Rng rng(0x5ea7ull);
+  for (std::size_t k = 0; k < kCalls; ++k) {
+    ys[k] = scenario_.clean_measurements();
+    for (double& v : ys[k]) v += rng.uniform(0.0, 500.0);
+    serial[k] = est.estimate(ys[k]);
+  }
+  std::vector<Matrix> gs(kCalls);
+  ThreadPool pool(4);
+  pool.parallel_for_each(0, kCalls, 1, [&](std::size_t k) {
+    parallel[k] = est.estimate(ys[k]);
+    gs[k] = est.pseudo_inverse();
+  });
+  for (std::size_t k = 0; k < kCalls; ++k) {
+    ASSERT_EQ(gs[k].rows(), g.rows());
+    ASSERT_EQ(gs[k].cols(), g.cols());
+    for (std::size_t i = 0; i < g.rows(); ++i)
+      for (std::size_t j = 0; j < g.cols(); ++j)
+        EXPECT_EQ(gs[k](i, j), g(i, j)) << "call " << k;
+    ASSERT_EQ(parallel[k].size(), serial[k].size());
+    for (std::size_t j = 0; j < serial[k].size(); ++j)
+      EXPECT_EQ(parallel[k][j], serial[k][j]) << "call " << k << " link " << j;
+  }
 }
 
 TEST_F(EstimatorInterfaceTest, TryAppendPathGrowsEveryFamily) {

@@ -45,7 +45,9 @@ TEST(ExperimentSmoke, PresenceRatioSeriesInvariants) {
   EXPECT_GT(s.total_trials, 0u);
   // Theorem 1: the exact-perfect-cut bin never fails.
   const PresenceRatioBin& perfect = s.bins.back();
-  if (perfect.trials > 0) EXPECT_EQ(perfect.successes, perfect.trials);
+  if (perfect.trials > 0) {
+    EXPECT_EQ(perfect.successes, perfect.trials);
+  }
 }
 
 TEST(ExperimentSmoke, SingleAttackerProbabilitiesInRange) {

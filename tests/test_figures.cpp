@@ -66,7 +66,9 @@ TEST(Fig5, MaxDamageBeatsFig4AndFlagsOnlyVictims) {
     const bool is_victim =
         std::find(f5.attack.victims.begin(), f5.attack.victims.end(), l) !=
         f5.attack.victims.end();
-    if (!is_victim) EXPECT_NE(f5.attack.states[l], LinkState::kAbnormal);
+    if (!is_victim) {
+      EXPECT_NE(f5.attack.states[l], LinkState::kAbnormal);
+    }
   }
   EXPECT_GT(f5.avg_path_delay, 800.0);
   std::ostringstream os;

@@ -130,7 +130,9 @@ TEST(Integration, ErdosRenyiScenarioAttackRoundTrip) {
     const LinkId victim = rng.index(sc->graph().num_links());
     if (std::find(lm.begin(), lm.end(), victim) != lm.end()) continue;
     const AttackResult r = chosen_victim_attack(ctx, {victim});
-    if (r.success) EXPECT_TRUE(verify_chosen_victim_result(ctx, r));
+    if (r.success) {
+      EXPECT_TRUE(verify_chosen_victim_result(ctx, r));
+    }
   }
 }
 

@@ -31,7 +31,9 @@ TEST_F(MaxDamageTest, DominatesEveryChosenVictimAttack) {
   // ones the candidate filter kept).
   for (LinkId v : {LinkId{0}, LinkId{8}, LinkId{9}}) {
     const AttackResult r = chosen_victim_attack(ctx, {v});
-    if (r.success) EXPECT_GE(md.best.damage + 1e-6, r.damage);
+    if (r.success) {
+      EXPECT_GE(md.best.damage + 1e-6, r.damage);
+    }
   }
 }
 

@@ -1,4 +1,5 @@
-// Differential property suite for the estimator family: equality-mode
+// Differential property suite for the estimator family: the least-squares
+// estimator's kept factorization vs fresh QR solves, equality-mode
 // sparse recovery vs least squares on identifiable systems, the multicast
 // MLE vs its textbook/brute-force oracles (the registry properties the
 // tests/corpus seeds replay), plus hand-computed instances keeping the LP
@@ -16,6 +17,10 @@
 
 namespace scapegoat {
 namespace {
+
+TEST(PropTomography, CachedFactorizationMatchesFreshQr) {
+  SCAPEGOAT_RUN_PROPERTY("tomography_cached_factorization_matches_fresh_qr");
+}
 
 TEST(PropTomography, SparseRecoveryMatchesLeastSquares) {
   SCAPEGOAT_RUN_PROPERTY("tomography_sparse_matches_least_squares");

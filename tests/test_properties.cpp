@@ -62,8 +62,9 @@ TEST_P(PerfectCutFeasibility, Theorem1Holds) {
     }
     const AttackResult unrestricted = chosen_victim_attack(ctx, {victim});
     EXPECT_TRUE(unrestricted.success);
-    if (unrestricted.success && consistent.success)
+    if (unrestricted.success && consistent.success) {
       EXPECT_GE(unrestricted.damage + 1e-6, consistent.damage);
+    }
     return;  // one constructed case per seed is enough
   }
   GTEST_SKIP() << "no interior link in this draw";
@@ -146,7 +147,9 @@ TEST_P(CoverageMonotonicity, WiderSupportPreservesFeasibility) {
     if (!rs.success) continue;
     const AttackResult rw = solve_attack_lp(ctx_wide, bands, {victim});
     EXPECT_TRUE(rw.success) << "victim " << victim;
-    if (rw.success) EXPECT_GE(rw.damage + 1e-5, rs.damage);
+    if (rw.success) {
+      EXPECT_GE(rw.damage + 1e-5, rs.damage);
+    }
   }
 }
 
