@@ -37,6 +37,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "lp/model.hpp"
+#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "util/args.hpp"
 #include "util/atomic_file.hpp"
@@ -164,12 +165,11 @@ SizeResult run_size(std::size_t links, std::size_t repeats) {
   // ---- LP: dense tableau vs revised simplex -----------------------------
   const scapegoat::lp::Model lp = make_attack_lp(links, rng);
   const std::size_t lp_repeats = links >= 2000 ? 1 : repeats;
-  scapegoat::lp::SimplexOptions tab, rev;
-  tab.backend = scapegoat::lp::LpBackend::kTableau;
-  rev.backend = scapegoat::lp::LpBackend::kRevised;
   scapegoat::lp::Solution st, sr;
-  out.tableau_lp_s = best_of(lp_repeats, [&] { st = scapegoat::lp::solve(lp, tab); });
-  out.revised_lp_s = best_of(repeats, [&] { sr = scapegoat::lp::solve(lp, rev); });
+  out.tableau_lp_s =
+      best_of(lp_repeats, [&] { st = scapegoat::lp::solve_tableau(lp); });
+  out.revised_lp_s =
+      best_of(repeats, [&] { sr = scapegoat::lp::solve_revised(lp); });
 
   const bool lp_agree =
       st.status == scapegoat::lp::SolveStatus::kOptimal &&

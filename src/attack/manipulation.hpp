@@ -35,8 +35,7 @@ struct AttackContext {
   StateThresholds thresholds;     // b_l / b_u
   double per_path_cap = 2000.0;   // max delay added to one path (§V-A)
   double margin = 1.0;            // slack for strict </> state constraints, ms
-  // LP solver options for every attack LP built from this context —
-  // lp_options.backend is the per-caller tableau/revised override.
+  // LP solver options for every attack LP built from this context.
   lp::SimplexOptions lp_options;
 
   // L_m: all links incident to an attacker node.

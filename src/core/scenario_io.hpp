@@ -36,16 +36,6 @@ bool save_scenario_file(const std::string& path, const Scenario& scenario);
 robust::Expected<Scenario> try_load_scenario(std::istream& in);
 robust::Expected<Scenario> try_load_scenario_file(const std::string& path);
 
-// Deprecated spellings from before the checked-call surface was unified;
-// forward to the try_ names.
-inline robust::Expected<Scenario> load_scenario_checked(std::istream& in) {
-  return try_load_scenario(in);
-}
-inline robust::Expected<Scenario> load_scenario_checked_file(
-    const std::string& path) {
-  return try_load_scenario_file(path);
-}
-
 // Convenience wrappers that collapse the diagnostic to nullopt.
 std::optional<Scenario> load_scenario(std::istream& in);
 std::optional<Scenario> load_scenario_file(const std::string& path);

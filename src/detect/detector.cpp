@@ -1,6 +1,5 @@
 #include "detect/detector.hpp"
 
-#include "linalg/backend.hpp"
 #include "obs/obs.hpp"
 
 namespace scapegoat {
@@ -9,13 +8,6 @@ DetectionOutcome detect_scapegoating(const Estimator& estimator,
                                      const Vector& y_observed,
                                      const DetectorOptions& opt) {
   DetectionOutcome out;
-  // The Eq. 23 residual inherits the estimator's backend routing; the
-  // per-backend counter makes the split visible in experiment reports.
-  const auto& r = estimator.sparse_r();
-  obs::count(estimator.backend().use_sparse_products(r.rows(), r.cols(),
-                                                     r.nnz())
-                 ? "detect.residual_backend.sparse"
-                 : "detect.residual_backend.dense");
   out.residual_norm1 = estimator.residual_statistic(y_observed);
   out.detected = out.residual_norm1 > opt.alpha;
   obs::count("detect.checks");

@@ -7,6 +7,14 @@
 
 namespace scapegoat {
 
+bool cgls_preferred(const SparseMatrix& a) {
+  if (a.rows() == 0 || a.cols() == 0) return false;
+  const double cells =
+      static_cast<double>(a.rows()) * static_cast<double>(a.cols());
+  if (cells < static_cast<double>(kCglsMinCells)) return false;
+  return static_cast<double>(a.nnz()) <= kCglsMaxDensity * cells;
+}
+
 CglsResult cgls_solve(const SparseMatrix& a, const Vector& b,
                       const CglsOptions& options) {
   assert(b.size() == a.rows());

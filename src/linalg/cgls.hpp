@@ -5,8 +5,8 @@
 // equation residual satisfies ‖Aᵀ(b − Ax)‖₂ ≤ tol·‖Aᵀb‖₂ or the iteration
 // cap is hit. Tolerance contract (DESIGN.md §12): the answer agrees with the
 // dense QR solution to a conditioning-dependent tolerance — it is NOT
-// bitwise-reproducible against QR, which is why BackendPolicy thresholds the
-// solver separately from the bitwise-safe products.
+// bitwise-reproducible against QR, which is why the least-squares
+// estimator takes it on its own only for matrices past the size rule below.
 //
 // CGLS cannot detect rank deficiency: on a rank-deficient system it
 // converges to *a* least-norm-ish solution without complaint. Callers must
@@ -39,6 +39,16 @@ struct CglsResult {
   double relative_residual = 0.0;
   bool converged = false;
 };
+
+// The size rule: the least-squares estimator (tomography/estimator.hpp)
+// runs CGLS instead of dense QR, unasked, once R has at least
+// kCglsMinCells cells of which at most kCglsMaxDensity are nonzero.
+// 1<<20 cells keeps every checked-in experiment on QR.
+inline constexpr std::size_t kCglsMinCells = std::size_t{1} << 20;
+inline constexpr double kCglsMaxDensity = 0.25;
+
+// True when `a` meets the size rule.
+bool cgls_preferred(const SparseMatrix& a);
 
 // Least-squares solve via CGLS. Requires a.rows() >= a.cols() and b.size()
 // == a.rows(); asserts otherwise.

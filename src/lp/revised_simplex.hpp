@@ -29,9 +29,9 @@
 
 namespace scapegoat::lp {
 
-// Solves `model` with the revised simplex. Drop-in replacement for the
-// tableau path of lp::solve; normally reached through lp::solve's backend
-// routing rather than called directly.
+// Solves `model` with the revised simplex, whatever its size. Drop-in
+// replacement for solve_tableau; normally reached through lp::solve's size
+// switch rather than called directly.
 Solution solve_revised(const Model& model, const SimplexOptions& options = {});
 
 }  // namespace scapegoat::lp

@@ -443,26 +443,6 @@ std::string to_string(SolveStatus status) {
   return "unknown";
 }
 
-std::string to_string(LpBackend backend) {
-  switch (backend) {
-    case LpBackend::kAuto:
-      return "auto";
-    case LpBackend::kTableau:
-      return "tableau";
-    case LpBackend::kRevised:
-      return "revised";
-  }
-  return "unknown";
-}
-
-std::optional<LpBackend> lp_backend_from_string(std::string_view s) {
-  for (LpBackend b :
-       {LpBackend::kAuto, LpBackend::kTableau, LpBackend::kRevised}) {
-    if (to_string(b) == s) return b;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 // Estimate of the dense tableau's footprint in cells: rows = constraints
@@ -482,11 +462,13 @@ std::size_t estimated_tableau_cells(const Model& model) {
 }  // namespace
 
 Solution solve(const Model& model, const SimplexOptions& options) {
-  if (options.backend == LpBackend::kRevised ||
-      (options.backend == LpBackend::kAuto &&
-       estimated_tableau_cells(model) >= kRevisedCellThreshold)) {
+  if (estimated_tableau_cells(model) >= kRevisedCellThreshold) {
     return solve_revised(model, options);
   }
+  return solve_tableau(model, options);
+}
+
+Solution solve_tableau(const Model& model, const SimplexOptions& options) {
   obs::ScopedTimer timer("lp.simplex.solve_us");
   obs::ScopedSpan span("lp.simplex.solve");
   Tableau tableau(model, options);

@@ -10,18 +10,18 @@
 // Degeneracy is handled by switching from Dantzig to Bland's rule after a
 // stall, which guarantees termination.
 //
-// lp::solve is the routing entry point: SimplexOptions::backend picks the
-// dense tableau here or the factorized revised simplex
-// (revised_simplex.hpp); kAuto switches to revised once the estimated
-// tableau would exceed kRevisedCellThreshold cells.
+// lp::solve is the entry point: it runs the dense tableau here
+// (solve_tableau) until the estimated tableau would reach
+// kRevisedCellThreshold cells, and the factorized revised simplex
+// (revised_simplex.hpp) from there on. The choice is made from the model's
+// size alone; callers that must pin one solver — differential tests,
+// benchmarks — call solve_tableau or solve_revised directly.
 
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -45,25 +45,10 @@ inline std::ostream& operator<<(std::ostream& os, SolveStatus status) {
   return os << to_string(status);
 }
 
-// Which solver lp::solve dispatches to. kAuto estimates the dense tableau
-// footprint (rows including per-variable bound rows × columns including
-// slacks/artificials) and switches to the revised simplex
-// (revised_simplex.hpp) once it crosses kRevisedCellThreshold — small LPs
-// keep the transparent tableau, large attack LPs get the factorized basis.
-enum class LpBackend {
-  kAuto,
-  kTableau,
-  kRevised,
-};
-
-std::string to_string(LpBackend backend);
-std::optional<LpBackend> lp_backend_from_string(std::string_view s);
-
-inline std::ostream& operator<<(std::ostream& os, LpBackend backend) {
-  return os << to_string(backend);
-}
-
-// kAuto switchover point, in estimated tableau cells.
+// lp::solve's switchover point, in estimated dense-tableau cells: rows
+// including per-variable bound rows × columns including slacks and
+// artificials. Small LPs keep the transparent tableau, large attack LPs get
+// the factorized basis.
 inline constexpr std::size_t kRevisedCellThreshold = std::size_t{1} << 18;
 
 struct Solution {
@@ -92,11 +77,11 @@ struct SimplexOptions {
   // are load-dependent: a solve that *hits* one is outside the bitwise
   // determinism contract (DESIGN.md §10).
   double max_wall_ms = 0.0;
-  // Solver selection (see LpBackend above). Callers that must pin one
-  // backend — differential tests, benchmarks — set kTableau/kRevised.
-  LpBackend backend = LpBackend::kAuto;
 };
 
 Solution solve(const Model& model, const SimplexOptions& options = {});
+
+// The dense-tableau solver, whatever the model's size.
+Solution solve_tableau(const Model& model, const SimplexOptions& options = {});
 
 }  // namespace scapegoat::lp

@@ -298,8 +298,8 @@ robust::Status Shard::process_batch(TopologyState& st,
     obs::ScopedTimer timer("service.batch.solve_us");
     // Streaming hot path: x̂ via the family's streaming solve (least
     // squares: the cached pseudo-inverse, no per-batch factorization),
-    // residual through the CSR product (bitwise equal to the dense one by
-    // the §12 backend contract).
+    // residual through the CSR product (bitwise equal to the dense one,
+    // sparse_matrix.hpp).
     const Vector x_hat = st.estimator->streaming_estimate(batch.y);
     const Vector r_hat = st.estimator->sparse_r() * x_hat;
     residual_norm = (batch.y - r_hat).norm1();

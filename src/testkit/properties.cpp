@@ -22,6 +22,7 @@
 #include "linalg/least_squares.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
+#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "obs/obs.hpp"
 #include "simnet/multicast_probe.hpp"
@@ -86,12 +87,8 @@ bool prop_lp_simplex_matches_reference(Source& src) {
 
 bool prop_lp_revised_simplex_matches_tableau(Source& src) {
   const lp::Model model = gen_lp_model(src);
-  lp::SimplexOptions tab_opt;
-  tab_opt.backend = lp::LpBackend::kTableau;
-  lp::SimplexOptions rev_opt;
-  rev_opt.backend = lp::LpBackend::kRevised;
-  const lp::Solution tab = lp::solve(model, tab_opt);
-  const lp::Solution rev = lp::solve(model, rev_opt);
+  const lp::Solution tab = lp::solve_tableau(model);
+  const lp::Solution rev = lp::solve_revised(model);
 
   if (tab.status != rev.status) {
     // Borderline feasibility (the loose and tight vertex oracles disagree)

@@ -10,32 +10,32 @@ namespace scapegoat {
 
 TomographyEstimator::TomographyEstimator(const Graph& g,
                                          std::vector<Path> paths,
-                                         LeastSquaresMethod method,
-                                         BackendPolicy backend)
-    : Estimator(g, std::move(paths), backend), method_(method) {}
+                                         LeastSquaresMethod method)
+    : Estimator(g, std::move(paths)), method_(method) {}
 
-bool TomographyEstimator::solve_iteratively() const {
-  const SparseMatrix& rs = sparse_r();
-  return backend().use_iterative_solver(rs.rows(), rs.cols(), rs.nnz());
-}
-
-Vector TomographyEstimator::estimate(const Vector& y) const {
-  assert(ok());
-  assert(y.size() == num_paths());
-  if (solve_iteratively()) {
+robust::Expected<Vector> TomographyEstimator::solve(const Vector& y) const {
+  if (method_ == LeastSquaresMethod::kCgls || cgls_preferred(sparse_r())) {
     CglsResult cg = cgls_solve(sparse_r(), y);
     if (cg.converged) {
       obs::count("tomography.estimate.sparse");
-      return cg.x;
+      return std::move(cg.x);
     }
     // Rare: stalled CGLS (extreme conditioning). QR is always available.
     obs::count("tomography.estimate.cgls_fallback");
   }
   obs::count("tomography.estimate.dense");
-  if (method_ == LeastSquaresMethod::kQr) return factorization().solve(y);
-  auto x = least_squares(r(), y, method_);
-  assert(x.has_value());  // guaranteed by ok()
-  return *x;
+  if (method_ == LeastSquaresMethod::kNormalEquations) {
+    return try_least_squares(r(), y, method_);
+  }
+  return factorization().solve(y);
+}
+
+Vector TomographyEstimator::estimate(const Vector& y) const {
+  assert(ok());
+  assert(y.size() == num_paths());
+  robust::Expected<Vector> x = solve(y);
+  assert(x.ok());  // guaranteed by ok()
+  return std::move(*x);
 }
 
 robust::Expected<Vector> TomographyEstimator::try_estimate(
@@ -49,17 +49,7 @@ robust::Expected<Vector> TomographyEstimator::try_estimate(
     return robust::Error{robust::ErrorCode::kRankDeficient,
                          "path set does not identify the link metrics"};
   }
-  if (solve_iteratively()) {
-    CglsResult cg = cgls_solve(sparse_r(), y);
-    if (cg.converged) {
-      obs::count("tomography.estimate.sparse");
-      return cg.x;
-    }
-    obs::count("tomography.estimate.cgls_fallback");
-  }
-  obs::count("tomography.estimate.dense");
-  if (method_ == LeastSquaresMethod::kQr) return factorization().solve(y);
-  return try_least_squares(r(), y, method_);
+  return solve(y);
 }
 
 Vector TomographyEstimator::streaming_estimate(const Vector& y) const {

@@ -1,8 +1,8 @@
 // The least-squares tomography estimator — Eq. 2 of the paper, and the
 // EstimatorKind::kLeastSquares implementation of the Estimator interface
-// (estimator_interface.hpp, which owns the routing matrix, backend routing,
-// the QR factorization of R, pseudo-inverse cache and path appends shared
-// by every family):
+// (estimator_interface.hpp, which owns the routing matrix, the QR
+// factorization of R, pseudo-inverse cache and path appends shared by every
+// family):
 //   * estimate(y)        — x̂ = (RᵀR)⁻¹Rᵀ y, one solve against the base
 //                          class's kept QR factorization (R is factored once
 //                          per estimator, not per call),
@@ -11,13 +11,11 @@
 // Construction fails (ok() == false) when R lacks full column rank, i.e.
 // the link metrics are not identifiable from the chosen paths.
 //
-// Backend routing (DESIGN.md §12): R is held both dense and in CSR form.
-// Products (R·x̂ in residual) resolve through BackendPolicy at call time and
-// are bitwise-identical either way; the least-squares solve itself switches
-// to iterative CGLS only when the policy's solver threshold says so (or a
-// ScopedBackendOverride forces it), falling back to dense QR if CGLS fails
-// to converge. Identifiability is always established densely — CGLS cannot
-// detect rank deficiency.
+// Solver choice (DESIGN.md §12): the solve runs iterative CGLS over the CSR
+// form of R when LeastSquaresMethod::kCgls is asked for or R meets the
+// size rule beside cgls_solve (linalg/cgls.hpp), and falls back to the kept
+// QR if CGLS fails to converge. Identifiability is always established by
+// that QR — CGLS cannot detect rank deficiency.
 
 #pragma once
 
@@ -25,7 +23,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/matrix.hpp"
 #include "robust/expected.hpp"
@@ -37,15 +34,14 @@ namespace scapegoat {
 class TomographyEstimator : public Estimator {
  public:
   TomographyEstimator(const Graph& g, std::vector<Path> paths,
-                      LeastSquaresMethod method = LeastSquaresMethod::kQr,
-                      BackendPolicy backend = {});
+                      LeastSquaresMethod method = LeastSquaresMethod::kQr);
 
   EstimatorKind method() const override {
     return EstimatorKind::kLeastSquares;
   }
 
-  // Which least-squares kernel estimate() uses when the backend policy does
-  // not force CGLS.
+  // The least-squares kernel asked for; R's size may still send estimate()
+  // to CGLS (see above).
   LeastSquaresMethod solver() const { return method_; }
 
   // x̂ from end-to-end measurements y (requires ok()).
@@ -63,8 +59,10 @@ class TomographyEstimator : public Estimator {
   std::unique_ptr<Estimator> clone() const override;
 
  private:
-  // Resolved per call; true when the solver should go through CGLS.
-  bool solve_iteratively() const;
+  // The CGLS solution when the solver choice above picks CGLS and it
+  // converges; otherwise the dense solve of method_. Callers check the
+  // preconditions (ok(), |y|) first.
+  robust::Expected<Vector> solve(const Vector& y) const;
 
   LeastSquaresMethod method_;
 };

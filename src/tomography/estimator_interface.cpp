@@ -3,7 +3,6 @@
 #include <cassert>
 #include <ostream>
 
-#include "obs/obs.hpp"
 #include "tomography/estimator.hpp"
 #include "tomography/multicast_mle.hpp"
 #include "tomography/routing_matrix.hpp"
@@ -34,12 +33,10 @@ std::ostream& operator<<(std::ostream& os, EstimatorKind kind) {
   return os << to_string(kind);
 }
 
-Estimator::Estimator(const Graph& g, std::vector<Path> paths,
-                     BackendPolicy backend)
+Estimator::Estimator(const Graph& g, std::vector<Path> paths)
     : paths_(std::move(paths)),
       r_(routing_matrix(g, paths_)),
-      rs_(sparse_routing_matrix(g, paths_)),
-      backend_(backend) {
+      rs_(sparse_routing_matrix(g, paths_)) {
   if (r_.rows() == 0 || r_.cols() == 0) return;  // nothing identifiable
   qr_ = std::make_shared<const QrDecomposition>(
       r_, QrDecomposition::Pivoting::kColumn);
@@ -84,13 +81,7 @@ const Matrix& Estimator::pseudo_inverse() const {
 }
 
 Vector Estimator::residual(const Vector& y) const {
-  const Vector xhat = estimate(y);
-  if (backend_.use_sparse_products(rs_.rows(), rs_.cols(), rs_.nnz())) {
-    obs::count("tomography.residual.sparse");
-    return y - rs_ * xhat;  // bitwise == dense product (sparse_matrix.hpp)
-  }
-  obs::count("tomography.residual.dense");
-  return y - r_ * xhat;
+  return y - rs_ * estimate(y);
 }
 
 std::vector<LinkState> Estimator::classify(const Vector& y,
@@ -104,7 +95,7 @@ std::unique_ptr<Estimator> make_estimator(EstimatorKind kind, const Graph& g,
   switch (kind) {
     case EstimatorKind::kLeastSquares:
       return std::make_unique<TomographyEstimator>(
-          g, std::move(paths), options.least_squares, options.backend);
+          g, std::move(paths), options.least_squares);
     case EstimatorKind::kSparseRecovery: {
       SparseRecoveryOptions sparse;
       sparse.constraint = options.sparse_epsilon_ms > 0.0
@@ -114,15 +105,14 @@ std::unique_ptr<Estimator> make_estimator(EstimatorKind kind, const Graph& g,
       sparse.prior = options.sparse_prior;
       sparse.lp_options = options.lp_options;
       return std::make_unique<SparseRecoveryEstimator>(g, std::move(paths),
-                                                       std::move(sparse),
-                                                       options.backend);
+                                                       std::move(sparse));
     }
     case EstimatorKind::kMulticastMle: {
       MulticastMleOptions mle;
       mle.min_rate = options.mle_min_rate;
       mle.max_fixed_point_iters = options.mle_fixed_point_iters;
       return std::make_unique<MulticastMleEstimator>(g, std::move(paths),
-                                                     mle, options.backend);
+                                                     mle);
     }
   }
   return nullptr;

@@ -15,7 +15,7 @@
 //
 // The base class owns everything that is a property of the path set rather
 // than of the solve strategy: the routing matrix (dense + CSR mirror),
-// backend routing policy, the column-pivoted QR factorization of R,
+// the column-pivoted QR factorization of R,
 // identifiability (read off that factorization's rank), the lazily-cached
 // pseudo-inverse and the incremental path append. R is factored once, at
 // construction: least-squares estimates and G = R⁺ reuse that one
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
@@ -106,7 +105,6 @@ class Estimator {
   const std::vector<Path>& paths() const { return paths_; }
   const Matrix& r() const { return r_; }
   const SparseMatrix& sparse_r() const { return rs_; }
-  const BackendPolicy& backend() const { return backend_; }
 
   // Absorbs one more measurement path as a new row of R — the streaming
   // shape, where monitors announce additional (possibly repeated, i.e.
@@ -134,8 +132,8 @@ class Estimator {
   const Matrix& pseudo_inverse() const;
 
   // y − R·estimate(y): zero (to numerical precision) iff y is consistent
-  // with the linear model as this family fits it. Routed dense/CSR by the
-  // backend policy; the two products are bitwise identical.
+  // with the linear model as this family fits it. The product runs through
+  // the CSR form, bitwise equal to the dense one (sparse_matrix.hpp).
   Vector residual(const Vector& y) const;
 
   // Convenience: estimate then classify per Definition 1.
@@ -143,7 +141,7 @@ class Estimator {
                                   const StateThresholds& t) const;
 
  protected:
-  Estimator(const Graph& g, std::vector<Path> paths, BackendPolicy backend);
+  Estimator(const Graph& g, std::vector<Path> paths);
   Estimator(const Estimator&) = default;
   Estimator& operator=(const Estimator&) = default;
   Estimator(Estimator&&) = default;
@@ -157,7 +155,6 @@ class Estimator {
   std::vector<Path> paths_;
   Matrix r_;
   SparseMatrix rs_;  // same R in CSR form (to_dense(rs_) == r_ exactly)
-  BackendPolicy backend_;
   bool ok_ = false;
   // Immutable once made, so copies share it; null after an append until
   // factorization() refills it.
@@ -170,7 +167,6 @@ class Estimator {
 // (sparse_recovery.hpp) which carries the full set.
 struct EstimatorOptions {
   LeastSquaresMethod least_squares = LeastSquaresMethod::kQr;
-  BackendPolicy backend;
   // Sparse recovery: per-path ∞-ball noise allowance; 0 demands exact
   // consistency (the equality-constrained LP).
   double sparse_epsilon_ms = 0.0;

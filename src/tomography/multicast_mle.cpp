@@ -450,9 +450,8 @@ robust::Expected<MulticastMleResult> solve_multicast_mle(
 
 MulticastMleEstimator::MulticastMleEstimator(const Graph& g,
                                              const MulticastTree& tree,
-                                             MulticastMleOptions options,
-                                             BackendPolicy backend)
-    : Estimator(g, tree.leaf_paths(), backend),
+                                             MulticastMleOptions options)
+    : Estimator(g, tree.leaf_paths()),
       options_(options),
       tree_(tree) {
   assert(tree_->valid());
@@ -460,9 +459,8 @@ MulticastMleEstimator::MulticastMleEstimator(const Graph& g,
 
 MulticastMleEstimator::MulticastMleEstimator(const Graph& g,
                                              std::vector<Path> paths,
-                                             MulticastMleOptions options,
-                                             BackendPolicy backend)
-    : Estimator(g, std::move(paths), backend), options_(options) {
+                                             MulticastMleOptions options)
+    : Estimator(g, std::move(paths)), options_(options) {
   auto derived = multicast_tree_from_paths(g, this->paths());
   if (derived.ok()) {
     tree_ = std::move(*derived);

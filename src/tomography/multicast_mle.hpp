@@ -180,8 +180,7 @@ class MulticastMleEstimator final : public Estimator {
   // Tree-native construction: the base path set is tree.leaf_paths(), so
   // y is the per-leaf loss-metric vector in leaf order.
   MulticastMleEstimator(const Graph& g, const MulticastTree& tree,
-                        MulticastMleOptions options = {},
-                        BackendPolicy backend = {});
+                        MulticastMleOptions options = {});
 
   // Factory-shape construction from an arbitrary path set. When the paths
   // form a rooted multicast tree the estimator is tree-native; otherwise it
@@ -189,8 +188,7 @@ class MulticastMleEstimator final : public Estimator {
   // linear pseudo-inverse solve, so Scenario / service plumbing that feeds
   // unicast mesh paths stays total (documented fallback, not an error).
   MulticastMleEstimator(const Graph& g, std::vector<Path> paths,
-                        MulticastMleOptions options = {},
-                        BackendPolicy backend = {});
+                        MulticastMleOptions options = {});
 
   EstimatorKind method() const override {
     return EstimatorKind::kMulticastMle;

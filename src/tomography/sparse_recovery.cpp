@@ -58,9 +58,8 @@ std::vector<lp::Term> path_row(const Path& path, std::size_t num_links) {
 
 SparseRecoveryEstimator::SparseRecoveryEstimator(const Graph& g,
                                                  std::vector<Path> paths,
-                                                 SparseRecoveryOptions options,
-                                                 BackendPolicy backend)
-    : Estimator(g, std::move(paths), backend), options_(std::move(options)) {
+                                                 SparseRecoveryOptions options)
+    : Estimator(g, std::move(paths)), options_(std::move(options)) {
   prior_ = options_.prior.empty() ? Vector(num_links()) : options_.prior;
 }
 

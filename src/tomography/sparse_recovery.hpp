@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/matrix.hpp"
 #include "lp/simplex.hpp"
 #include "robust/expected.hpp"
@@ -87,8 +86,7 @@ struct SparseRecoveryResult {
 class SparseRecoveryEstimator : public Estimator {
  public:
   SparseRecoveryEstimator(const Graph& g, std::vector<Path> paths,
-                          SparseRecoveryOptions options = {},
-                          BackendPolicy backend = {});
+                          SparseRecoveryOptions options = {});
 
   EstimatorKind method() const override {
     return EstimatorKind::kSparseRecovery;

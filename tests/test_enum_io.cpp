@@ -8,7 +8,6 @@
 
 #include "attack/sparse_aware.hpp"
 #include "core/defender_ablation.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/least_squares.hpp"
 #include "lp/simplex.hpp"
 #include "robust/degraded.hpp"
@@ -72,32 +71,6 @@ TEST(EnumIo, LeastSquaresMethodRoundTrips) {
   std::ostringstream os;
   os << LeastSquaresMethod::kQr;
   EXPECT_EQ(os.str(), "qr");
-}
-
-TEST(EnumIo, NumericBackendRoundTrips) {
-  for (NumericBackend b : {NumericBackend::kAuto, NumericBackend::kDense,
-                           NumericBackend::kSparse}) {
-    const auto back = numeric_backend_from_string(to_string(b));
-    ASSERT_TRUE(back.has_value()) << to_string(b);
-    EXPECT_EQ(*back, b);
-  }
-  EXPECT_EQ(to_string(NumericBackend::kSparse), "sparse");
-  EXPECT_FALSE(numeric_backend_from_string("csr").has_value());
-  EXPECT_FALSE(numeric_backend_from_string("").has_value());
-}
-
-TEST(EnumIo, LpBackendRoundTrips) {
-  for (lp::LpBackend b : {lp::LpBackend::kAuto, lp::LpBackend::kTableau,
-                          lp::LpBackend::kRevised}) {
-    const auto back = lp::lp_backend_from_string(lp::to_string(b));
-    ASSERT_TRUE(back.has_value()) << lp::to_string(b);
-    EXPECT_EQ(*back, b);
-  }
-  EXPECT_EQ(lp::to_string(lp::LpBackend::kRevised), "revised");
-  EXPECT_FALSE(lp::lp_backend_from_string("dense").has_value());
-  std::ostringstream os;
-  os << lp::LpBackend::kTableau;
-  EXPECT_EQ(os.str(), "tableau");
 }
 
 TEST(EnumIo, LpSolveStatusStreams) {

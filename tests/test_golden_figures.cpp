@@ -8,6 +8,9 @@
 //     attack strategies, or the fold order cannot silently re-baseline the
 //     paper's figures. An intentional behavior change must update the
 //     constants below, which makes re-baselining a reviewed diff.
+// Residual products run through CSR at every size, so the pinned values
+// also hold the CSR product to its bitwise contract with the dense one
+// (linalg/sparse_matrix.hpp).
 //
 // The configs deliberately reuse the sizes of test_parallel_determinism so
 // the runtime cost stays in the same budget CI already pays.
@@ -18,7 +21,6 @@
 
 #include "core/experiment.hpp"
 #include "core/fault_experiment.hpp"
-#include "linalg/backend.hpp"
 #include "testkit/golden.hpp"
 
 namespace scapegoat {
@@ -70,51 +72,6 @@ TEST(GoldenFigures, Fig9DetectionFingerprint) {
     const std::uint32_t fp = testkit::fingerprint(
         run_detection_experiment(TopologyKind::kWireline, opt));
     EXPECT_EQ(fp, kFig9Golden) << "at " << threads << " threads";
-  }
-}
-
-// Force-enabling the sparse backend for matrix–vector PRODUCTS must leave
-// every figure fingerprint bit-identical: CSR SpMV accumulates each row in
-// the same column order as the dense row-dot, and the skipped terms are
-// exact ±0.0 products that cannot change a running sum (the bitwise
-// contract documented in linalg/sparse_matrix.hpp). The iterative SOLVER
-// slot deliberately stays on kAuto: CGLS only carries a tolerance contract,
-// and at these sizes the auto threshold (BackendPolicy::iterative_min_cells)
-// keeps the figures on dense QR — so the figures are dense-solved,
-// sparse-multiplied, and the goldens above need no re-pin.
-TEST(GoldenFigures, SparseProductsKeepFingerprintsBitwise) {
-  const ScopedBackendOverride force_sparse_products(NumericBackend::kSparse,
-                                                    NumericBackend::kAuto);
-  {
-    PresenceRatioOptions opt;
-    opt.topologies = 1;
-    opt.trials_per_topology = 48;
-    opt.seed = 1234;
-    opt.threads = 1;
-    EXPECT_EQ(testkit::fingerprint(run_presence_ratio_experiment(
-                  TopologyKind::kWireline, opt)),
-              kFig7Golden);
-  }
-  {
-    SingleAttackerOptions opt;
-    opt.topologies = 1;
-    opt.trials_per_topology = 10;
-    opt.seed = 99;
-    opt.threads = 1;
-    EXPECT_EQ(testkit::fingerprint(run_single_attacker_experiment(
-                  TopologyKind::kWireline, opt)),
-              kFig8Golden);
-  }
-  {
-    DetectionOptionsExperiment opt;
-    opt.topologies = 1;
-    opt.successful_attacks_per_cell = 3;
-    opt.max_trials_per_cell = 96;
-    opt.seed = 77;
-    opt.threads = 1;
-    EXPECT_EQ(testkit::fingerprint(
-                  run_detection_experiment(TopologyKind::kWireline, opt)),
-              kFig9Golden);
   }
 }
 

@@ -1,7 +1,7 @@
 // Revised simplex unit suite: known-optimum models, status parity with the
 // tableau on the tricky shapes (infeasible, unbounded, equality chains,
 // redundant rows, free variables, bound flips), certificate contract on
-// iteration limits, and lp::solve's backend routing.
+// iteration limits, and lp::solve's size switch between the two solvers.
 
 #include <gtest/gtest.h>
 
@@ -11,16 +11,11 @@
 #include "lp/model.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "obs/obs.hpp"
 #include "util/random.hpp"
 
 namespace scapegoat::lp {
 namespace {
-
-SimplexOptions revised_options() {
-  SimplexOptions opt;
-  opt.backend = LpBackend::kRevised;
-  return opt;
-}
 
 TEST(RevisedSimplex, SolvesKnownMaximization) {
   // max x + y  s.t.  x + y <= 1.5, x,y in [0,1] → 1.5.
@@ -233,10 +228,8 @@ TEST(RevisedSimplex, AgreesWithTableauOnAnchoredBattery) {
           break;
       }
     }
-    SimplexOptions tab;
-    tab.backend = LpBackend::kTableau;
-    const Solution st = solve(m, tab);
-    const Solution sr = solve(m, revised_options());
+    const Solution st = solve_tableau(m);
+    const Solution sr = solve_revised(m);
     ASSERT_EQ(st.status, SolveStatus::kOptimal) << "instance " << instance;
     ASSERT_EQ(sr.status, SolveStatus::kOptimal) << "instance " << instance;
     EXPECT_NEAR(st.objective, sr.objective,
@@ -246,21 +239,27 @@ TEST(RevisedSimplex, AgreesWithTableauOnAnchoredBattery) {
   }
 }
 
-TEST(LpBackendRouting, AutoSwitchesOnEstimatedTableauCells) {
-  // Tiny model stays on the tableau under kAuto; a model whose estimated
-  // tableau crosses kRevisedCellThreshold routes to the revised solver.
-  // Observable difference: both must solve correctly (the routing itself is
-  // covered by the obs counters and the threshold arithmetic here).
+TEST(LpSolveRouting, SwitchesOnEstimatedTableauCells) {
+  // A tiny model stays on the tableau; a model whose estimated tableau
+  // crosses kRevisedCellThreshold goes to the revised solver. Each solver
+  // counts its own solves, so the registry shows which one ran.
   Model small(Sense::kMaximize);
   small.add_variable(0.0, 1.0, 1.0);
   small.add_constraint({{0, 1.0}}, RowType::kLessEqual, 0.5);
-  const Solution s = solve(small);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 0.5, 1e-9);
+  {
+    obs::MetricsRegistry reg;
+    obs::ScopedInstrumentation scope(reg);
+    const Solution s = solve(small);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 0.5, 1e-9);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter_value("lp.simplex.solves"), 1u);
+    EXPECT_EQ(snap.counter_value("lp.revised.solves"), 0u);
+  }
 
   // 300 doubly-bounded vars × 150 rows: (150+300) rows × (300+900) cols
-  // ≈ 540k cells ≥ 1<<18 → revised path under kAuto. The answer is easy to
-  // verify: maximize Σx with generous rows → every variable at its cap.
+  // ≈ 540k cells ≥ 1<<18 → revised path. The answer is easy to verify:
+  // maximize Σx with generous rows → every variable at its cap.
   Model big(Sense::kMaximize);
   const std::size_t vars = 300;
   for (std::size_t j = 0; j < vars; ++j) big.add_variable(0.0, 1.0, 1.0);
@@ -269,19 +268,16 @@ TEST(LpBackendRouting, AutoSwitchesOnEstimatedTableauCells) {
     for (std::size_t j = i; j < vars; j += 150) terms.push_back({j, 1.0});
     big.add_constraint(std::move(terms), RowType::kLessEqual, 1e6);
   }
-  const Solution sb = solve(big);
-  ASSERT_EQ(sb.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sb.objective, static_cast<double>(vars), 1e-6);
-}
-
-TEST(LpBackendEnum, RoundTripsThroughStrings) {
-  for (LpBackend b :
-       {LpBackend::kAuto, LpBackend::kTableau, LpBackend::kRevised}) {
-    const auto parsed = lp_backend_from_string(to_string(b));
-    ASSERT_TRUE(parsed.has_value()) << to_string(b);
-    EXPECT_EQ(*parsed, b);
+  {
+    obs::MetricsRegistry reg;
+    obs::ScopedInstrumentation scope(reg);
+    const Solution sb = solve(big);
+    ASSERT_EQ(sb.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(sb.objective, static_cast<double>(vars), 1e-6);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter_value("lp.simplex.solves"), 0u);
+    EXPECT_EQ(snap.counter_value("lp.revised.solves"), 1u);
   }
-  EXPECT_FALSE(lp_backend_from_string("dense").has_value());
 }
 
 }  // namespace

@@ -398,7 +398,11 @@ TEST(ServiceSupervision, WedgedShardIsAbortedAndRestarted) {
   ServiceOptions opt = small_options();
   opt.journal_path = path;
   opt.supervise_interval_ms = 1.0;
-  opt.wedge_timeout_ms = 40.0;
+  // Only the injected stall may outlast the wedge timeout. Sanitizer builds
+  // stretch an ordinary batch (and the cold R⁺ a restarted shard rebuilds)
+  // past tens of milliseconds; a timeout that short aborts healthy batches
+  // too and burns the restart budget.
+  opt.wedge_timeout_ms = 1'000.0;
   // No batch budget: the stall can only end through the wedge detector.
   opt.batch_budget_ms = 0.0;
   opt.fault_plan.stall_on_batch = interleaved_batch_id(1, 6, w.topologies);
@@ -420,10 +424,15 @@ TEST(ServiceSupervision, OverBudgetBatchIsQuarantinedNotRestarted) {
   SessionWorkload w = small_workload();
   ServiceOptions opt = small_options();
   opt.journal_path = path;
-  // A generous wedge timeout keeps the supervisor out of it: the batch
-  // budget must be the channel that ends the stall.
+  // The injected stall runs until the budget expires, so it always exceeds
+  // it; every other batch must stay inside it. An ordinary batch here is a
+  // G·y product well under a millisecond natively, but sanitizer builds and
+  // a busy single core stretch it (and the first batch's cold R⁺) past tens
+  // of milliseconds, so the budget sits far above that. A still larger
+  // wedge timeout keeps the supervisor out of it: the batch budget must be
+  // the channel that ends the stall.
   opt.wedge_timeout_ms = 10'000.0;
-  opt.batch_budget_ms = 25.0;
+  opt.batch_budget_ms = 1'000.0;
   opt.fault_plan.stall_on_batch = interleaved_batch_id(0, 5, w.topologies);
 
   const auto report = run_service_session(w, opt);

@@ -1,7 +1,8 @@
 // CSR SparseMatrix unit suite: construction edge cases (empty matrix,
 // all-zero rows, single entry, duplicate-coordinate rejection), round-trips,
 // slicing, SpMV vs the dense product (bitwise — the DESIGN.md §12 contract),
-// CGLS against dense QR, and the backend-selection policy.
+// CGLS against dense QR, and the size rule that sends the least-squares
+// estimator to CGLS.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 #include <cstdint>
 
 #include "graph/graph.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/cgls.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -298,56 +298,26 @@ TEST(Cgls, LeastSquaresMethodRoutesThroughCgls) {
   EXPECT_NEAR((*x_cg)[1], (*x_qr)[1], 1e-10);
 }
 
-TEST(BackendPolicy, AutoThresholdsOnSizeAndDensity) {
-  const BackendPolicy policy;  // kAuto everywhere
-  // Small matrix: dense products regardless of density.
-  EXPECT_FALSE(policy.use_sparse_products(10, 10, 5));
-  // Large and sparse: sparse products.
-  EXPECT_TRUE(policy.use_sparse_products(512, 512, 2048));
-  // Large but dense: stays dense.
-  EXPECT_FALSE(policy.use_sparse_products(512, 512, 200000));
-  // Solver threshold is much higher than the product threshold.
-  EXPECT_FALSE(policy.use_iterative_solver(512, 512, 2048));
-  EXPECT_TRUE(policy.use_iterative_solver(2048, 1024, 8192));
+// A rows×cols matrix with `nnz` ones spread over distinct cells.
+SparseMatrix spread(std::size_t rows, std::size_t cols, std::size_t nnz) {
+  std::vector<Triplet> entries;
+  for (std::size_t k = 0; k < nnz; ++k)
+    entries.push_back({k % rows, (k / rows) % cols, 1.0});
+  return SparseMatrix::from_triplets(rows, cols, entries);
 }
 
-TEST(BackendPolicy, ExplicitPolicyPinsTheBackend) {
-  BackendPolicy sparse;
-  sparse.products = NumericBackend::kSparse;
-  sparse.solver = NumericBackend::kSparse;
-  EXPECT_TRUE(sparse.use_sparse_products(2, 2, 4));
-  EXPECT_TRUE(sparse.use_iterative_solver(2, 2, 4));
-
-  BackendPolicy dense;
-  dense.products = NumericBackend::kDense;
-  dense.solver = NumericBackend::kDense;
-  EXPECT_FALSE(dense.use_sparse_products(4096, 4096, 10));
-  EXPECT_FALSE(dense.use_iterative_solver(4096, 4096, 10));
-}
-
-TEST(BackendPolicy, ScopedOverrideBeatsInstancePolicyAndNests) {
-  BackendPolicy dense;
-  dense.products = NumericBackend::kDense;
-  dense.solver = NumericBackend::kDense;
-  EXPECT_FALSE(ScopedBackendOverride::products_override().has_value());
-  {
-    ScopedBackendOverride outer(NumericBackend::kSparse,
-                                NumericBackend::kAuto);
-    // products forced sparse; solver slot untouched (kAuto = no override).
-    EXPECT_TRUE(dense.use_sparse_products(2, 2, 4));
-    EXPECT_FALSE(dense.use_iterative_solver(2, 2, 4));
-    {
-      ScopedBackendOverride inner(NumericBackend::kDense,
-                                  NumericBackend::kSparse);
-      EXPECT_FALSE(dense.use_sparse_products(2, 2, 4));
-      EXPECT_TRUE(dense.use_iterative_solver(2, 2, 4));
-    }
-    // Inner scope restored the outer override.
-    EXPECT_TRUE(dense.use_sparse_products(2, 2, 4));
-    EXPECT_FALSE(dense.use_iterative_solver(2, 2, 4));
-  }
-  EXPECT_FALSE(ScopedBackendOverride::products_override().has_value());
-  EXPECT_FALSE(ScopedBackendOverride::solver_override().has_value());
+TEST(Cgls, SizeRuleThresholdsOnCellsAndDensity) {
+  // Small matrix: dense QR regardless of density.
+  EXPECT_FALSE(cgls_preferred(spread(10, 10, 5)));
+  EXPECT_FALSE(cgls_preferred(spread(512, 512, 2048)));
+  EXPECT_FALSE(cgls_preferred(SparseMatrix()));
+  // Large and sparse: CGLS, from exactly kCglsMinCells cells.
+  EXPECT_TRUE(cgls_preferred(spread(2048, 1024, 8192)));
+  EXPECT_TRUE(cgls_preferred(spread(1024, 1024, 4096)));
+  EXPECT_FALSE(cgls_preferred(spread(1024, 1023, 4096)));
+  // Large but denser than kCglsMaxDensity: stays on QR.
+  EXPECT_TRUE(cgls_preferred(spread(1024, 1024, 1024 * 256)));
+  EXPECT_FALSE(cgls_preferred(spread(1024, 1024, 1024 * 256 + 1)));
 }
 
 }  // namespace
