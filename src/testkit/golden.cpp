@@ -73,4 +73,47 @@ std::uint32_t fingerprint(const FaultSweepSeries& series) {
   return robust::crc32(os.str());
 }
 
+std::uint32_t fingerprint(const AblationSeries& series) {
+  std::ostringstream os;
+  os << "ablation|" << to_string(series.kind) << '|';
+  put(os, series.total_trials);
+  put(os, series.clean_trials);
+  put(os, series.ls_false_alarms);
+  for (double eps : series.epsilons) put(os, eps);
+  for (std::size_t n : series.sparse_false_alarms) put(os, n);
+  for (const AblationCell& cell : series.cells) {
+    os << to_string(cell.family) << '|';
+    put(os, cell.sparsity);
+    put(os, cell.attacks);
+    put(os, cell.ls_detected);
+    for (std::size_t e = 0; e < cell.sparse_detected.size(); ++e) {
+      put(os, cell.sparse_detected[e]);
+      put(os, cell.ls_only[e]);
+      put(os, cell.sparse_only[e]);
+    }
+  }
+  return robust::crc32(os.str());
+}
+
+std::uint32_t fingerprint(const LossAblationSeries& series) {
+  std::ostringstream os;
+  os << "loss_ablation|" << to_string(series.kind) << '|'
+     << to_string(series.probe_mode) << '|';
+  put(os, series.total_trials);
+  put(os, series.clean_trials);
+  put(os, series.mle_false_alarms);
+  put(os, series.ls_false_alarms);
+  for (const LossAblationCell& cell : series.cells) {
+    os << to_string(cell.family) << '|';
+    put(os, cell.drop_rate);
+    put(os, cell.attacks);
+    put(os, cell.victim_blamed);
+    put(os, cell.mle_detected);
+    put(os, cell.ls_detected);
+    put(os, cell.mle_only);
+    put(os, cell.ls_only);
+  }
+  return robust::crc32(os.str());
+}
+
 }  // namespace scapegoat::testkit
