@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/fault_experiment.hpp"
+#include "core/figures.hpp"
 #include "core/resilience_flags.hpp"
 #include "robust/watchdog.hpp"
 #include "util/args.hpp"
@@ -115,14 +116,9 @@ int main(int argc, char** argv) {
             << " probe attempts\n";
   table.print(std::cout);
 
-  if (series.trials_quarantined > 0) {
-    std::cout << "quarantined trials (excluded from all cells): "
-              << series.trials_quarantined << '\n';
-  }
-  if (series.trials_replayed > 0) {
-    std::cout << "trials replayed from checkpoint: " << series.trials_replayed
-              << '\n';
-  }
+  scapegoat::print_resilience_notes(series.trials_quarantined,
+                                    series.trials_replayed,
+                                    series.interrupted, std::cout);
 
   char hex[32];
   std::snprintf(hex, sizeof hex, "%016llx",

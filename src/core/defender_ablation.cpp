@@ -8,11 +8,11 @@
 #include "attack/chosen_victim.hpp"
 #include "attack/loss_scapegoat.hpp"
 #include "attack/sparse_aware.hpp"
+#include "core/checkpoint_runner.hpp"
 #include "detect/detector.hpp"
 #include "obs/obs.hpp"
 #include "simnet/multicast_probe.hpp"
 #include "tomography/sparse_recovery.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scapegoat {
 
@@ -45,55 +45,8 @@ constexpr std::uint64_t kAblTopologySalt = 0xab1a70b010ull;
 constexpr std::uint64_t kAblTrialSalt = 0xab17121a1ull;
 constexpr std::uint64_t kAblCleanSalt = 0xab1c1ea9ull;
 
-// Same growth scheme as experiment.cpp's Fig. 9 helper (kept file-local
-// there by design): enclose a connected non-monitor region S; its boundary
-// nodes are the attackers, its internal links the perfectly-cut victims.
-struct CutSample {
-  std::vector<NodeId> attackers;
-  std::vector<LinkId> internal_links;
-};
-
-std::optional<CutSample> grow_cut(const Scenario& sc, std::size_t target_size,
-                                  Rng& rng) {
-  const Graph& g = sc.graph();
-  std::vector<NodeId> non_monitors;
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (!sc.is_monitor(v)) non_monitors.push_back(v);
-  if (non_monitors.empty()) return std::nullopt;
-
-  const NodeId seed = non_monitors[rng.index(non_monitors.size())];
-  std::vector<bool> in_s(g.num_nodes(), false);
-  std::vector<NodeId> s{seed};
-  in_s[seed] = true;
-  for (std::size_t i = 0; i < s.size() && s.size() < target_size; ++i) {
-    std::vector<Adjacent> nbrs = g.neighbors(s[i]);
-    rng.shuffle(nbrs);
-    for (const Adjacent& a : nbrs) {
-      if (s.size() >= target_size) break;
-      if (in_s[a.neighbor] || sc.is_monitor(a.neighbor)) continue;
-      in_s[a.neighbor] = true;
-      s.push_back(a.neighbor);
-    }
-  }
-
-  CutSample out;
-  for (LinkId l = 0; l < g.num_links(); ++l) {
-    const Link& link = g.link(l);
-    if (in_s[link.u] && in_s[link.v]) out.internal_links.push_back(l);
-  }
-  if (out.internal_links.empty()) return std::nullopt;
-  std::vector<bool> is_attacker(g.num_nodes(), false);
-  for (NodeId v : s) {
-    for (const Adjacent& a : g.neighbors(v)) {
-      if (!in_s[a.neighbor] && !is_attacker[a.neighbor]) {
-        is_attacker[a.neighbor] = true;
-        out.attackers.push_back(a.neighbor);
-      }
-    }
-  }
-  if (out.attackers.empty()) return std::nullopt;
-  return out;
-}
+using internal::append_u64_field;
+using internal::split_u64_fields;
 
 // The defender panel for one topology: the scenario's own least-squares
 // estimator plus one SparseRecoveryEstimator per swept ε, all anchored to
@@ -147,7 +100,7 @@ TrialOut attack_trial(const Scenario& sc, const DefenderPanel& panel,
     const double delta = std::min(opt.attack_epsilon_ms, ctx.per_path_cap);
     for (std::size_t i : on) y_observed[i] += delta;
   } else {
-    std::optional<CutSample> cut = grow_cut(sc, 8, rng);
+    std::optional<PerfectCutSample> cut = grow_perfect_cut(sc, 8, rng);
     if (!cut) return out;
     AttackContext ctx = sc.context(cut->attackers);
     ctx.x_true = x;
@@ -202,6 +155,48 @@ TrialOut clean_trial(const Scenario& sc, const DefenderPanel& panel,
   return out;
 }
 
+// Journal payload: counted:ls:sparse_mask in decimal.
+std::string encode_trial(const TrialOut& o) {
+  std::string s;
+  append_u64_field(s, o.counted ? 1 : 0);
+  append_u64_field(s, o.ls ? 1 : 0);
+  append_u64_field(s, o.sparse_mask);
+  return s;
+}
+
+bool decode_trial(std::string_view payload, TrialOut& o) {
+  std::uint64_t f[3];
+  if (!split_u64_fields(payload, f, 3) || f[2] > 0xffffffffu)
+    return false;
+  o.counted = f[0] != 0;
+  o.ls = f[1] != 0;
+  o.sparse_mask = static_cast<std::uint32_t>(f[2]);
+  return true;
+}
+
+// Result-affecting configuration only (threads/grain/resilience are absent,
+// so a journal resumes at any thread count).
+std::uint64_t defender_config_hash(const DefenderAblationOptions& opt) {
+  robust::ConfigHasher h;
+  h.mix("defender_ablation");
+  h.mix(to_string(opt.kind));
+  h.mix(static_cast<std::uint64_t>(opt.seed));
+  h.mix(opt.topologies);
+  h.mix(opt.trials_per_cell);
+  h.mix(opt.clean_trials);
+  h.mix(opt.anomaly_sparsity.size());
+  for (std::size_t k : opt.anomaly_sparsity) h.mix(k);
+  h.mix(opt.defender_epsilons_ms.size());
+  for (double e : opt.defender_epsilons_ms) h.mix(e);
+  h.mix(opt.families.size());
+  for (AttackFamily f : opt.families) h.mix(to_string(f));
+  h.mix(opt.alpha);
+  h.mix(opt.anomaly_delay_ms);
+  h.mix(opt.noise_ms);
+  h.mix(opt.attack_epsilon_ms);
+  return h.hash();
+}
+
 }  // namespace
 
 AblationSeries run_defender_ablation(const DefenderAblationOptions& opt) {
@@ -226,72 +221,70 @@ AblationSeries run_defender_ablation(const DefenderAblationOptions& opt) {
 
   const std::uint64_t base =
       opt.seed + (opt.kind == TopologyKind::kWireline ? 0 : 0xab1f1ee5u);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = acquire_pool(opt, owned);
 
   obs::ScopedSpan run_span("core.ablation.run");
   run_span.attr("kind", to_string(opt.kind));
 
-  const std::size_t cells = series.cells.size();
-  const std::size_t per_topology = cells * opt.trials_per_cell;
+  internal::CheckpointedRun run(opt, opt.resilience, "defender_ablation",
+                                defender_config_hash(opt));
+  const std::size_t per_topology = series.cells.size() * opt.trials_per_cell;
 
   for (std::size_t t = 0; t < opt.topologies; ++t) {
-    Rng topo_rng(derive_seed(base ^ kAblTopologySalt, t));
-    std::optional<Scenario> sc = make_scenario(opt.kind, topo_rng);
+    std::optional<Scenario> sc =
+        internal::draw_topology(opt.kind, base, kAblTopologySalt, t);
     if (!sc) continue;
-    sc->estimator().pseudo_inverse();  // warm the lazy cache pre-fan-out
     const DefenderPanel panel = build_panel(*sc, opt);
 
-    // Clean block: one index space per topology, folded serially.
-    std::vector<TrialOut> clean_outs(opt.clean_trials);
-    pool.parallel_for(0, opt.clean_trials, opt.grain,
-                      [&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t i = lo; i < hi; ++i) {
-                          Rng rng(derive_seed(base ^ kAblCleanSalt,
-                                              t * opt.clean_trials + i));
-                          clean_outs[i] = clean_trial(*sc, panel, opt, rng);
-                        }
-                      });
-    for (const TrialOut& o : clean_outs) {
-      ++series.clean_trials;
-      if (o.ls) ++series.ls_false_alarms;
-      for (std::size_t e = 0; e < ne; ++e)
-        if (o.sparse_mask & (1u << e)) ++series.sparse_false_alarms[e];
-      obs::count("core.ablation.clean_trials");
-      if (o.ls || o.sparse_mask != 0) obs::count("core.ablation.false_alarms");
-    }
+    // Clean block: one index space per topology.
+    if (!run.run_block(
+            *sc,
+            {"clean", t * opt.clean_trials, opt.clean_trials,
+             base ^ kAblCleanSalt},
+            [&](const Scenario& local, std::uint64_t, Rng& rng) {
+              return clean_trial(local, panel, opt, rng);
+            },
+            [&](std::size_t, const TrialOut& o) {
+              ++series.clean_trials;
+              if (o.ls) ++series.ls_false_alarms;
+              for (std::size_t e = 0; e < ne; ++e)
+                if (o.sparse_mask & (1u << e)) ++series.sparse_false_alarms[e];
+              obs::count("core.ablation.clean_trials");
+              if (o.ls || o.sparse_mask != 0)
+                obs::count("core.ablation.false_alarms");
+            }))
+      break;
 
-    // Attack block: cells × trials flattened; trial i's RNG stream depends
-    // only on the global index, never on scheduling.
-    std::vector<TrialOut> outs(per_topology);
-    pool.parallel_for(
-        0, per_topology, opt.grain, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t cell = i / opt.trials_per_cell;
-            obs::ScopedSpan trial_span("core.ablation.trial");
-            Rng rng(derive_seed(base ^ kAblTrialSalt, t * per_topology + i));
-            outs[i] = attack_trial(*sc, panel, series.cells[cell].family,
-                                   series.cells[cell].sparsity, opt, rng);
-          }
-        });
-    for (std::size_t i = 0; i < per_topology; ++i) {
-      ++series.total_trials;
-      const TrialOut& o = outs[i];
-      if (!o.counted) continue;
-      AblationCell& cell = series.cells[i / opt.trials_per_cell];
-      ++cell.attacks;
-      if (o.ls) ++cell.ls_detected;
-      for (std::size_t e = 0; e < ne; ++e) {
-        const bool sp = (o.sparse_mask & (1u << e)) != 0;
-        if (sp) ++cell.sparse_detected[e];
-        if (o.ls && !sp) ++cell.ls_only[e];
-        if (!o.ls && sp) ++cell.sparse_only[e];
-      }
-      obs::count("core.ablation.attacks");
-      if (o.ls) obs::count("core.ablation.ls_detected");
-      if (o.sparse_mask != 0) obs::count("core.ablation.sparse_detected");
-    }
+    // Attack block: cells × trials flattened, trial i in cell i / trials.
+    if (!run.run_block(
+            *sc,
+            {"trial", t * per_topology, per_topology, base ^ kAblTrialSalt,
+             "core.ablation.trial"},
+            [&](const Scenario& local, std::uint64_t g, Rng& rng) {
+              const AblationCell& cell =
+                  series.cells[(g - t * per_topology) / opt.trials_per_cell];
+              return attack_trial(local, panel, cell.family, cell.sparsity,
+                                  opt, rng);
+            },
+            [&](std::size_t i, const TrialOut& o) {
+              ++series.total_trials;
+              if (!o.counted) return;
+              AblationCell& cell = series.cells[i / opt.trials_per_cell];
+              ++cell.attacks;
+              if (o.ls) ++cell.ls_detected;
+              for (std::size_t e = 0; e < ne; ++e) {
+                const bool sp = (o.sparse_mask & (1u << e)) != 0;
+                if (sp) ++cell.sparse_detected[e];
+                if (o.ls && !sp) ++cell.ls_only[e];
+                if (!o.ls && sp) ++cell.sparse_only[e];
+              }
+              obs::count("core.ablation.attacks");
+              if (o.ls) obs::count("core.ablation.ls_detected");
+              if (o.sparse_mask != 0)
+                obs::count("core.ablation.sparse_detected");
+            }))
+      break;
   }
+  run.report(series);
   run_span.attr("trials", static_cast<std::uint64_t>(series.total_trials));
   return series;
 }
@@ -461,6 +454,46 @@ LossTrialOut loss_trial(const Scenario& sc, const LossAttackFamily* family,
   return out;
 }
 
+// Journal payload: counted:blamed:mle:ls in decimal.
+std::string encode_trial(const LossTrialOut& o) {
+  std::string s;
+  for (bool flag : {o.counted, o.blamed, o.mle, o.ls})
+    append_u64_field(s, flag ? 1 : 0);
+  return s;
+}
+
+bool decode_trial(std::string_view payload, LossTrialOut& o) {
+  std::uint64_t f[4];
+  if (!split_u64_fields(payload, f, 4)) return false;
+  o.counted = f[0] != 0;
+  o.blamed = f[1] != 0;
+  o.mle = f[2] != 0;
+  o.ls = f[3] != 0;
+  return true;
+}
+
+std::uint64_t loss_config_hash(const LossAblationOptions& opt) {
+  robust::ConfigHasher h;
+  h.mix("loss_ablation");
+  h.mix(to_string(opt.kind));
+  h.mix(static_cast<std::uint64_t>(opt.seed));
+  h.mix(opt.topologies);
+  h.mix(opt.trials_per_cell);
+  h.mix(opt.clean_trials);
+  h.mix(opt.probes);
+  h.mix(opt.receivers);
+  h.mix(opt.drop_rates.size());
+  for (double r : opt.drop_rates) h.mix(r);
+  h.mix(opt.families.size());
+  for (LossAttackFamily f : opt.families) h.mix(to_string(f));
+  h.mix(to_string(opt.probe_mode));
+  h.mix(opt.mle_alpha);
+  h.mix(opt.ls_alpha);
+  h.mix(opt.min_link_delivery);
+  h.mix(opt.max_link_delivery);
+  return h.hash();
+}
+
 }  // namespace
 
 LossAblationSeries run_loss_ablation(const LossAblationOptions& opt) {
@@ -477,71 +510,68 @@ LossAblationSeries run_loss_ablation(const LossAblationOptions& opt) {
 
   const std::uint64_t base =
       opt.seed + (opt.kind == TopologyKind::kWireline ? 0 : 0xab1f1ee5u);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = acquire_pool(opt, owned);
 
   obs::ScopedSpan run_span("core.loss_ablation.run");
   run_span.attr("kind", to_string(opt.kind));
   run_span.attr("probe_mode", to_string(opt.probe_mode));
 
-  const std::size_t cells = series.cells.size();
-  const std::size_t per_topology = cells * opt.trials_per_cell;
+  internal::CheckpointedRun run(opt, opt.resilience, "loss_ablation",
+                                loss_config_hash(opt));
+  const std::size_t per_topology = series.cells.size() * opt.trials_per_cell;
 
   for (std::size_t t = 0; t < opt.topologies; ++t) {
-    Rng topo_rng(derive_seed(base ^ kLossTopoSalt, t));
-    std::optional<Scenario> sc = make_scenario(opt.kind, topo_rng);
+    std::optional<Scenario> sc =
+        internal::draw_topology(opt.kind, base, kLossTopoSalt, t);
     if (!sc) continue;
-    sc->estimator().pseudo_inverse();  // warm the lazy cache pre-fan-out
 
-    std::vector<LossTrialOut> clean_outs(opt.clean_trials);
-    pool.parallel_for(
-        0, opt.clean_trials, opt.grain, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t gi = t * opt.clean_trials + i;
-            Rng rng(derive_seed(base ^ kLossCleanSalt, gi));
-            clean_outs[i] =
-                loss_trial(*sc, nullptr, 0.0, opt,
-                           derive_seed(base ^ kLossProbeSalt, 2 * gi), rng);
-          }
-        });
-    for (const LossTrialOut& o : clean_outs) {
-      if (!o.counted) continue;
-      ++series.clean_trials;
-      if (o.mle) ++series.mle_false_alarms;
-      if (o.ls) ++series.ls_false_alarms;
-      obs::count("core.loss_ablation.clean_trials");
-      if (o.mle || o.ls) obs::count("core.loss_ablation.false_alarms");
-    }
+    // Probe seeds interleave the two blocks: 2·g for clean trial g, 2·g + 1
+    // for attack trial g.
+    if (!run.run_block(
+            *sc,
+            {"clean", t * opt.clean_trials, opt.clean_trials,
+             base ^ kLossCleanSalt},
+            [&](const Scenario& local, std::uint64_t g, Rng& rng) {
+              return loss_trial(local, nullptr, 0.0, opt,
+                                derive_seed(base ^ kLossProbeSalt, 2 * g), rng);
+            },
+            [&](std::size_t, const LossTrialOut& o) {
+              if (!o.counted) return;
+              ++series.clean_trials;
+              if (o.mle) ++series.mle_false_alarms;
+              if (o.ls) ++series.ls_false_alarms;
+              obs::count("core.loss_ablation.clean_trials");
+              if (o.mle || o.ls) obs::count("core.loss_ablation.false_alarms");
+            }))
+      break;
 
-    std::vector<LossTrialOut> outs(per_topology);
-    pool.parallel_for(
-        0, per_topology, opt.grain, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t cell = i / opt.trials_per_cell;
-            const std::size_t gi = t * per_topology + i;
-            obs::ScopedSpan trial_span("core.loss_ablation.trial");
-            Rng rng(derive_seed(base ^ kLossTrialSalt, gi));
-            outs[i] = loss_trial(
-                *sc, &series.cells[cell].family, series.cells[cell].drop_rate,
-                opt, derive_seed(base ^ kLossProbeSalt, 2 * gi + 1), rng);
-          }
-        });
-    for (std::size_t i = 0; i < per_topology; ++i) {
-      ++series.total_trials;
-      const LossTrialOut& o = outs[i];
-      if (!o.counted) continue;
-      LossAblationCell& cell = series.cells[i / opt.trials_per_cell];
-      ++cell.attacks;
-      if (o.blamed) ++cell.victim_blamed;
-      if (o.mle) ++cell.mle_detected;
-      if (o.ls) ++cell.ls_detected;
-      if (o.mle && !o.ls) ++cell.mle_only;
-      if (o.ls && !o.mle) ++cell.ls_only;
-      obs::count("core.loss_ablation.attacks");
-      if (o.mle) obs::count("core.loss_ablation.mle_detected");
-      if (o.ls) obs::count("core.loss_ablation.ls_detected");
-    }
+    if (!run.run_block(
+            *sc,
+            {"trial", t * per_topology, per_topology, base ^ kLossTrialSalt,
+             "core.loss_ablation.trial"},
+            [&](const Scenario& local, std::uint64_t g, Rng& rng) {
+              const LossAblationCell& cell =
+                  series.cells[(g - t * per_topology) / opt.trials_per_cell];
+              return loss_trial(local, &cell.family, cell.drop_rate, opt,
+                                derive_seed(base ^ kLossProbeSalt, 2 * g + 1),
+                                rng);
+            },
+            [&](std::size_t i, const LossTrialOut& o) {
+              ++series.total_trials;
+              if (!o.counted) return;
+              LossAblationCell& cell = series.cells[i / opt.trials_per_cell];
+              ++cell.attacks;
+              if (o.blamed) ++cell.victim_blamed;
+              if (o.mle) ++cell.mle_detected;
+              if (o.ls) ++cell.ls_detected;
+              if (o.mle && !o.ls) ++cell.mle_only;
+              if (o.ls && !o.mle) ++cell.ls_only;
+              obs::count("core.loss_ablation.attacks");
+              if (o.mle) obs::count("core.loss_ablation.mle_detected");
+              if (o.ls) obs::count("core.loss_ablation.ls_detected");
+            }))
+      break;
   }
+  run.report(series);
   run_span.attr("trials", static_cast<std::uint64_t>(series.total_trials));
   return series;
 }

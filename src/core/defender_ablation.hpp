@@ -21,9 +21,11 @@
 //     opt.attack_epsilon_ms: consistent up to ±ε everywhere, plus up to ε
 //     extra damage per attacker path.
 //
-// Determinism contract: trials fan out over the pool with per-trial derived
-// RNG streams and fold serially in trial-index order, so every counter is
-// bitwise identical at every thread count (DESIGN.md "Threading model").
+// Determinism contract: both ablations run on the Monte-Carlo trial engine
+// the figure runners share (per-trial derived RNG streams, serial
+// trial-order fold, journal families "clean" and "trial"), so every counter
+// is bitwise identical at every thread count and across any kill/resume
+// interleaving (DESIGN.md §7/§10).
 
 #pragma once
 
@@ -66,6 +68,8 @@ struct DefenderAblationOptions : ExecutionPolicy {
   double anomaly_delay_ms = 900.0; // planted per-link anomaly (abnormal band)
   double noise_ms = 1.0;           // per-path jitter ~ U[0, noise_ms) (Rem. 4)
   double attack_epsilon_ms = 50.0; // unrestricted δ / sparse-aware budget
+
+  robust::ResilienceOptions resilience;  // see PresenceRatioOptions
 };
 
 // One (family, k) cell: how often each defender flagged the attack, plus the
@@ -98,6 +102,10 @@ struct AblationSeries {
   std::size_t clean_trials = 0;
   std::size_t ls_false_alarms = 0;
   std::vector<std::size_t> sparse_false_alarms;  // per ε
+
+  std::size_t trials_replayed = 0;  // see PresenceRatioSeries
+  std::size_t trials_quarantined = 0;
+  bool interrupted = false;
 };
 
 // Runs the sweep. Topology draws, anomaly placement, attacker placement and
@@ -148,6 +156,8 @@ struct LossAblationOptions : ExecutionPolicy {
   // Honest per-link delivery drawn U[min, max] — the background loss floor.
   double min_link_delivery = 0.985;
   double max_link_delivery = 1.0;
+
+  robust::ResilienceOptions resilience;  // see PresenceRatioOptions
 };
 
 // One (family, drop rate) cell.
@@ -183,6 +193,10 @@ struct LossAblationSeries {
   std::size_t clean_trials = 0;
   std::size_t mle_false_alarms = 0;
   std::size_t ls_false_alarms = 0;
+
+  std::size_t trials_replayed = 0;  // see PresenceRatioSeries
+  std::size_t trials_quarantined = 0;
+  bool interrupted = false;
 };
 
 // Runs the grid. Same determinism contract as run_defender_ablation: every

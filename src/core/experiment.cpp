@@ -1,9 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <charconv>
-#include <memory>
 #include <string_view>
 
 #include "attack/chosen_victim.hpp"
@@ -16,7 +13,6 @@
 #include "tomography/routing_matrix.hpp"
 #include "topology/geometric.hpp"
 #include "topology/isp.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scapegoat {
 
@@ -48,6 +44,60 @@ std::optional<Scenario> make_scenario(TopologyKind kind, Rng& rng,
   return Scenario::from_graph(std::move(g), rng, config, redundant_paths);
 }
 
+std::optional<Scenario> internal::draw_topology(TopologyKind kind,
+                                                std::uint64_t base,
+                                                std::uint64_t salt,
+                                                std::size_t t) {
+  Rng rng(derive_seed(base ^ salt, t));
+  std::optional<Scenario> sc = make_scenario(kind, rng);
+  if (sc) sc->estimator().pseudo_inverse();
+  return sc;
+}
+
+std::optional<PerfectCutSample> grow_perfect_cut(const Scenario& sc,
+                                                 std::size_t target_size,
+                                                 Rng& rng) {
+  const Graph& g = sc.graph();
+  std::vector<NodeId> non_monitors;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (!sc.is_monitor(v)) non_monitors.push_back(v);
+  if (non_monitors.empty()) return std::nullopt;
+
+  const NodeId seed = non_monitors[rng.index(non_monitors.size())];
+  std::vector<bool> in_s(g.num_nodes(), false);
+  std::vector<NodeId> s{seed};
+  in_s[seed] = true;
+  // Randomized BFS growth over non-monitor neighbors.
+  for (std::size_t i = 0; i < s.size() && s.size() < target_size; ++i) {
+    std::vector<Adjacent> nbrs = g.neighbors(s[i]);
+    rng.shuffle(nbrs);
+    for (const Adjacent& a : nbrs) {
+      if (s.size() >= target_size) break;
+      if (in_s[a.neighbor] || sc.is_monitor(a.neighbor)) continue;
+      in_s[a.neighbor] = true;
+      s.push_back(a.neighbor);
+    }
+  }
+
+  PerfectCutSample out;
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    const Link& link = g.link(l);
+    if (in_s[link.u] && in_s[link.v]) out.internal_links.push_back(l);
+  }
+  if (out.internal_links.empty()) return std::nullopt;
+  std::vector<bool> is_attacker(g.num_nodes(), false);
+  for (NodeId v : s) {
+    for (const Adjacent& a : g.neighbors(v)) {
+      if (!in_s[a.neighbor] && !is_attacker[a.neighbor]) {
+        is_attacker[a.neighbor] = true;
+        out.attackers.push_back(a.neighbor);
+      }
+    }
+  }
+  if (out.attackers.empty()) return std::nullopt;
+  return out;
+}
+
 namespace {
 
 // Stream-namespace salts: topology draws, clean-baseline runs, and the
@@ -58,17 +108,6 @@ constexpr std::uint64_t kTrialSalt = 0x7121a15a175ull;
 constexpr std::uint64_t kCleanSalt = 0xc1ea9ba5e11ull;
 constexpr std::uint64_t kPerfectSalt = 0x9e2fec7c07ull;
 constexpr std::uint64_t kImperfectSalt = 0x19e2fec7c07ull;
-
-// Draws topology t of the run on its own seed stream and pre-computes the
-// estimator's lazily-cached pseudo-inverse, so the per-chunk Scenario copies
-// taken by worker threads are plain value copies with no shared lazy state.
-std::optional<Scenario> draw_topology(TopologyKind kind, std::uint64_t base,
-                                      std::size_t t) {
-  Rng rng(derive_seed(base ^ kTopologySalt, t));
-  std::optional<Scenario> sc = make_scenario(kind, rng);
-  if (sc) sc->estimator().pseudo_inverse();
-  return sc;
-}
 
 // Random attacker node set of size `count` (monitors are eligible — the
 // paper's §II-D explicitly allows malicious monitors).
@@ -91,39 +130,10 @@ std::optional<LinkId> sample_victim(const Graph& g,
   return pool[rng.index(pool.size())];
 }
 
-// --- checkpoint payload codecs ------------------------------------------
-//
-// Trial outputs here are small tuples of flags and indices, serialized as
-// ':'-separated decimal fields. Doubles never appear in the figure trials
-// (they would use robust::encode_double_bits, as fault_experiment does).
-
-bool split_u64_fields(std::string_view payload, std::uint64_t* out,
-                      std::size_t count) {
-  std::size_t field = 0;
-  const char* p = payload.data();
-  const char* end = p + payload.size();
-  while (field < count) {
-    std::uint64_t value = 0;
-    auto [next, ec] = std::from_chars(p, end, value);
-    if (ec != std::errc() || next == p) return false;
-    out[field++] = value;
-    p = next;
-    if (field < count) {
-      if (p == end || *p != ':') return false;
-      ++p;
-    }
-  }
-  return field == count && p == end;
-}
-
-void append_u64_field(std::string& s, std::uint64_t v) {
-  if (!s.empty()) s += ':';
-  s += std::to_string(v);
-}
-
-}  // namespace
-
-namespace {
+// Trial outputs here are small tuples of flags and indices, journaled as
+// ':'-separated decimal fields.
+using internal::append_u64_field;
+using internal::split_u64_fields;
 
 struct PresenceTrialOut {
   bool counted = false;
@@ -185,7 +195,7 @@ PresenceTrialOut presence_trial(Scenario& sc, const PresenceRatioOptions& opt,
   return out;
 }
 
-std::string encode_presence(const PresenceTrialOut& o) {
+std::string encode_trial(const PresenceTrialOut& o) {
   std::string s;
   append_u64_field(s, o.counted ? 1 : 0);
   append_u64_field(s, o.bin);
@@ -193,7 +203,7 @@ std::string encode_presence(const PresenceTrialOut& o) {
   return s;
 }
 
-bool decode_presence(std::string_view payload, PresenceTrialOut& o) {
+bool decode_trial(std::string_view payload, PresenceTrialOut& o) {
   std::uint64_t f[3];
   if (!split_u64_fields(payload, f, 3)) return false;
   o.counted = f[0] != 0;
@@ -232,79 +242,33 @@ PresenceRatioSeries run_presence_ratio_experiment(
 
   const std::uint64_t base =
       opt.seed + (kind == TopologyKind::kWireline ? 0 : 0x9e3779b9u);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = acquire_pool(opt, owned);
 
   obs::ScopedSpan run_span("core.fig7.run");
   run_span.attr("kind", to_string(kind));
 
-  internal::CheckpointedRun run(opt.resilience, "fig7.presence_ratio",
+  internal::CheckpointedRun run(opt, opt.resilience, "fig7.presence_ratio",
                                 presence_config_hash(kind, opt));
-
+  const std::size_t n = opt.trials_per_topology;
   for (std::size_t t = 0; t < opt.topologies; ++t) {
-    std::optional<Scenario> sc = draw_topology(kind, base, t);
+    std::optional<Scenario> sc =
+        internal::draw_topology(kind, base, kTopologySalt, t);
     if (!sc) continue;
-    const std::size_t n = opt.trials_per_topology;
-    std::vector<PresenceTrialOut> outs(n);
-    std::vector<internal::TrialSlot> slots(n, internal::TrialSlot::kCompute);
-    std::vector<internal::GuardOutcome> guards(n);
-    std::vector<std::uint64_t> seeds(n);
-    // Serial prepass: finished trials replay from the journal, quarantined
-    // trials stay quarantined; only the rest are computed.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t idx = t * n + i;
-      seeds[i] = derive_seed(base ^ kTrialSalt, idx);
-      if (const std::string* p = run.replay("trial", idx, seeds[i]);
-          p != nullptr && decode_presence(*p, outs[i])) {
-        slots[i] = internal::TrialSlot::kReplayed;
-      } else if (run.is_quarantined("trial", idx)) {
-        slots[i] = internal::TrialSlot::kQuarantined;
-      }
-    }
-    pool.parallel_for(
-        0, n, opt.grain, [&](std::size_t lo, std::size_t hi) {
-          Scenario local = *sc;  // private copy: resample_metrics mutates
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (slots[i] != internal::TrialSlot::kCompute) continue;
-            obs::ScopedSpan trial_span("core.fig7.trial");
-            guards[i] = internal::run_trial_guarded(
-                run.trial_budget(), run.trial_retries(), seeds[i],
-                [&](Rng& rng) { outs[i] = presence_trial(local, opt, rng); });
-            trial_span.attr("trial", static_cast<std::uint64_t>(t * n + i));
-          }
-        });
-    // Serial fold in trial order — identical at every thread count.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t idx = t * n + i;
-      if (slots[i] == internal::TrialSlot::kQuarantined ||
-          (slots[i] == internal::TrialSlot::kCompute &&
-           guards[i].quarantined)) {
-        if (slots[i] == internal::TrialSlot::kCompute)
-          run.record_quarantine("trial", idx, seeds[i], guards[i].attempts);
-        ++series.trials_quarantined;
-        obs::count("ckpt.trials_quarantined");
-        continue;
-      }
-      if (slots[i] == internal::TrialSlot::kReplayed) {
-        ++series.trials_replayed;
-        obs::count("ckpt.trials_replayed");
-      } else {
-        run.record("trial", idx, seeds[i], encode_presence(outs[i]));
-      }
-      const PresenceTrialOut& o = outs[i];
-      if (!o.counted) continue;
-      ++series.bins[o.bin].trials;
-      if (o.success) ++series.bins[o.bin].successes;
-      ++series.total_trials;
-      obs::count("core.fig7.trials");
-      if (o.success) obs::count("core.fig7.successes");
-    }
-    run.flush();  // durability point: this topology's block is on disk
-    if (run.should_stop()) {
-      series.interrupted = true;
+    if (!run.run_block(
+            *sc, {"trial", t * n, n, base ^ kTrialSalt, "core.fig7.trial"},
+            [&](Scenario& local, std::uint64_t, Rng& rng) {
+              return presence_trial(local, opt, rng);
+            },
+            [&](std::size_t, const PresenceTrialOut& o) {
+              if (!o.counted) return;
+              ++series.bins[o.bin].trials;
+              if (o.success) ++series.bins[o.bin].successes;
+              ++series.total_trials;
+              obs::count("core.fig7.trials");
+              if (o.success) obs::count("core.fig7.successes");
+            }))
       break;
-    }
   }
+  run.report(series);
   run_span.attr("trials", static_cast<std::uint64_t>(series.total_trials));
   return series;
 }
@@ -337,14 +301,14 @@ SingleTrialOut single_attacker_trial(Scenario& sc,
   return out;
 }
 
-std::string encode_single(const SingleTrialOut& o) {
+std::string encode_trial(const SingleTrialOut& o) {
   std::string s;
   append_u64_field(s, o.max_damage ? 1 : 0);
   append_u64_field(s, o.obfuscation ? 1 : 0);
   return s;
 }
 
-bool decode_single(std::string_view payload, SingleTrialOut& o) {
+bool decode_trial(std::string_view payload, SingleTrialOut& o) {
   std::uint64_t f[2];
   if (!split_u64_fields(payload, f, 2)) return false;
   o.max_damage = f[0] != 0;
@@ -372,129 +336,34 @@ SingleAttackerResult run_single_attacker_experiment(
   out.kind = kind;
   const std::uint64_t base =
       opt.seed + (kind == TopologyKind::kWireline ? 0 : 0x51f15ee5u);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = acquire_pool(opt, owned);
 
-  internal::CheckpointedRun run(opt.resilience, "fig8.single_attacker",
+  internal::CheckpointedRun run(opt, opt.resilience, "fig8.single_attacker",
                                 single_config_hash(kind, opt));
-
+  const std::size_t n = opt.trials_per_topology;
   for (std::size_t t = 0; t < opt.topologies; ++t) {
-    std::optional<Scenario> sc = draw_topology(kind, base, t);
+    std::optional<Scenario> sc =
+        internal::draw_topology(kind, base, kTopologySalt, t);
     if (!sc) continue;
-    const std::size_t n = opt.trials_per_topology;
-    std::vector<SingleTrialOut> outs(n);
-    std::vector<internal::TrialSlot> slots(n, internal::TrialSlot::kCompute);
-    std::vector<internal::GuardOutcome> guards(n);
-    std::vector<std::uint64_t> seeds(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t idx = t * n + i;
-      seeds[i] = derive_seed(base ^ kTrialSalt, idx);
-      if (const std::string* p = run.replay("trial", idx, seeds[i]);
-          p != nullptr && decode_single(*p, outs[i])) {
-        slots[i] = internal::TrialSlot::kReplayed;
-      } else if (run.is_quarantined("trial", idx)) {
-        slots[i] = internal::TrialSlot::kQuarantined;
-      }
-    }
-    pool.parallel_for(
-        0, n, opt.grain, [&](std::size_t lo, std::size_t hi) {
-          Scenario local = *sc;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (slots[i] != internal::TrialSlot::kCompute) continue;
-            guards[i] = internal::run_trial_guarded(
-                run.trial_budget(), run.trial_retries(), seeds[i],
-                [&](Rng& rng) {
-                  outs[i] = single_attacker_trial(local, opt, rng);
-                });
-          }
-        });
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t idx = t * n + i;
-      if (slots[i] == internal::TrialSlot::kQuarantined ||
-          (slots[i] == internal::TrialSlot::kCompute &&
-           guards[i].quarantined)) {
-        if (slots[i] == internal::TrialSlot::kCompute)
-          run.record_quarantine("trial", idx, seeds[i], guards[i].attempts);
-        ++out.trials_quarantined;
-        obs::count("ckpt.trials_quarantined");
-        continue;
-      }
-      if (slots[i] == internal::TrialSlot::kReplayed) {
-        ++out.trials_replayed;
-        obs::count("ckpt.trials_replayed");
-      } else {
-        run.record("trial", idx, seeds[i], encode_single(outs[i]));
-      }
-      const SingleTrialOut& o = outs[i];
-      if (o.max_damage) ++out.max_damage_successes;
-      if (o.obfuscation) ++out.obfuscation_successes;
-      ++out.trials;
-      obs::count("core.fig8.trials");
-      if (o.max_damage) obs::count("core.fig8.max_damage_successes");
-      if (o.obfuscation) obs::count("core.fig8.obfuscation_successes");
-    }
-    run.flush();
-    if (run.should_stop()) {
-      out.interrupted = true;
+    if (!run.run_block(
+            *sc, {"trial", t * n, n, base ^ kTrialSalt},
+            [&](Scenario& local, std::uint64_t, Rng& rng) {
+              return single_attacker_trial(local, opt, rng);
+            },
+            [&](std::size_t, const SingleTrialOut& o) {
+              if (o.max_damage) ++out.max_damage_successes;
+              if (o.obfuscation) ++out.obfuscation_successes;
+              ++out.trials;
+              obs::count("core.fig8.trials");
+              if (o.max_damage) obs::count("core.fig8.max_damage_successes");
+              if (o.obfuscation) obs::count("core.fig8.obfuscation_successes");
+            }))
       break;
-    }
   }
+  run.report(out);
   return out;
 }
 
 namespace {
-
-// Grows a connected set S of non-monitor nodes and returns (S's boundary as
-// attackers, S's internal links as perfectly-cut victim candidates).
-// Empty result when the growth fails (e.g. seed pool exhausted).
-struct PerfectCutSample {
-  std::vector<NodeId> attackers;
-  std::vector<LinkId> internal_links;
-};
-
-std::optional<PerfectCutSample> grow_perfect_cut(const Scenario& sc,
-                                                 std::size_t target_size,
-                                                 Rng& rng) {
-  const Graph& g = sc.graph();
-  std::vector<NodeId> non_monitors;
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (!sc.is_monitor(v)) non_monitors.push_back(v);
-  if (non_monitors.empty()) return std::nullopt;
-
-  const NodeId seed = non_monitors[rng.index(non_monitors.size())];
-  std::vector<bool> in_s(g.num_nodes(), false);
-  std::vector<NodeId> s{seed};
-  in_s[seed] = true;
-  // Randomized BFS growth over non-monitor neighbors.
-  for (std::size_t i = 0; i < s.size() && s.size() < target_size; ++i) {
-    std::vector<Adjacent> nbrs = g.neighbors(s[i]);
-    rng.shuffle(nbrs);
-    for (const Adjacent& a : nbrs) {
-      if (s.size() >= target_size) break;
-      if (in_s[a.neighbor] || sc.is_monitor(a.neighbor)) continue;
-      in_s[a.neighbor] = true;
-      s.push_back(a.neighbor);
-    }
-  }
-
-  PerfectCutSample out;
-  for (LinkId l = 0; l < g.num_links(); ++l) {
-    const Link& link = g.link(l);
-    if (in_s[link.u] && in_s[link.v]) out.internal_links.push_back(l);
-  }
-  if (out.internal_links.empty()) return std::nullopt;
-  std::vector<bool> is_attacker(g.num_nodes(), false);
-  for (NodeId v : s) {
-    for (const Adjacent& a : g.neighbors(v)) {
-      if (!in_s[a.neighbor] && !is_attacker[a.neighbor]) {
-        is_attacker[a.neighbor] = true;
-        out.attackers.push_back(a.neighbor);
-      }
-    }
-  }
-  if (out.attackers.empty()) return std::nullopt;
-  return out;
-}
 
 DetectionCell& cell_for(DetectionSeries& series, AttackStrategy s,
                         bool perfect) {
@@ -530,7 +399,7 @@ StrategyOut unpack_strategy(std::uint64_t v) {
   return o;
 }
 
-std::string encode_detection(const DetectionTrialOut& o) {
+std::string encode_trial(const DetectionTrialOut& o) {
   std::string s;
   append_u64_field(s, pack_strategy(o.chosen));
   append_u64_field(s, pack_strategy(o.max_damage));
@@ -538,12 +407,31 @@ std::string encode_detection(const DetectionTrialOut& o) {
   return s;
 }
 
-bool decode_detection(std::string_view payload, DetectionTrialOut& o) {
+bool decode_trial(std::string_view payload, DetectionTrialOut& o) {
   std::uint64_t f[3];
   if (!split_u64_fields(payload, f, 3)) return false;
   o.chosen = unpack_strategy(f[0]);
   o.max_damage = unpack_strategy(f[1]);
   o.obfuscation = unpack_strategy(f[2]);
+  return true;
+}
+
+// A false-alarm baseline trial: one flag, the detector's verdict on honest
+// measurements.
+struct CleanTrialOut {
+  bool alarm = false;
+};
+
+std::string encode_trial(const CleanTrialOut& o) {
+  std::string s;
+  append_u64_field(s, o.alarm ? 1 : 0);
+  return s;
+}
+
+bool decode_trial(std::string_view payload, CleanTrialOut& o) {
+  std::uint64_t alarm = 0;
+  if (!split_u64_fields(payload, &alarm, 1)) return false;
+  o.alarm = alarm != 0;
   return true;
 }
 
@@ -647,8 +535,6 @@ DetectionSeries run_detection_experiment(
   const DetectorOptions detector{opt.alpha};
   const std::uint64_t base =
       opt.seed + (kind == TopologyKind::kWireline ? 0 : 0xdec0deu);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = acquire_pool(opt, owned);
 
   // Trials are computed in fixed-size waves (worker threads fill a wave in
   // parallel) and folded serially in trial order with the per-cell budget.
@@ -668,81 +554,36 @@ DetectionSeries run_detection_experiment(
     if (o.detected) obs::count("core.fig9.detected");
   };
 
-  internal::CheckpointedRun run(opt.resilience, "fig9.detection",
+  internal::CheckpointedRun run(opt, opt.resilience, "fig9.detection",
                                 detection_config_hash(kind, opt));
 
-  for (std::size_t t = 0; t < opt.topologies && !series.interrupted; ++t) {
-    std::optional<Scenario> sc = draw_topology(kind, base, t);
+  for (std::size_t t = 0; t < opt.topologies && !run.interrupted(); ++t) {
+    std::optional<Scenario> sc =
+        internal::draw_topology(kind, base, kTopologySalt, t);
     if (!sc) continue;
 
     // False-alarm baseline: honest measurements through the detector. Its
     // trials journal under the "clean" family — a separate index space from
     // the attack waves below.
-    std::vector<char> alarms(kCleanTrials, 0);
-    std::vector<internal::TrialSlot> slots(kCleanTrials,
-                                           internal::TrialSlot::kCompute);
-    std::vector<internal::GuardOutcome> guards(kCleanTrials);
-    std::vector<std::uint64_t> seeds(kCleanTrials);
-    for (std::size_t i = 0; i < kCleanTrials; ++i) {
-      const std::uint64_t idx = t * kCleanTrials + i;
-      seeds[i] = derive_seed(base ^ kCleanSalt, idx);
-      std::uint64_t alarm = 0;
-      if (const std::string* p = run.replay("clean", idx, seeds[i]);
-          p != nullptr && split_u64_fields(*p, &alarm, 1)) {
-        alarms[i] = alarm != 0;
-        slots[i] = internal::TrialSlot::kReplayed;
-      } else if (run.is_quarantined("clean", idx)) {
-        slots[i] = internal::TrialSlot::kQuarantined;
-      }
-    }
-    pool.parallel_for(
-        0, kCleanTrials, opt.grain, [&](std::size_t lo, std::size_t hi) {
-          Scenario local = *sc;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (slots[i] != internal::TrialSlot::kCompute) continue;
-            guards[i] = internal::run_trial_guarded(
-                run.trial_budget(), run.trial_retries(), seeds[i],
-                [&](Rng& rng) {
-                  local.resample_metrics(rng);
-                  alarms[i] = detect_scapegoating(local.estimator(),
-                                                  local.clean_measurements(),
-                                                  detector)
-                                  .detected;
-                });
-          }
-        });
-    for (std::size_t i = 0; i < kCleanTrials; ++i) {
-      const std::uint64_t idx = t * kCleanTrials + i;
-      if (slots[i] == internal::TrialSlot::kQuarantined ||
-          (slots[i] == internal::TrialSlot::kCompute &&
-           guards[i].quarantined)) {
-        if (slots[i] == internal::TrialSlot::kCompute)
-          run.record_quarantine("clean", idx, seeds[i], guards[i].attempts);
-        ++series.trials_quarantined;
-        obs::count("ckpt.trials_quarantined");
-        continue;
-      }
-      if (slots[i] == internal::TrialSlot::kReplayed) {
-        ++series.trials_replayed;
-        obs::count("ckpt.trials_replayed");
-      } else {
-        std::string payload;
-        append_u64_field(payload, alarms[i] ? 1 : 0);
-        run.record("clean", idx, seeds[i], std::move(payload));
-      }
-      ++series.clean_trials;
-      if (alarms[i]) ++series.false_alarms;
-      obs::count("core.fig9.clean_trials");
-      if (alarms[i]) obs::count("core.fig9.false_alarms");
-    }
-    run.flush();
-    if (run.should_stop()) {
-      series.interrupted = true;
+    if (!run.run_block(
+            *sc, {"clean", t * kCleanTrials, kCleanTrials, base ^ kCleanSalt},
+            [&](Scenario& local, std::uint64_t, Rng& rng) {
+              local.resample_metrics(rng);
+              return CleanTrialOut{
+                  detect_scapegoating(local.estimator(),
+                                      local.clean_measurements(), detector)
+                      .detected};
+            },
+            [&](std::size_t, const CleanTrialOut& o) {
+              ++series.clean_trials;
+              if (o.alarm) ++series.false_alarms;
+              obs::count("core.fig9.clean_trials");
+              if (o.alarm) obs::count("core.fig9.false_alarms");
+            }))
       break;
-    }
 
     for (bool perfect_phase : {true, false}) {
-      if (series.interrupted) break;
+      if (run.interrupted()) break;
       const std::uint64_t salt = perfect_phase ? kPerfectSalt : kImperfectSalt;
       const std::string_view family = perfect_phase ? "perfect" : "imperfect";
       auto phase_full = [&] {
@@ -757,73 +598,31 @@ DetectionSeries run_detection_experiment(
       while (!phase_full() && next < opt.max_trials_per_cell) {
         const std::size_t wave_end =
             std::min(next + kWave, opt.max_trials_per_cell);
-        const std::size_t wave = wave_end - next;
-        std::vector<DetectionTrialOut> outs(wave);
-        std::vector<internal::TrialSlot> wslots(wave,
-                                                internal::TrialSlot::kCompute);
-        std::vector<internal::GuardOutcome> wguards(wave);
-        std::vector<std::uint64_t> wseeds(wave);
-        for (std::size_t i = 0; i < wave; ++i) {
-          const std::uint64_t idx = t * opt.max_trials_per_cell + next + i;
-          wseeds[i] = derive_seed(base ^ salt, idx);
-          if (const std::string* p = run.replay(family, idx, wseeds[i]);
-              p != nullptr && decode_detection(*p, outs[i])) {
-            wslots[i] = internal::TrialSlot::kReplayed;
-          } else if (run.is_quarantined(family, idx)) {
-            wslots[i] = internal::TrialSlot::kQuarantined;
-          }
-        }
-        pool.parallel_for(
-            0, wave, opt.grain, [&](std::size_t lo, std::size_t hi) {
-              Scenario local = *sc;
-              for (std::size_t i = lo; i < hi; ++i) {
-                if (wslots[i] != internal::TrialSlot::kCompute) continue;
-                wguards[i] = internal::run_trial_guarded(
-                    run.trial_budget(), run.trial_retries(), wseeds[i],
-                    [&](Rng& rng) {
-                      outs[i] = perfect_phase
-                                    ? perfect_cut_trial(local, detector, rng)
-                                    : imperfect_cut_trial(local, detector, rng);
-                    });
-              }
-            });
-        // Bookkeeping runs for every wave trial (surplus included, so a
-        // resume never recomputes them); the per-cell budget fold keeps the
+        // Every wave trial is journaled (surplus included, so a resume
+        // never recomputes them); the per-cell budget fold keeps the
         // original semantics — no folds once the phase is full. phase_full
-        // is monotone, so gating per trial equals the old break.
-        for (std::size_t i = 0; i < wave; ++i) {
-          const std::uint64_t idx = t * opt.max_trials_per_cell + next + i;
-          if (wslots[i] == internal::TrialSlot::kQuarantined ||
-              (wslots[i] == internal::TrialSlot::kCompute &&
-               wguards[i].quarantined)) {
-            if (wslots[i] == internal::TrialSlot::kCompute)
-              run.record_quarantine(family, idx, wseeds[i],
-                                    wguards[i].attempts);
-            ++series.trials_quarantined;
-            obs::count("ckpt.trials_quarantined");
-            continue;
-          }
-          if (wslots[i] == internal::TrialSlot::kReplayed) {
-            ++series.trials_replayed;
-            obs::count("ckpt.trials_replayed");
-          } else {
-            run.record(family, idx, wseeds[i], encode_detection(outs[i]));
-          }
-          if (phase_full()) continue;
-          const DetectionTrialOut& o = outs[i];
-          fold(AttackStrategy::kChosenVictim, o.chosen);
-          fold(AttackStrategy::kMaxDamage, o.max_damage);
-          fold(AttackStrategy::kObfuscation, o.obfuscation);
-        }
-        next = wave_end;
-        run.flush();  // durability point: one wave per journal block
-        if (run.should_stop()) {
-          series.interrupted = true;
+        // is monotone, so gating per trial equals stopping the fold.
+        if (!run.run_block(
+                *sc,
+                {family, t * opt.max_trials_per_cell + next, wave_end - next,
+                 base ^ salt},
+                [&](Scenario& local, std::uint64_t, Rng& rng) {
+                  return perfect_phase
+                             ? perfect_cut_trial(local, detector, rng)
+                             : imperfect_cut_trial(local, detector, rng);
+                },
+                [&](std::size_t, const DetectionTrialOut& o) {
+                  if (phase_full()) return;
+                  fold(AttackStrategy::kChosenVictim, o.chosen);
+                  fold(AttackStrategy::kMaxDamage, o.max_damage);
+                  fold(AttackStrategy::kObfuscation, o.obfuscation);
+                }))
           break;
-        }
+        next = wave_end;
       }
     }
   }
+  run.report(series);
   return series;
 }
 

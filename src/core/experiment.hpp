@@ -36,10 +36,25 @@ std::optional<Scenario> make_scenario(TopologyKind kind, Rng& rng,
                                       const ScenarioConfig& config = {},
                                       std::size_t redundant_paths = 8);
 
+// A perfect cut grown around a connected region S of non-monitor nodes:
+// S's boundary nodes are the attackers, S's internal links the perfectly
+// cut victim candidates (Theorem 1).
+struct PerfectCutSample {
+  std::vector<NodeId> attackers;
+  std::vector<LinkId> internal_links;
+};
+
+// Grows S by randomized BFS from a random non-monitor seed until it holds
+// `target_size` nodes or runs out of non-monitor neighbors. nullopt when S
+// has no internal link or no boundary.
+std::optional<PerfectCutSample> grow_perfect_cut(const Scenario& sc,
+                                                 std::size_t target_size,
+                                                 Rng& rng);
+
 // ---------------------------------------------------------------- Fig. 7 --
 
 // threads/grain/seed come from the shared ExecutionPolicy base
-// (util/execution.hpp); the old field names keep working via inheritance.
+// (util/execution.hpp).
 struct PresenceRatioOptions : ExecutionPolicy {
   PresenceRatioOptions() : ExecutionPolicy(0, /*grain=*/8, /*seed=*/7) {}
 

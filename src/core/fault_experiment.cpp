@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "obs/obs.hpp"
 #include "robust/degraded.hpp"
 #include "simnet/resilient_probing.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scapegoat {
 
@@ -81,7 +79,7 @@ FaultTrialOut fault_trial(Scenario& sc, const FaultSweepOptions& opt,
 // patterns (robust::encode_double_bits) so a replayed trial folds into the
 // error aggregates bitwise identically to a recomputed one.
 
-std::string encode_fault_trial(const FaultTrialOut& o) {
+std::string encode_trial(const FaultTrialOut& o) {
   std::string s;
   auto put = [&s](const std::string& field) {
     if (!s.empty()) s += ':';
@@ -104,7 +102,7 @@ std::string encode_fault_trial(const FaultTrialOut& o) {
   return s;
 }
 
-bool decode_fault_trial(std::string_view payload, FaultTrialOut& o) {
+bool decode_trial(std::string_view payload, FaultTrialOut& o) {
   std::vector<std::string_view> fields;
   std::size_t start = 0;
   while (start <= payload.size()) {
@@ -193,25 +191,20 @@ FaultSweepSeries run_fault_sweep(TopologyKind kind,
 
   const std::uint64_t base =
       opt.seed + (kind == TopologyKind::kWireline ? 0 : 0xfa017ab1eull);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = acquire_pool(opt, owned);
 
   // Topologies are shared across cells: the same deployments face every
   // loss rate, so cell-to-cell differences are pure fault effects.
   std::vector<Scenario> topologies;
   for (std::size_t t = 0; t < opt.topologies; ++t) {
-    Rng trng(derive_seed(base ^ kSweepTopologySalt, t));
-    std::optional<Scenario> sc = make_scenario(kind, trng);
-    if (sc) {
-      sc->estimator().pseudo_inverse();  // pre-warm shared lazy state
-      topologies.push_back(std::move(*sc));
-    }
+    std::optional<Scenario> sc =
+        internal::draw_topology(kind, base, kSweepTopologySalt, t);
+    if (sc) topologies.push_back(std::move(*sc));
   }
 
-  internal::CheckpointedRun run(opt.resilience, "fault_sweep",
+  internal::CheckpointedRun run(opt, opt.resilience, "fault_sweep",
                                 sweep_config_hash(kind, opt));
 
-  for (std::size_t c = 0; c < opt.loss_rates.size() && !series.interrupted;
+  for (std::size_t c = 0; c < opt.loss_rates.size() && !run.interrupted();
        ++c) {
     FaultSweepCell& cell = series.cells[c];
     cell.loss_rate = opt.loss_rates[c];
@@ -221,101 +214,63 @@ FaultSweepSeries run_fault_sweep(TopologyKind kind,
     double err_sum = 0.0;
     std::size_t err_links = 0;
     for (std::size_t t = 0; t < topologies.size(); ++t) {
-      const Scenario& sc = topologies[t];
       const std::size_t n = opt.trials_per_topology;
-      std::vector<FaultTrialOut> outs(n);
-      std::vector<internal::TrialSlot> slots(n, internal::TrialSlot::kCompute);
-      std::vector<internal::GuardOutcome> guards(n);
-      std::vector<std::uint64_t> seeds(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        // Global trial index: unique across (cell, topology, trial) so no
-        // two trials anywhere share an RNG or fault stream.
-        const std::uint64_t g = (c * topologies.size() + t) * n + i;
-        seeds[i] = derive_seed(base ^ kSweepTrialSalt, g);
-        if (const std::string* p = run.replay("trial", g, seeds[i]);
-            p != nullptr && decode_fault_trial(*p, outs[i])) {
-          slots[i] = internal::TrialSlot::kReplayed;
-        } else if (run.is_quarantined("trial", g)) {
-          slots[i] = internal::TrialSlot::kQuarantined;
-        }
-      }
-      pool.parallel_for(
-          0, n, opt.grain, [&](std::size_t lo, std::size_t hi) {
-            Scenario local = sc;  // private copy: resample_metrics mutates
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (slots[i] != internal::TrialSlot::kCompute) continue;
-              const std::uint64_t g = (c * topologies.size() + t) * n + i;
-              robust::FaultInjector faults(
-                  spec, derive_seed(base ^ kSweepFaultSalt, g));
-              guards[i] = internal::run_trial_guarded(
-                  run.trial_budget(), run.trial_retries(), seeds[i],
-                  [&](Rng& rng) {
-                    outs[i] = fault_trial(local, opt, faults, rng);
-                  });
-            }
-          });
-      // Serial fold in trial order — identical at every thread count.
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t g = (c * topologies.size() + t) * n + i;
-        if (slots[i] == internal::TrialSlot::kQuarantined ||
-            (slots[i] == internal::TrialSlot::kCompute &&
-             guards[i].quarantined)) {
-          if (slots[i] == internal::TrialSlot::kCompute)
-            run.record_quarantine("trial", g, seeds[i], guards[i].attempts);
-          ++series.trials_quarantined;
-          obs::count("ckpt.trials_quarantined");
-          continue;
-        }
-        if (slots[i] == internal::TrialSlot::kReplayed) {
-          ++series.trials_replayed;
-          obs::count("ckpt.trials_replayed");
-        } else {
-          run.record("trial", g, seeds[i], encode_fault_trial(outs[i]));
-        }
-        const FaultTrialOut& o = outs[i];
-        ++cell.trials;
-        ++series.total_trials;
-        cell.paths_total += o.paths_total;
-        cell.paths_measured += o.paths_measured;
-        obs::count("core.faults.trials");
-        obs::count("core.faults.probe_rounds", o.probe_stats.attempts_used);
-        obs::count("core.faults.probes_sent", o.probe_stats.probes_sent);
-        obs::count("core.faults.probes_lost", o.probe_stats.probes_lost);
-        obs::count("core.faults.probes_timed_out",
-                   o.probe_stats.probes_timed_out);
-        obs::count("core.faults.paths_recovered",
-                   o.probe_stats.paths_recovered);
-        obs::count("core.faults.paths_missing", o.probe_stats.paths_missing);
-        switch (o.status) {
-          case FaultTrialOut::Status::kFullRank:
-            ++cell.full_rank;
-            obs::count("core.faults.full_rank");
-            break;
-          case FaultTrialOut::Status::kFallback:
-            ++cell.fallback;
-            obs::count("core.faults.fallback");
-            break;
-          case FaultTrialOut::Status::kUnsolvable:
-            ++cell.unsolvable;
-            obs::count("core.faults.unsolvable");
-            break;
-        }
-        if (o.links > 0) {
-          err_sum += o.abs_error_sum;
-          err_links += o.links;
-          cell.max_abs_error_ms =
-              std::max(cell.max_abs_error_ms, o.abs_error_max);
-        }
-        if (o.alarm) ++cell.alarms;
-      }
-      run.flush();  // durability point: one (cell, topology) block
-      if (run.should_stop()) {
-        series.interrupted = true;
+      // Global trial index g: unique across (cell, topology, trial) so no
+      // two trials anywhere share an RNG or fault stream.
+      if (!run.run_block(
+              topologies[t],
+              {"trial", (c * topologies.size() + t) * n, n,
+               base ^ kSweepTrialSalt},
+              [&](Scenario& local, std::uint64_t g, Rng& rng) {
+                const robust::FaultInjector faults(
+                    spec, derive_seed(base ^ kSweepFaultSalt, g));
+                return fault_trial(local, opt, faults, rng);
+              },
+              [&](std::size_t, const FaultTrialOut& o) {
+                ++cell.trials;
+                ++series.total_trials;
+                cell.paths_total += o.paths_total;
+                cell.paths_measured += o.paths_measured;
+                obs::count("core.faults.trials");
+                obs::count("core.faults.probe_rounds",
+                           o.probe_stats.attempts_used);
+                obs::count("core.faults.probes_sent",
+                           o.probe_stats.probes_sent);
+                obs::count("core.faults.probes_lost",
+                           o.probe_stats.probes_lost);
+                obs::count("core.faults.probes_timed_out",
+                           o.probe_stats.probes_timed_out);
+                obs::count("core.faults.paths_recovered",
+                           o.probe_stats.paths_recovered);
+                obs::count("core.faults.paths_missing",
+                           o.probe_stats.paths_missing);
+                switch (o.status) {
+                  case FaultTrialOut::Status::kFullRank:
+                    ++cell.full_rank;
+                    obs::count("core.faults.full_rank");
+                    break;
+                  case FaultTrialOut::Status::kFallback:
+                    ++cell.fallback;
+                    obs::count("core.faults.fallback");
+                    break;
+                  case FaultTrialOut::Status::kUnsolvable:
+                    ++cell.unsolvable;
+                    obs::count("core.faults.unsolvable");
+                    break;
+                }
+                if (o.links > 0) {
+                  err_sum += o.abs_error_sum;
+                  err_links += o.links;
+                  cell.max_abs_error_ms =
+                      std::max(cell.max_abs_error_ms, o.abs_error_max);
+                }
+                if (o.alarm) ++cell.alarms;
+              }))
         break;
-      }
     }
     if (err_links > 0) cell.mean_abs_error_ms = err_sum / err_links;
   }
+  run.report(series);
   return series;
 }
 

@@ -25,7 +25,7 @@
 namespace scapegoat {
 
 // threads/grain/seed come from the shared ExecutionPolicy base
-// (util/execution.hpp); the old field names keep working via inheritance.
+// (util/execution.hpp).
 struct FaultSweepOptions : ExecutionPolicy {
   FaultSweepOptions() : ExecutionPolicy(0, /*grain=*/4, /*seed=*/11) {}
 

@@ -17,20 +17,6 @@ namespace {
 // Paper link index (1-based) for printing.
 std::string link_label(LinkId l) { return std::to_string(l + 1); }
 
-// Resilience annotations shared by the Monte-Carlo figure printers:
-// quarantined trials are excluded from every aggregate but never silent,
-// and an interrupted series is labelled as a resumable prefix.
-void print_resilience_notes(std::size_t quarantined, bool interrupted,
-                            std::ostream& os) {
-  if (quarantined > 0)
-    os << "quarantined trials (excluded from all aggregates): " << quarantined
-       << '\n';
-  if (interrupted)
-    os << "series INCOMPLETE — run interrupted; checkpoint journal flushed, "
-          "rerun with --resume to continue\n";
-  if (quarantined > 0 || interrupted) os << '\n';
-}
-
 void print_link_table(const Vector& x_true, const AttackResult& attack,
                       const StateThresholds& t, std::ostream& os) {
   Table table({"link", "true_delay_ms", "estimated_ms", "state"});
@@ -47,6 +33,19 @@ double average(const Vector& v) {
 }
 
 }  // namespace
+
+void print_resilience_notes(std::size_t quarantined, std::size_t replayed,
+                            bool interrupted, std::ostream& os) {
+  if (quarantined > 0)
+    os << "quarantined trials (excluded from all aggregates): " << quarantined
+       << '\n';
+  if (replayed > 0)
+    os << "trials replayed from checkpoint: " << replayed << '\n';
+  if (interrupted)
+    os << "series INCOMPLETE — run interrupted; checkpoint journal flushed, "
+          "rerun with --resume to continue\n";
+  if (quarantined > 0 || replayed > 0 || interrupted) os << '\n';
+}
 
 Fig2Result run_fig2(std::uint64_t seed) {
   Rng rng(seed);
@@ -226,7 +225,8 @@ void print_fig7(const PresenceRatioSeries& wireline,
     }
     t.print(os);
     os << '\n';
-    print_resilience_notes(s.trials_quarantined, s.interrupted, os);
+    print_resilience_notes(s.trials_quarantined, s.trials_replayed,
+                           s.interrupted, os);
   };
   emit(wireline);
   emit(wireless);
@@ -244,7 +244,8 @@ void print_fig8(const SingleAttackerResult& wireline,
   t.print(os);
   os << '\n';
   for (const SingleAttackerResult* r : {&wireline, &wireless})
-    print_resilience_notes(r->trials_quarantined, r->interrupted, os);
+    print_resilience_notes(r->trials_quarantined, r->trials_replayed,
+                           r->interrupted, os);
 }
 
 void print_fig9(const DetectionSeries& series, std::ostream& os) {
@@ -259,7 +260,8 @@ void print_fig9(const DetectionSeries& series, std::ostream& os) {
   t.print(os);
   os << "\nfalse alarms on honest measurements: " << series.false_alarms
      << " / " << series.clean_trials << " (paper: none)\n\n";
-  print_resilience_notes(series.trials_quarantined, series.interrupted, os);
+  print_resilience_notes(series.trials_quarantined, series.trials_replayed,
+                         series.interrupted, os);
 }
 
 }  // namespace scapegoat

@@ -63,6 +63,13 @@ void print_fig6(const Fig6Result& r, std::ostream& os);
 
 // -------- Figs. 7-9 printers (runners live in experiment.hpp) -------------
 
+// Resilience annotations every Monte-Carlo printout ends with (figures,
+// fault sweep, ablations): quarantined trials are excluded from every
+// aggregate but never silent, replayed trials are counted, and an
+// interrupted series is labelled as a resumable prefix with the resume hint.
+void print_resilience_notes(std::size_t quarantined, std::size_t replayed,
+                            bool interrupted, std::ostream& os);
+
 void print_fig7(const PresenceRatioSeries& wireline,
                 const PresenceRatioSeries& wireless, std::ostream& os);
 void print_fig8(const SingleAttackerResult& wireline,

@@ -1,6 +1,7 @@
 // Shared command-line wiring for the crash-safety knobs: every driver that
-// runs an experiment (scapegoat_cli, the bench_fig* harnesses and the fault
-// sweep) accepts the same four flags:
+// runs a Monte-Carlo experiment (the bench_fig* harnesses, the fault sweep
+// and scapegoat_cli's faults, metrics and ablate-* commands) accepts the
+// same four flags:
 //   --checkpoint PATH     journal trial results to PATH (+ PATH.manifest)
 //   --resume              replay completed trials from the journal
 //   --trial-budget-ms MS  per-trial watchdog budget (0 = unlimited)

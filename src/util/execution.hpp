@@ -1,13 +1,9 @@
 // ExecutionPolicy — the shared {threads, grain, seed} trio every
-// Monte-Carlo runner needs.
-//
-// Before PR 3 each experiment options struct re-declared these three fields
-// with its own comments and defaults; now they all inherit this base, so
-// `opt.threads` / `opt.grain` / `opt.seed` keep working unchanged on every
-// existing struct while generic code (ArgParser::apply_execution,
-// acquire_pool, the bench harnesses) can take any of them as an
-// `ExecutionPolicy&`. Derived structs set their experiment-specific
-// defaults in their default constructor (see core/experiment.hpp).
+// Monte-Carlo runner needs. Each experiment options struct inherits it, so
+// generic code (ArgParser::apply_execution, acquire_pool, the bench
+// harnesses) can take any of them as an `ExecutionPolicy&`. Derived structs
+// set their experiment-specific defaults in their default constructor (see
+// core/experiment.hpp).
 
 #pragma once
 
@@ -38,8 +34,7 @@ struct ExecutionPolicy {
 // Resolves the policy to a pool: threads == 0 shares the process-global
 // pool, anything else materializes a dedicated pool in `owned` that lives
 // until the caller drops it (used by the scaling bench and the determinism
-// tests to pin exact worker counts). Replaces the pick_pool helpers that
-// experiment.cpp and fault_experiment.cpp each had privately.
+// tests to pin exact worker counts).
 inline ThreadPool& acquire_pool(const ExecutionPolicy& exec,
                                 std::unique_ptr<ThreadPool>& owned) {
   if (exec.threads == 0) return ThreadPool::global();

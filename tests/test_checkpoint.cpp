@@ -3,7 +3,7 @@
 // experiment runners.
 //
 // The expensive end-to-end cases run the Fig. 7/Fig. 9/fault-sweep runners
-// at tiny sizes and assert that any interleaving of interrupted sessions —
+// and the defender/loss ablations at tiny sizes and assert that any interleaving of interrupted sessions —
 // new-trial quotas, an in-process shutdown request, a SIGKILL'd child
 // process, a torn journal tail — resumes to a series bitwise identical to
 // an uninterrupted run, at every thread count tried.
@@ -24,12 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "core/defender_ablation.hpp"
 #include "core/experiment.hpp"
 #include "core/fault_experiment.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "robust/retry.hpp"
 #include "robust/watchdog.hpp"
+#include "testkit/golden.hpp"
 #include "util/atomic_file.hpp"
 
 // fork() + worker threads is undefined under TSan; the kill/resume test is
@@ -693,7 +695,135 @@ TEST(CheckpointExperiment, DetectionExperimentResumesIdentically) {
   remove_journal(path);
 }
 
+// ---------------------------------------------------------- ablations --
+
+DefenderAblationOptions small_defender_ablation() {
+  DefenderAblationOptions opt;
+  opt.topologies = 2;
+  opt.trials_per_cell = 2;
+  opt.clean_trials = 1;
+  opt.anomaly_sparsity = {1};
+  opt.defender_epsilons_ms = {0.0, 10.0};
+  opt.families = {AttackFamily::kUnrestricted, AttackFamily::kConsistent};
+  opt.threads = 2;
+  return opt;
+}
+
+LossAblationOptions small_loss_ablation() {
+  LossAblationOptions opt;
+  opt.topologies = 2;
+  opt.trials_per_cell = 2;
+  opt.clean_trials = 2;
+  opt.probes = 400;
+  opt.drop_rates = {0.2};
+  opt.threads = 1;
+  return opt;
+}
+
+TEST(CheckpointExperiment, LossAblationQuotaSessionsResumeBitwise) {
+  const std::string path = tmp_path("loss_ablation.ckpt");
+  remove_journal(path);
+  LossAblationOptions opt = small_loss_ablation();
+  const LossAblationSeries baseline = run_loss_ablation(opt);
+
+  opt.resilience.checkpoint_path = path;
+  opt.resilience.resume = true;
+  opt.resilience.stop_after_new_trials = 3;  // < one topology's blocks
+  const std::size_t thread_cycle[] = {4, 1, 2, 8};
+  LossAblationSeries resumed;
+  std::size_t sessions = 0;
+  do {
+    opt.threads = thread_cycle[sessions % 4];
+    resumed = run_loss_ablation(opt);
+    ASSERT_LT(++sessions, 30u) << "resume loop is not converging";
+  } while (resumed.interrupted);
+  EXPECT_GE(sessions, 2u);
+  EXPECT_GT(resumed.trials_replayed, 0u);
+  EXPECT_EQ(testkit::fingerprint(resumed), testkit::fingerprint(baseline));
+  EXPECT_EQ(resumed.total_trials, baseline.total_trials);
+  EXPECT_EQ(resumed.clean_trials, baseline.clean_trials);
+  remove_journal(path);
+}
+
+// Every swept vector is part of the config hash: a journal written under one
+// sweep is recomputed, never replayed, under another.
+TEST(CheckpointExperiment, AblationSweepChangesInvalidateTheJournal) {
+  const std::string path = tmp_path("ablation_hash.ckpt");
+
+  auto defender_replays = [&](const DefenderAblationOptions& changed) {
+    remove_journal(path);
+    DefenderAblationOptions opt = small_defender_ablation();
+    opt.topologies = 1;
+    opt.resilience.checkpoint_path = path;
+    opt.resilience.resume = true;
+    run_defender_ablation(opt);
+    DefenderAblationOptions next = changed;
+    next.topologies = 1;
+    next.resilience = opt.resilience;
+    return run_defender_ablation(next).trials_replayed;
+  };
+  DefenderAblationOptions same = small_defender_ablation();
+  EXPECT_EQ(defender_replays(same), 1u + 2u * 2u);  // the control replays
+  DefenderAblationOptions eps = small_defender_ablation();
+  eps.defender_epsilons_ms = {0.0, 20.0};
+  EXPECT_EQ(defender_replays(eps), 0u);
+  DefenderAblationOptions fams = small_defender_ablation();
+  fams.families = {AttackFamily::kConsistent, AttackFamily::kUnrestricted};
+  EXPECT_EQ(defender_replays(fams), 0u);
+
+  auto loss_replays = [&](const LossAblationOptions& changed) {
+    remove_journal(path);
+    LossAblationOptions opt = small_loss_ablation();
+    opt.resilience.checkpoint_path = path;
+    opt.resilience.resume = true;
+    run_loss_ablation(opt);
+    LossAblationOptions next = changed;
+    next.resilience = opt.resilience;
+    return run_loss_ablation(next).trials_replayed;
+  };
+  const LossAblationOptions base = small_loss_ablation();
+  EXPECT_EQ(loss_replays(base),
+            base.topologies * (base.clean_trials + 2 * base.trials_per_cell));
+  LossAblationOptions rates = small_loss_ablation();
+  rates.drop_rates = {0.3};
+  EXPECT_EQ(loss_replays(rates), 0u);
+  LossAblationOptions mode = small_loss_ablation();
+  mode.probe_mode = simnet::ProbeMode::kUnicast;
+  EXPECT_EQ(loss_replays(mode), 0u);
+  remove_journal(path);
+}
+
 #if !defined(SCAPEGOAT_NO_FORK_TESTS)
+TEST(CheckpointExperiment, SigkilledDefenderAblationResumesToIdenticalSeries) {
+  const std::string path = tmp_path("ablation_sigkill.ckpt");
+  remove_journal(path);
+  DefenderAblationOptions opt = small_defender_ablation();
+  const AblationSeries baseline = run_defender_ablation(opt);
+
+  opt.resilience.checkpoint_path = path;
+  opt.resilience.resume = true;
+  // Same scheme as the Fig. 7 case below, with delays stretched to the
+  // ablation's per-topology cost (topology draw plus sparse-defender panel).
+  const useconds_t kill_after_us[] = {300'000, 1'200'000, 2'500'000};
+  for (const useconds_t delay : kill_after_us) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      run_defender_ablation(opt);
+      _exit(0);
+    }
+    ::usleep(delay);
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  }
+
+  const AblationSeries resumed = run_defender_ablation(opt);
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(testkit::fingerprint(resumed), testkit::fingerprint(baseline));
+  remove_journal(path);
+}
+
 TEST(CheckpointExperiment, SigkilledSessionsResumeToIdenticalSeries) {
   const std::string path = tmp_path("fig7_sigkill.ckpt");
   remove_journal(path);

@@ -75,7 +75,8 @@ int usage(const char* reason) {
       "       --threads N (worker threads for linalg/experiments; "
       "absent = auto)\n"
       "       --trace PATH (write a JSONL trace of spans for any command)\n"
-      "crash safety (faults/metrics): --checkpoint PATH  --resume\n"
+      "crash safety (faults, metrics, ablate-defender, ablate-loss):\n"
+      "       --checkpoint PATH  --resume\n"
       "       --trial-budget-ms MS (quarantine trials exceeding the budget)\n"
       "       --stop-after N (stop resumably after N new trials)\n"
       "       SIGINT/SIGTERM stop at the next block boundary with the\n"
@@ -351,18 +352,8 @@ int cmd_faults(ArgParser& args) {
   } else {
     table.print(std::cout);
   }
-  if (series.trials_quarantined > 0) {
-    std::cout << "quarantined trials (excluded from all cells): "
-              << series.trials_quarantined << '\n';
-  }
-  if (series.trials_replayed > 0) {
-    std::cout << "trials replayed from checkpoint: " << series.trials_replayed
-              << '\n';
-  }
-  if (series.interrupted) {
-    std::cout << "sweep interrupted — partial results above; journal "
-                 "flushed, rerun with --resume to continue\n";
-  }
+  print_resilience_notes(series.trials_quarantined, series.trials_replayed,
+                         series.interrupted, std::cout);
   return 0;
 }
 
@@ -408,6 +399,7 @@ int cmd_ablate_defender(ArgParser& args) {
   opt.clean_trials =
       static_cast<std::size_t>(args.get_int("clean-trials", 8));
   args.apply_execution(opt);
+  apply_resilience_flags(args, opt.resilience);
   opt.alpha = args.get_double("alpha", 200.0);
   opt.noise_ms = args.get_double("noise", 1.0);
   opt.anomaly_delay_ms = args.get_double("anomaly", 900.0);
@@ -473,6 +465,8 @@ int cmd_ablate_defender(ArgParser& args) {
     std::cout << ", sparse(ε=" << Table::num(series.epsilons[e], 0) << ") "
               << series.sparse_false_alarms[e];
   std::cout << '\n';
+  print_resilience_notes(series.trials_quarantined, series.trials_replayed,
+                         series.interrupted, std::cout);
 
   if (const std::string out = args.get_string("out"); !out.empty()) {
     std::ostringstream json;
@@ -527,6 +521,7 @@ int cmd_ablate_loss(ArgParser& args) {
   opt.probes = static_cast<std::size_t>(args.get_int("probes", 4000));
   opt.receivers = static_cast<std::size_t>(args.get_int("receivers", 5));
   args.apply_execution(opt);
+  apply_resilience_flags(args, opt.resilience);
   opt.mle_alpha = args.get_double("mle-alpha", 0.05);
   opt.ls_alpha = args.get_double("ls-alpha", 0.5);
   opt.min_link_delivery =
@@ -584,6 +579,8 @@ int cmd_ablate_loss(ArgParser& args) {
   std::cout << "clean trials " << series.clean_trials
             << ": MLE false alarms " << series.mle_false_alarms
             << ", LS false alarms " << series.ls_false_alarms << '\n';
+  print_resilience_notes(series.trials_quarantined, series.trials_replayed,
+                         series.interrupted, std::cout);
 
   if (const std::string out = args.get_string("out"); !out.empty()) {
     std::ostringstream json;
