@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   Table table({"lambda", "naive_lands", "overshoot_lands",
                "honest_max_err_ms", "victim_estimate_drop_ms"});
   for (double lambda : {0.0, 0.5, 2.0, 8.0, 32.0, 128.0}) {
-    RegularizedEstimator reg(sc->estimator().r(), lambda,
+    RegularizedEstimator reg(sc->estimator().sparse_r().to_dense(), lambda,
                              Vector(sc->graph().num_links(), 10.5));
     if (!reg.ok()) continue;
 

@@ -114,7 +114,7 @@ Cell run_cell(const std::string& regime, const SparseRecoveryEstimator& est,
         rng.sample_without_replacement(n, std::min(k, n));
     std::sort(planted.begin(), planted.end());
     for (std::size_t l : planted) x[l] += 900.0;
-    const Vector y = est.r() * x;
+    const Vector y = est.sparse_r() * x;
 
     const double start = now_seconds();
     const auto rec = est.recover(y);

@@ -7,6 +7,8 @@
 # corrupted files, the streaming-service suite (queues + shard threads —
 # the prime TSan target), the Monte-Carlo trial engine every experiment
 # driver shares (test_checkpoint, test_experiment, test_golden_figures),
+# the suites whose code walks R's CSR rows by index (test_localize,
+# test_attack_lp, test_detector, test_routing_matrix, test_sparse_aware),
 # and the `prop` generative suites at a reduced iteration
 # budget (sanitizer builds are ~10x slower; override with
 # SCAPEGOAT_PROP_ITERS, and SCAPEGOAT_PROP_ITERS=0 skips them cleanly).
@@ -18,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 preset=asan-ubsan
-suites='test_robust test_fault_injection test_checkpoint test_rocketfuel test_scenario_io test_args test_lp test_simnet test_sparse test_revised_simplex test_service test_estimator test_max_damage test_obfuscation test_estimator_interface test_sparse_recovery test_sparse_aware test_multicast_mle test_multicast_probe test_loss_scapegoat test_golden_figures test_experiment'
+suites='test_robust test_fault_injection test_checkpoint test_rocketfuel test_scenario_io test_args test_lp test_simnet test_sparse test_revised_simplex test_service test_estimator test_max_damage test_obfuscation test_estimator_interface test_sparse_recovery test_sparse_aware test_multicast_mle test_multicast_probe test_loss_scapegoat test_golden_figures test_experiment test_localize test_attack_lp test_detector test_routing_matrix'
 prop_suites='test_testkit test_prop_lp test_prop_linalg test_prop_attack test_prop_detect test_prop_checkpoint test_prop_tomography test_prop_corpus'
 export SCAPEGOAT_PROP_ITERS="${SCAPEGOAT_PROP_ITERS:-25}"
 jobs=$(nproc 2>/dev/null || echo 4)

@@ -72,8 +72,11 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
   AttackResult result;
   result.victims = std::move(victims);
 
-  const Matrix& r = ctx.estimator->r();
+  const SparseMatrix& r = ctx.estimator->sparse_r();
   const std::size_t num_paths = ctx.estimator->num_paths();
+  // Objective: Σᵢ (RΔx̂)ᵢ = Σⱼ (column-sum of R over paths) Δx̂ⱼ. The sums
+  // count paths, so they are exact in any order.
+  const Vector colsum = r.multiply_transpose(Vector(num_paths, 1.0));
 
   // One Δx̂ variable per banded link; the band is a plain box bound since
   // x̂′_j = x_true_j + Δx̂_j here. Links outside the bands keep Δx̂ = 0.
@@ -89,10 +92,7 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
       result.status = lp::SolveStatus::kInfeasible;
       return result;
     }
-    // Objective: Σᵢ (RΔx̂)ᵢ = Σⱼ (column-sum of R over paths) Δx̂ⱼ.
-    double colsum = 0.0;
-    for (std::size_t i = 0; i < num_paths; ++i) colsum += r(i, band.link);
-    model.add_variable(lb, ub, colsum);
+    model.add_variable(lb, ub, colsum[band.link]);
     banded_links.push_back(band.link);
   }
 
@@ -100,16 +100,15 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
   // every path must see 0 ≤ mᵢ ≤ cap.
   std::vector<bool> has_attacker(num_paths, false);
   for (std::size_t i : ctx.attacker_path_indices()) has_attacker[i] = true;
+  const std::vector<std::vector<lp::Term>> rows =
+      restricted_rows(r, banded_links);
   for (std::size_t i = 0; i < num_paths; ++i) {
-    std::vector<lp::Term> terms;
-    for (std::size_t k = 0; k < banded_links.size(); ++k)
-      if (r(i, banded_links[k]) != 0.0) terms.push_back({k, 1.0});
-    if (terms.empty()) continue;  // mᵢ identically 0
+    if (rows[i].empty()) continue;  // mᵢ identically 0
     if (!has_attacker[i]) {
-      model.add_constraint(std::move(terms), lp::RowType::kEqual, 0.0);
+      model.add_constraint(rows[i], lp::RowType::kEqual, 0.0);
     } else {
-      model.add_constraint(terms, lp::RowType::kGreaterEqual, 0.0);
-      model.add_constraint(std::move(terms), lp::RowType::kLessEqual,
+      model.add_constraint(rows[i], lp::RowType::kGreaterEqual, 0.0);
+      model.add_constraint(rows[i], lp::RowType::kLessEqual,
                            ctx.per_path_cap);
     }
   }
@@ -122,8 +121,7 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
   result.m = Vector(num_paths);
   for (std::size_t i = 0; i < num_paths; ++i) {
     double acc = 0.0;
-    for (std::size_t k = 0; k < banded_links.size(); ++k)
-      acc += r(i, banded_links[k]) * sol.x[k];
+    for (const lp::Term& t : rows[i]) acc += t.coeff * sol.x[t.var];
     result.m[i] = std::max(0.0, acc);
   }
   result.damage = result.m.norm1();
@@ -132,6 +130,21 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
   result.states = classify_all(result.x_estimated, ctx.thresholds);
   result.success = true;
   return result;
+}
+
+std::vector<std::vector<lp::Term>> restricted_rows(
+    const SparseMatrix& r, const std::vector<LinkId>& links) {
+  std::vector<std::vector<lp::Term>> rows(r.rows());
+  Vector row(r.cols());  // row i scattered; zero again after each row
+  for (std::size_t i = 0; i < r.rows(); ++i) {
+    for (std::size_t p = r.row_begin(i); p < r.row_end(i); ++p)
+      row[r.col_index()[p]] = r.values()[p];
+    for (std::size_t k = 0; k < links.size(); ++k)
+      if (row[links[k]] != 0.0) rows[i].push_back({k, row[links[k]]});
+    for (std::size_t p = r.row_begin(i); p < r.row_end(i); ++p)
+      row[r.col_index()[p]] = 0.0;
+  }
+  return rows;
 }
 
 double max_estimate_push(const AttackContext& ctx, LinkId link) {

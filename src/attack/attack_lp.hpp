@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "attack/manipulation.hpp"
+#include "linalg/sparse_matrix.hpp"
+#include "lp/model.hpp"
 
 namespace scapegoat {
 
@@ -42,6 +44,13 @@ AttackResult solve_attack_lp(const AttackContext& ctx,
 AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
                                         const std::vector<LinkBand>& bands,
                                         std::vector<LinkId> victims);
+
+// Each path's row of R restricted to `links`, as terms over the variable
+// index k of `links`: row i holds {k, R(i, links[k])} for every k with a
+// nonzero entry, in k order (a link listed twice gives two terms). The
+// Δx̂ rows of the consistent LPs, where m = R Δx̂.
+std::vector<std::vector<lp::Term>> restricted_rows(
+    const SparseMatrix& r, const std::vector<LinkId>& links);
 
 // Which manipulation family a strategy may use. kUnrestricted maximizes
 // damage over all Constraint-1 vectors (detectable under imperfect cuts);

@@ -57,8 +57,10 @@ AttackResult obfuscation_attack(const AttackContext& ctx,
   });
   if (victims.size() > opt.max_victims) victims.resize(opt.max_victims);
 
-  // Greedy shrink until feasible or too small to count as obfuscation.
-  while (victims.size() >= opt.min_victims) {
+  // Greedy shrink until feasible or too small to count as obfuscation. A
+  // min_victims of 0 counts as 1: an obfuscation hides at least one link.
+  const std::size_t min_victims = std::max<std::size_t>(opt.min_victims, 1);
+  while (victims.size() >= min_victims) {
     std::vector<LinkBand> bands;
     // Eq. (10): every link of L_o = L_s ∪ L_m lands in [b_l, b_u].
     for (LinkId l : lm)

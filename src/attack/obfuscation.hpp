@@ -20,7 +20,8 @@
 namespace scapegoat {
 
 struct ObfuscationOptions {
-  std::size_t min_victims = 5;  // success needs |L_s| ≥ this (§V-C2)
+  // Success needs |L_s| ≥ this (§V-C2); 0 acts as 1.
+  std::size_t min_victims = 5;
   std::size_t max_victims = 64; // cap on the initial candidate set
   ManipulationMode mode = ManipulationMode::kUnrestricted;
   // When set, only these links may join L_s (e.g. restrict to perfectly-cut

@@ -6,6 +6,7 @@
 #include <limits>
 #include <ostream>
 
+#include "attack/attack_lp.hpp"
 #include "lp/model.hpp"
 #include "obs/obs.hpp"
 
@@ -49,7 +50,6 @@ AttackResult sparse_aware_attack(const AttackContext& ctx,
 
   obs::count("attack.sparse_aware.solves");
   const double eps = std::max(0.0, opt.epsilon_ms);
-  const Matrix& r = ctx.estimator->r();
   const std::size_t num_paths = ctx.estimator->num_paths();
 
   // Δx̂ variables, one per banded link. Boxes are the link-state bands
@@ -91,10 +91,10 @@ AttackResult sparse_aware_attack(const AttackContext& ctx,
     if (has_attacker[i])
       m_var[i] = model.add_variable(0.0, ctx.per_path_cap, 1.0);
 
+  std::vector<std::vector<lp::Term>> rows =
+      restricted_rows(ctx.estimator->sparse_r(), banded_links);
   for (std::size_t i = 0; i < num_paths; ++i) {
-    std::vector<lp::Term> terms;
-    for (std::size_t k = 0; k < banded_links.size(); ++k)
-      if (r(i, banded_links[k]) != 0.0) terms.push_back({k, 1.0});
+    std::vector<lp::Term> terms = std::move(rows[i]);
     if (has_attacker[i]) {
       // |(RΔx̂)ᵢ − mᵢ| ≤ ε.
       terms.push_back({m_var[i], -1.0});

@@ -142,7 +142,7 @@ TrialOut clean_trial(const Scenario& sc, const DefenderPanel& panel,
   for (std::size_t l :
        rng.sample_without_replacement(num_links, std::min(k, num_links)))
     x[l] += opt.anomaly_delay_ms;
-  Vector y = sc.estimator().r() * x;
+  Vector y = sc.estimator().sparse_r() * x;
   if (opt.noise_ms > 0.0)
     for (double& yi : y) yi += rng.uniform(0.0, opt.noise_ms);
 

@@ -52,7 +52,7 @@ FaultTrialOut fault_trial(Scenario& sc, const FaultSweepOptions& opt,
       sim, paths, probe, faults, opt.retry, &out.probe_stats);
   out.paths_measured = m.num_measured();
 
-  const auto est = robust::degraded_estimate(sc.estimator().r(), m);
+  const auto est = robust::degraded_estimate(sc.estimator().sparse_r(), m);
   if (!est.ok()) return out;  // status stays kUnsolvable — structured, no crash
   out.status = est->method == robust::SolveMethod::kFullRank
                    ? FaultTrialOut::Status::kFullRank

@@ -20,10 +20,10 @@ robust::Expected<DegradedDetectionOutcome> detect_scapegoating_degraded(
     const Estimator& estimator,
     const robust::DegradedMeasurement& y_observed, const DetectorOptions& opt,
     const robust::DegradedOptions& solve_opt) {
-  auto est = robust::degraded_estimate(estimator.r(), y_observed, solve_opt);
+  const SparseMatrix& r = estimator.sparse_r();
+  auto est = robust::degraded_estimate(r, y_observed, solve_opt);
   if (!est.ok()) return est.error();
-  auto residual =
-      robust::degraded_residual_norm1(estimator.r(), y_observed, est->x);
+  auto residual = robust::degraded_residual_norm1(r, y_observed, est->x);
   if (!residual.ok()) return residual.error();
 
   DegradedDetectionOutcome out;

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "linalg/qr.hpp"
+#include "linalg/least_squares.hpp"
 
 namespace scapegoat {
 
@@ -12,32 +12,36 @@ namespace {
 
 // Least squares restricted to the `kept` rows; nullopt if those rows no
 // longer identify all links.
-std::optional<Vector> restricted_estimate(const Matrix& r, const Vector& y,
+std::optional<Vector> restricted_estimate(const SparseMatrix& r,
+                                          const Vector& y,
                                           const std::vector<bool>& kept,
                                           std::size_t kept_count) {
   if (kept_count < r.cols()) return std::nullopt;
-  Matrix rk(kept_count, r.cols());
+  std::vector<std::size_t> rows;
+  rows.reserve(kept_count);
+  for (std::size_t i = 0; i < r.rows(); ++i)
+    if (kept[i]) rows.push_back(i);
   Vector yk(kept_count);
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < r.rows(); ++i) {
-    if (!kept[i]) continue;
-    for (std::size_t j = 0; j < r.cols(); ++j) rk(out, j) = r(i, j);
-    yk[out] = y[i];
-    ++out;
-  }
-  return least_squares(rk, yk);
+  for (std::size_t k = 0; k < kept_count; ++k) yk[k] = y[rows[k]];
+  return least_squares(r.select_rows(rows).to_dense(), yk);
 }
 
-double restricted_residual_norm1(const Matrix& r, const Vector& y,
+// y_i − (R x)_i, subtracting the row's terms one by one in column order.
+// Skipping R's structural zeros may only flip the sign of a zero result.
+double row_residual(const SparseMatrix& r, const Vector& y, const Vector& x,
+                    std::size_t i) {
+  double row = y[i];
+  for (std::size_t p = r.row_begin(i); p < r.row_end(i); ++p)
+    row -= r.values()[p] * x[r.col_index()[p]];
+  return row;
+}
+
+double restricted_residual_norm1(const SparseMatrix& r, const Vector& y,
                                  const Vector& x,
                                  const std::vector<bool>& kept) {
   double acc = 0.0;
-  for (std::size_t i = 0; i < r.rows(); ++i) {
-    if (!kept[i]) continue;
-    double row = y[i];
-    for (std::size_t j = 0; j < r.cols(); ++j) row -= r(i, j) * x[j];
-    acc += std::abs(row);
-  }
+  for (std::size_t i = 0; i < r.rows(); ++i)
+    if (kept[i]) acc += std::abs(row_residual(r, y, x, i));
   return acc;
 }
 
@@ -48,7 +52,7 @@ LocalizationResult localize_manipulation(const Estimator& estimator,
                                          const LocalizationOptions& opt) {
   assert(estimator.ok());
   assert(y_observed.size() == estimator.num_paths());
-  const Matrix& r = estimator.r();
+  const SparseMatrix& r = estimator.sparse_r();
 
   LocalizationResult result;
   result.manipulated =
@@ -79,10 +83,9 @@ LocalizationResult localize_manipulation(const Estimator& estimator,
     double worst_val = -1.0;
     for (std::size_t i = 0; i < r.rows(); ++i) {
       if (!kept[i]) continue;
-      double row = y_observed[i];
-      for (std::size_t j = 0; j < r.cols(); ++j) row -= r(i, j) * (*x)[j];
-      if (std::abs(row) > worst_val) {
-        worst_val = std::abs(row);
+      const double row = std::abs(row_residual(r, y_observed, *x, i));
+      if (row > worst_val) {
+        worst_val = row;
         worst = i;
       }
     }

@@ -12,28 +12,6 @@
 
 namespace scapegoat {
 
-std::string to_string(LeastSquaresMethod method) {
-  switch (method) {
-    case LeastSquaresMethod::kQr:
-      return "qr";
-    case LeastSquaresMethod::kNormalEquations:
-      return "normal_equations";
-    case LeastSquaresMethod::kCgls:
-      return "cgls";
-  }
-  return "unknown";
-}
-
-std::optional<LeastSquaresMethod> least_squares_method_from_string(
-    std::string_view s) {
-  for (LeastSquaresMethod m :
-       {LeastSquaresMethod::kQr, LeastSquaresMethod::kNormalEquations,
-        LeastSquaresMethod::kCgls}) {
-    if (to_string(m) == s) return m;
-  }
-  return std::nullopt;
-}
-
 std::optional<Vector> least_squares(const Matrix& a, const Vector& b,
                                     LeastSquaresMethod method) {
   assert(a.rows() == b.size());

@@ -1,17 +1,15 @@
 // Least-squares solving and incremental rank tracking.
 //
-// `least_squares` is the single entry point the tomography estimator uses:
-// it picks QR by default and can cross-check against the literal Eq. 2
-// normal-equations path. `RankTracker` supports the greedy measurement-path
-// selector: paths are proposed one at a time and accepted only if their
-// {0,1} incidence row increases the rank of the routing matrix.
+// `least_squares` solves a dense system: QR by default, the literal Eq. 2
+// normal-equations path as a cross-check, or CGLS over a CSR copy. The
+// tomography estimator does not go through it (it keeps its own QR of R);
+// tests use it as the reference kernel. `RankTracker` supports the greedy
+// measurement-path selector: paths are proposed one at a time and accepted
+// only if their {0,1} incidence row increases the rank of the routing matrix.
 
 #pragma once
 
 #include <optional>
-#include <ostream>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -25,14 +23,6 @@ enum class LeastSquaresMethod {
   kCgls,             // iterative CGLS over CSR storage (linalg/cgls.hpp);
                      // tolerance-equal to QR, cannot detect rank deficiency
 };
-
-std::string to_string(LeastSquaresMethod method);
-std::optional<LeastSquaresMethod> least_squares_method_from_string(
-    std::string_view s);
-
-inline std::ostream& operator<<(std::ostream& os, LeastSquaresMethod method) {
-  return os << to_string(method);
-}
 
 // Solves min ‖a x − b‖₂. Returns nullopt if `a` lacks full column rank
 // (the system is not identifiable).

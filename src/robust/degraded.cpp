@@ -46,32 +46,7 @@ std::optional<SolveMethod> solve_method_from_string(std::string_view s) {
   return std::nullopt;
 }
 
-namespace {
-
-// Rows of (r, y) where the measurement actually exists.
-struct ReducedSystem {
-  Matrix r;
-  Vector y;
-};
-
-ReducedSystem drop_missing_rows(const Matrix& r, const DegradedMeasurement& m) {
-  ReducedSystem out;
-  const std::size_t kept = m.num_measured();
-  out.r = Matrix(kept, r.cols());
-  out.y = Vector(kept);
-  std::size_t row = 0;
-  for (std::size_t i = 0; i < m.measured.size(); ++i) {
-    if (!m.measured[i]) continue;
-    for (std::size_t j = 0; j < r.cols(); ++j) out.r(row, j) = r(i, j);
-    out.y[row] = m.y[i];
-    ++row;
-  }
-  return out;
-}
-
-}  // namespace
-
-Expected<DegradedEstimate> degraded_estimate(const Matrix& r,
+Expected<DegradedEstimate> degraded_estimate(const SparseMatrix& r,
                                              const DegradedMeasurement& m,
                                              const DegradedOptions& opt) {
   if (m.measured.size() != r.rows() || m.y.size() != r.rows()) {
@@ -81,24 +56,30 @@ Expected<DegradedEstimate> degraded_estimate(const Matrix& r,
   if (r.cols() == 0) {
     return Error{ErrorCode::kEmptyInput, "routing matrix has no links"};
   }
-  const ReducedSystem sys = drop_missing_rows(r, m);
-  if (sys.r.rows() == 0) {
+  // The rows of (r, y) where the measurement actually exists.
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < m.measured.size(); ++i)
+    if (m.measured[i]) kept.push_back(i);
+  if (kept.empty()) {
     return Error{ErrorCode::kEmptyInput, "no measured paths survive"};
   }
+  const Matrix rk = r.select_rows(kept).to_dense();
+  Vector yk(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) yk[i] = m.y[kept[i]];
 
   DegradedEstimate est;
-  est.paths_used = sys.r.rows();
+  est.paths_used = rk.rows();
   // One pivoted factorization of the reduced system serves both the rank
   // and the full-rank solve.
-  const QrDecomposition qr(sys.r, QrDecomposition::Pivoting::kColumn);
+  const QrDecomposition qr(rk, QrDecomposition::Pivoting::kColumn);
   est.rank = qr.rank();
 
   // Full-rank certification via the conditioning diagnostic: it succeeds
   // exactly when the reduced RᵀR is SPD, i.e. the drop left the link
   // metrics identifiable, and reports κ for observability either way.
-  if (est.rank == sys.r.cols() && sys.r.rows() >= sys.r.cols()) {
-    if (auto cond = estimate_condition(sys.r)) {
-      est.x = qr.solve(sys.y);
+  if (est.rank == rk.cols() && rk.rows() >= rk.cols()) {
+    if (auto cond = estimate_condition(rk)) {
+      est.x = qr.solve(yk);
       est.method = SolveMethod::kFullRank;
       est.condition = cond->condition();
       return est;
@@ -109,10 +90,9 @@ Expected<DegradedEstimate> degraded_estimate(const Matrix& r,
   // defined for any shape when λ > 0.
   const double lambda = opt.ridge_lambda > 0.0 ? opt.ridge_lambda : 1e-3;
   const Vector* prior =
-      (opt.prior != nullptr && opt.prior->size() == sys.r.cols())
-          ? opt.prior
-          : nullptr;
-  auto fallback = ridge_least_squares(sys.r, sys.y, lambda, prior);
+      (opt.prior != nullptr && opt.prior->size() == rk.cols()) ? opt.prior
+                                                               : nullptr;
+  auto fallback = ridge_least_squares(rk, yk, lambda, prior);
   if (!fallback.ok()) return fallback.error();
   est.x = std::move(*fallback);
   est.method = SolveMethod::kRegularizedFallback;
@@ -120,7 +100,7 @@ Expected<DegradedEstimate> degraded_estimate(const Matrix& r,
   return est;
 }
 
-Expected<double> degraded_residual_norm1(const Matrix& r,
+Expected<double> degraded_residual_norm1(const SparseMatrix& r,
                                          const DegradedMeasurement& m,
                                          const Vector& x) {
   if (m.measured.size() != r.rows() || m.y.size() != r.rows()) {
@@ -135,8 +115,9 @@ Expected<double> degraded_residual_norm1(const Matrix& r,
   std::size_t used = 0;
   for (std::size_t i = 0; i < r.rows(); ++i) {
     if (!m.measured[i]) continue;
-    double predicted = 0.0;
-    for (std::size_t j = 0; j < r.cols(); ++j) predicted += r(i, j) * x[j];
+    double predicted = 0.0;  // R's structural zeros add nothing
+    for (std::size_t p = r.row_begin(i); p < r.row_end(i); ++p)
+      predicted += r.values()[p] * x[r.col_index()[p]];
     acc += std::abs(m.y[i] - predicted);
     ++used;
   }

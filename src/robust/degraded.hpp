@@ -4,7 +4,8 @@
 // measurement vector y′ never materialize. This module makes that a
 // first-class state: `DegradedMeasurement` carries the per-path measured
 // mask, and `degraded_estimate` solves the tomography system on the rows
-// that survive —
+// that survive (R arrives in CSR form; only the surviving rows are made
+// dense, for the solve) —
 //   * full column rank after the drop  → ordinary QR least squares
 //     (certified by linalg/conditioning, whose condition estimate is
 //     reported for observability),
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "robust/expected.hpp"
 
 namespace scapegoat::robust {
@@ -69,13 +71,13 @@ struct DegradedEstimate {
 //   kDimensionMismatch — m does not have one entry per row of r,
 //   kEmptyInput        — no measured rows at all,
 //   kIllConditioned    — even the regularized fallback failed to factor.
-Expected<DegradedEstimate> degraded_estimate(const Matrix& r,
+Expected<DegradedEstimate> degraded_estimate(const SparseMatrix& r,
                                              const DegradedMeasurement& m,
                                              const DegradedOptions& opt = {});
 
 // ‖(y − R x)|measured‖₁ — the detector statistic restricted to rows that
 // were actually observed. Same error conditions as degraded_estimate.
-Expected<double> degraded_residual_norm1(const Matrix& r,
+Expected<double> degraded_residual_norm1(const SparseMatrix& r,
                                          const DegradedMeasurement& m,
                                          const Vector& x);
 

@@ -14,7 +14,7 @@ OpenLoopLoadGen::OpenLoopLoadGen(std::vector<TopologyRef> topologies,
   for (const TopologyRef& ref : topologies) {
     assert(ref.estimator != nullptr && ref.x_true != nullptr);
     base_paths_.push_back(ref.estimator->num_paths());
-    clean_.push_back(ref.estimator->r() * *ref.x_true);
+    clean_.push_back(ref.estimator->sparse_r() * *ref.x_true);
   }
 }
 

@@ -463,7 +463,8 @@ bool prop_detector_residual_matches_eq23(Source& src) {
     y[src.index(y.size())] += src.grid_nonneg(50.0, 24);  // up to 1200 ms
 
   const DetectionOutcome out = detect_scapegoating(est, y);
-  const double ref = ref_eq23_residual(est.r(), est.estimate(y), y);
+  const double ref =
+      ref_eq23_residual(est.sparse_r().to_dense(), est.estimate(y), y);
   if (std::abs(out.residual_norm1 - ref) > 1e-6 * (1.0 + ref)) {
     src.note("detector residual " + std::to_string(out.residual_norm1) +
              " vs literal Eq. 23 " + std::to_string(ref));
@@ -519,7 +520,8 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
   // its current R.
   auto matches_fresh = [&](const Estimator& est, const Vector& y,
                            const std::string& when) {
-    const auto fresh_x = least_squares(est.r(), y, LeastSquaresMethod::kQr);
+    const Matrix r = est.sparse_r().to_dense();
+    const auto fresh_x = least_squares(r, y, LeastSquaresMethod::kQr);
     if (!fresh_x.has_value()) {
       src.note(when + ": fresh QR refused an identifiable system");
       return false;
@@ -530,9 +532,9 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
       differs = "estimate";
     } else if (!tried.ok() || !same_bits(*tried, *fresh_x)) {
       differs = "try_estimate";
-    } else if (!same_bits(est.residual(y), residual(est.r(), *fresh_x, y))) {
+    } else if (!same_bits(est.residual(y), residual(r, *fresh_x, y))) {
       differs = "residual";
-    } else if (!same_bits(est.pseudo_inverse(), pseudo_inverse(est.r()))) {
+    } else if (!same_bits(est.pseudo_inverse(), pseudo_inverse(r))) {
       differs = "pseudo_inverse";
     }
     if (differs == nullptr) return true;
@@ -628,7 +630,7 @@ bool prop_sparse_recovery_matches_least_squares(Source& src) {
   std::vector<std::size_t> planted = src.distinct_indices(n, k);
   std::sort(planted.begin(), planted.end());
   for (const std::size_t l : planted) x[l] += 300.0 + src.grid_nonneg(100.0, 9);
-  const Vector y = ls.r() * x;
+  const Vector y = ls.sparse_r() * x;
 
   SparseRecoveryOptions so;
   so.prior = sc->x_true();

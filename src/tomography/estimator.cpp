@@ -9,12 +9,11 @@
 namespace scapegoat {
 
 TomographyEstimator::TomographyEstimator(const Graph& g,
-                                         std::vector<Path> paths,
-                                         LeastSquaresMethod method)
-    : Estimator(g, std::move(paths)), method_(method) {}
+                                         std::vector<Path> paths)
+    : Estimator(g, std::move(paths)) {}
 
 robust::Expected<Vector> TomographyEstimator::solve(const Vector& y) const {
-  if (method_ == LeastSquaresMethod::kCgls || cgls_preferred(sparse_r())) {
+  if (cgls_preferred(sparse_r())) {
     CglsResult cg = cgls_solve(sparse_r(), y);
     if (cg.converged) {
       obs::count("tomography.estimate.sparse");
@@ -24,9 +23,6 @@ robust::Expected<Vector> TomographyEstimator::solve(const Vector& y) const {
     obs::count("tomography.estimate.cgls_fallback");
   }
   obs::count("tomography.estimate.dense");
-  if (method_ == LeastSquaresMethod::kNormalEquations) {
-    return try_least_squares(r(), y, method_);
-  }
   return factorization().solve(y);
 }
 

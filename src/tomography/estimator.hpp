@@ -11,11 +11,11 @@
 // Construction fails (ok() == false) when R lacks full column rank, i.e.
 // the link metrics are not identifiable from the chosen paths.
 //
-// Solver choice (DESIGN.md §12): the solve runs iterative CGLS over the CSR
-// form of R when LeastSquaresMethod::kCgls is asked for or R meets the
-// size rule beside cgls_solve (linalg/cgls.hpp), and falls back to the kept
-// QR if CGLS fails to converge. Identifiability is always established by
-// that QR — CGLS cannot detect rank deficiency.
+// Solver choice (DESIGN.md §12): R's size alone picks the kernel. The solve
+// runs iterative CGLS over R's CSR form when R meets the size rule beside
+// cgls_solve (linalg/cgls.hpp), and the kept QR otherwise or when CGLS fails
+// to converge. Identifiability is always established by that QR — CGLS
+// cannot detect rank deficiency.
 
 #pragma once
 
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "linalg/least_squares.hpp"
 #include "linalg/matrix.hpp"
 #include "robust/expected.hpp"
 #include "tomography/estimator_interface.hpp"
@@ -33,16 +32,11 @@ namespace scapegoat {
 
 class TomographyEstimator : public Estimator {
  public:
-  TomographyEstimator(const Graph& g, std::vector<Path> paths,
-                      LeastSquaresMethod method = LeastSquaresMethod::kQr);
+  TomographyEstimator(const Graph& g, std::vector<Path> paths);
 
   EstimatorKind method() const override {
     return EstimatorKind::kLeastSquares;
   }
-
-  // The least-squares kernel asked for; R's size may still send estimate()
-  // to CGLS (see above).
-  LeastSquaresMethod solver() const { return method_; }
 
   // x̂ from end-to-end measurements y (requires ok()).
   Vector estimate(const Vector& y) const override;
@@ -60,11 +54,9 @@ class TomographyEstimator : public Estimator {
 
  private:
   // The CGLS solution when the solver choice above picks CGLS and it
-  // converges; otherwise the dense solve of method_. Callers check the
+  // converges; otherwise the kept QR's solve. Callers check the
   // preconditions (ok(), |y|) first.
   robust::Expected<Vector> solve(const Vector& y) const;
-
-  LeastSquaresMethod method_;
 };
 
 }  // namespace scapegoat

@@ -34,28 +34,19 @@ std::ostream& operator<<(std::ostream& os, EstimatorKind kind) {
 }
 
 Estimator::Estimator(const Graph& g, std::vector<Path> paths)
-    : paths_(std::move(paths)),
-      r_(routing_matrix(g, paths_)),
-      rs_(sparse_routing_matrix(g, paths_)) {
-  if (r_.rows() == 0 || r_.cols() == 0) return;  // nothing identifiable
+    : paths_(std::move(paths)), r_(routing_matrix(g, paths_)) {
+  if (r_.empty()) return;  // nothing identifiable
   qr_ = std::make_shared<const QrDecomposition>(
-      r_, QrDecomposition::Pivoting::kColumn);
+      r_.to_dense(), QrDecomposition::Pivoting::kColumn);
   ok_ = qr_->rank() == r_.cols();  // full column rank: identifiable
 }
 
 robust::Status Estimator::try_append_path(const Path& path) {
   std::vector<std::size_t> cols(path.links.begin(), path.links.end());
   std::vector<double> ones(cols.size(), 1.0);
-  if (robust::Status st = rs_.try_append_row(cols, ones); !st.ok()) {
+  if (robust::Status st = r_.try_append_row(cols, ones); !st.ok()) {
     return st;
   }
-  // Dense mirror: one-row extension by copy (the CSR side is the storage
-  // that matters at scale; to_dense(rs_) == r_ stays exact).
-  Matrix grown(r_.rows() + 1, r_.cols());
-  for (std::size_t i = 0; i < r_.rows(); ++i)
-    for (std::size_t j = 0; j < r_.cols(); ++j) grown(i, j) = r_(i, j);
-  for (LinkId l : path.links) grown(r_.rows(), l) = 1.0;
-  r_ = std::move(grown);
   paths_.push_back(path);
   // R changed shape: both caches are recomputed on next use.
   qr_.reset();
@@ -66,7 +57,7 @@ robust::Status Estimator::try_append_path(const Path& path) {
 const QrDecomposition& Estimator::factorization() const {
   if (!qr_) {
     qr_ = std::make_shared<const QrDecomposition>(
-        r_, QrDecomposition::Pivoting::kColumn);
+        r_.to_dense(), QrDecomposition::Pivoting::kColumn);
   }
   return *qr_;
 }
@@ -75,13 +66,13 @@ const Matrix& Estimator::pseudo_inverse() const {
   assert(ok_);
   if (!pinv_) {
     pinv_ = qr_ ? scapegoat::pseudo_inverse(*qr_)
-                : scapegoat::pseudo_inverse(r_);
+                : scapegoat::pseudo_inverse(r_.to_dense());
   }
   return *pinv_;
 }
 
 Vector Estimator::residual(const Vector& y) const {
-  return y - rs_ * estimate(y);
+  return y - r_ * estimate(y);
 }
 
 std::vector<LinkState> Estimator::classify(const Vector& y,
@@ -94,8 +85,7 @@ std::unique_ptr<Estimator> make_estimator(EstimatorKind kind, const Graph& g,
                                           const EstimatorOptions& options) {
   switch (kind) {
     case EstimatorKind::kLeastSquares:
-      return std::make_unique<TomographyEstimator>(
-          g, std::move(paths), options.least_squares);
+      return std::make_unique<TomographyEstimator>(g, std::move(paths));
     case EstimatorKind::kSparseRecovery: {
       SparseRecoveryOptions sparse;
       sparse.constraint = options.sparse_epsilon_ms > 0.0

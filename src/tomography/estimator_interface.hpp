@@ -14,13 +14,14 @@
 //     path sets, pseudo-inverse delegation otherwise.
 //
 // The base class owns everything that is a property of the path set rather
-// than of the solve strategy: the routing matrix (dense + CSR mirror),
+// than of the solve strategy: the routing matrix (stored once, in CSR form),
 // the column-pivoted QR factorization of R,
 // identifiability (read off that factorization's rank), the lazily-cached
 // pseudo-inverse and the incremental path append. R is factored once, at
-// construction: least-squares estimates and G = R⁺ reuse that one
-// factorization, and clones share it rather than copy it. Virtuals cover
-// the solve itself plus two hooks the families genuinely differ on:
+// construction, from a dense copy that lives only for that factorization:
+// least-squares estimates and G = R⁺ reuse that one factorization, and
+// clones share it rather than copy it. Virtuals cover the solve itself plus
+// two hooks the families genuinely differ on:
 //
 //   * streaming_estimate — the service shard's per-batch solve. Least
 //     squares caches G = R⁺ and never re-factorizes; sparse recovery has no
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "linalg/least_squares.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -103,15 +103,15 @@ class Estimator {
   std::size_t num_paths() const { return paths_.size(); }
   std::size_t num_links() const { return r_.cols(); }
   const std::vector<Path>& paths() const { return paths_; }
-  const Matrix& r() const { return r_; }
-  const SparseMatrix& sparse_r() const { return rs_; }
+  // R in CSR form. A dense kernel takes sparse_r().to_dense() for the
+  // length of one call rather than keeping a second copy.
+  const SparseMatrix& sparse_r() const { return r_; }
 
   // Absorbs one more measurement path as a new row of R — the streaming
   // shape, where monitors announce additional (possibly repeated, i.e.
-  // redundancy-adding) probe routes mid-run. The CSR form grows via the
-  // incremental SparseMatrix::try_append_row (no from-scratch triplet
-  // rebuild); the dense mirror is extended by a row copy, and the kept
-  // factorization and cached pseudo-inverse are dropped. The next
+  // redundancy-adding) probe routes mid-run. R grows via the incremental
+  // SparseMatrix::try_append_row (no from-scratch triplet rebuild), and the
+  // kept factorization and cached pseudo-inverse are dropped. The next
   // pseudo_inverse() factors the grown R into a temporary it does not keep
   // (a service shard then holds only G); the next least-squares estimate()
   // re-factors and keeps the result. A row append can never lose column
@@ -153,8 +153,7 @@ class Estimator {
 
  private:
   std::vector<Path> paths_;
-  Matrix r_;
-  SparseMatrix rs_;  // same R in CSR form (to_dense(rs_) == r_ exactly)
+  SparseMatrix r_;
   bool ok_ = false;
   // Immutable once made, so copies share it; null after an append until
   // factorization() refills it.
@@ -166,7 +165,6 @@ class Estimator {
 // consulted; the sparse-recovery knobs map onto SparseRecoveryOptions
 // (sparse_recovery.hpp) which carries the full set.
 struct EstimatorOptions {
-  LeastSquaresMethod least_squares = LeastSquaresMethod::kQr;
   // Sparse recovery: per-path ∞-ball noise allowance; 0 demands exact
   // consistency (the equality-constrained LP).
   double sparse_epsilon_ms = 0.0;

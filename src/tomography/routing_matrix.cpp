@@ -6,17 +6,7 @@
 
 namespace scapegoat {
 
-Matrix routing_matrix(const Graph& g, const std::vector<Path>& paths) {
-  Matrix r(paths.size(), g.num_links());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    assert(is_valid_simple_path(g, paths[i]));
-    for (LinkId l : paths[i].links) r(i, l) = 1.0;
-  }
-  return r;
-}
-
-SparseMatrix sparse_routing_matrix(const Graph& g,
-                                   const std::vector<Path>& paths) {
+SparseMatrix routing_matrix(const Graph& g, const std::vector<Path>& paths) {
   std::vector<Triplet> entries;
   std::size_t total = 0;
   for (const Path& p : paths) total += p.links.size();
@@ -43,8 +33,8 @@ Vector path_metrics(const std::vector<Path>& paths, const Vector& x) {
   return y;
 }
 
-bool is_identifiable(const Matrix& r) {
-  return r.cols() > 0 && matrix_rank(r) == r.cols();
+bool is_identifiable(const SparseMatrix& r) {
+  return r.cols() > 0 && matrix_rank(r.to_dense()) == r.cols();
 }
 
 std::vector<std::size_t> paths_through_nodes(const std::vector<Path>& paths,

@@ -1,7 +1,10 @@
 // Routing (measurement) matrix construction — Eq. 1 of the paper.
 //
 // R is |P|×|L| with R(i,j) = 1 iff link j lies on measurement path i; the
-// end-to-end measurement model is y = R x for additive link metrics x.
+// end-to-end measurement model is y = R x for additive link metrics x. R is
+// stored only in CSR form: a dense copy is made by to_dense() where a dense
+// kernel (QR, the pseudo-inverse, the condition estimate) runs, and dropped
+// after it.
 
 #pragma once
 
@@ -13,20 +16,15 @@
 
 namespace scapegoat {
 
-// Builds R from the path set. Every path must be a valid simple path of `g`.
-Matrix routing_matrix(const Graph& g, const std::vector<Path>& paths);
-
-// Same R in CSR form, built directly from the path incidence lists — never
-// materializes the dense |P|×|L| array. to_dense() of the result equals
-// routing_matrix(g, paths) exactly.
-SparseMatrix sparse_routing_matrix(const Graph& g,
-                                   const std::vector<Path>& paths);
+// Builds R from the path incidence lists, never materializing the dense
+// |P|×|L| array. Every path must be a valid simple path of `g`.
+SparseMatrix routing_matrix(const Graph& g, const std::vector<Path>& paths);
 
 // y = R x without materializing R (x indexed by LinkId).
 Vector path_metrics(const std::vector<Path>& paths, const Vector& x);
 
 // rank(R) == |L|: the precondition for Eq. 2's unique inverse.
-bool is_identifiable(const Matrix& r);
+bool is_identifiable(const SparseMatrix& r);
 
 // Indices of paths that traverse at least one node from `nodes` — the paths
 // an attacker controlling `nodes` can manipulate (Constraint 1's support).

@@ -82,7 +82,7 @@ robust::Expected<SparseRecoveryResult> SparseRecoveryEstimator::recover(
 
   const std::size_t n = num_links();
   // b = y − R·prior: the anomaly measurements the LP explains.
-  const Vector b = y - r() * prior_;
+  const Vector b = y - sparse_r() * prior_;
 
   SparseRecoveryResult result;
 

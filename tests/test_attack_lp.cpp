@@ -100,7 +100,8 @@ TEST_F(AttackLpTest, ConsistentLpKeepsResidualZero) {
   bands.push_back({0, c.thresholds.upper + 1.0, kInf});
   const AttackResult r = solve_consistent_attack_lp(c, bands, {0});
   ASSERT_TRUE(r.success);
-  const Vector residual = r.y_observed - c.estimator->r() * r.x_estimated;
+  const Vector residual =
+      r.y_observed - c.estimator->sparse_r() * r.x_estimated;
   EXPECT_LT(residual.norm1(), 1e-5);
   EXPECT_TRUE(satisfies_constraint1(c, r.m));
   for (double mi : r.m) EXPECT_LE(mi, c.per_path_cap + 1e-6);

@@ -83,7 +83,7 @@ TEST_P(StrategyInvariants, ConsistentSuccessesHaveZeroResidual) {
         chosen_victim_attack(ctx, {victim}, ManipulationMode::kConsistent);
     if (!r.success) continue;
     const Vector resid =
-        r.y_observed - ctx.estimator->r() * r.x_estimated;
+        r.y_observed - ctx.estimator->sparse_r() * r.x_estimated;
     EXPECT_LT(resid.norm1(), 1e-5);
   }
 }
@@ -137,7 +137,7 @@ TEST_P(StrategyInvariants, LocalizationSoundnessOnMinorityManipulation) {
     EXPECT_LT(idx, sc->estimator().num_paths());
   if (loc.clean && loc.manipulated) {
     // The surviving rows are consistent with the cleaned estimate.
-    const Matrix& r = sc->estimator().r();
+    const Matrix r = sc->estimator().sparse_r().to_dense();
     double resid = 0.0;
     for (std::size_t i = 0; i < r.rows(); ++i) {
       if (std::find(loc.suspicious_paths.begin(), loc.suspicious_paths.end(),

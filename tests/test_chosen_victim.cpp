@@ -95,7 +95,7 @@ TEST_F(ChosenVictimTest, ConsistentModeProducesExactlyConsistentY) {
       chosen_victim_attack(ctx, {0}, ManipulationMode::kConsistent);
   ASSERT_TRUE(r.success);
   // R x̂ == y′ to numerical precision.
-  const Vector reproduced = ctx.estimator->r() * r.x_estimated;
+  const Vector reproduced = ctx.estimator->sparse_r() * r.x_estimated;
   EXPECT_TRUE(approx_equal(reproduced, r.y_observed, 1e-6));
   // The consistent attack moves ONLY links in L_m ∪ L_s.
   for (LinkId l = 0; l < r.x_estimated.size(); ++l) {

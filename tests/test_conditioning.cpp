@@ -59,7 +59,7 @@ TEST(Conditioning, RejectsRankDeficientAndWide) {
 
 TEST(Conditioning, BoundsHoldOnRoutingMatrix) {
   ExampleNetwork net = fig1_network();
-  const Matrix r = routing_matrix(net.graph, net.paths);
+  const Matrix r = routing_matrix(net.graph, net.paths).to_dense();
   auto est = estimate_condition(r);
   ASSERT_TRUE(est.has_value());
   EXPECT_GE(est->sigma_max, est->sigma_min);

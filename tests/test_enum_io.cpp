@@ -1,6 +1,6 @@
-// Round-trip and stream-output tests for the enum string conversions
-// unified in the PR-3 API pass: robust::ErrorCode, robust::SolveMethod,
-// LeastSquaresMethod and lp::SolveStatus.
+// Round-trip and stream-output tests for the enum string conversions:
+// robust::ErrorCode, robust::SolveMethod, lp::SolveStatus and the
+// estimator, attack and service option enums.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "attack/sparse_aware.hpp"
 #include "core/defender_ablation.hpp"
-#include "linalg/least_squares.hpp"
 #include "lp/simplex.hpp"
 #include "robust/degraded.hpp"
 #include "robust/expected.hpp"
@@ -53,24 +52,6 @@ TEST(EnumIo, SolveMethodRoundTrips) {
   std::ostringstream os;
   os << robust::SolveMethod::kRegularizedFallback;
   EXPECT_EQ(os.str(), "regularized_fallback");
-}
-
-TEST(EnumIo, LeastSquaresMethodRoundTrips) {
-  for (LeastSquaresMethod m :
-       {LeastSquaresMethod::kQr, LeastSquaresMethod::kNormalEquations,
-        LeastSquaresMethod::kCgls}) {
-    const auto back = least_squares_method_from_string(to_string(m));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, m);
-  }
-  EXPECT_EQ(to_string(LeastSquaresMethod::kQr), "qr");
-  EXPECT_EQ(to_string(LeastSquaresMethod::kNormalEquations),
-            "normal_equations");
-  EXPECT_EQ(to_string(LeastSquaresMethod::kCgls), "cgls");
-  EXPECT_FALSE(least_squares_method_from_string("cholesky").has_value());
-  std::ostringstream os;
-  os << LeastSquaresMethod::kQr;
-  EXPECT_EQ(os.str(), "qr");
 }
 
 TEST(EnumIo, LpSolveStatusStreams) {

@@ -83,7 +83,7 @@ TEST(Fig1, Path17AvoidsBothAttackers) {
 
 TEST(Fig1, RoutingMatrixIsIdentifiable) {
   ExampleNetwork net = fig1_network();
-  const Matrix r = routing_matrix(net.graph, net.paths);
+  const SparseMatrix r = routing_matrix(net.graph, net.paths);
   EXPECT_EQ(r.rows(), 23u);
   EXPECT_EQ(r.cols(), 10u);
   EXPECT_TRUE(is_identifiable(r));

@@ -184,8 +184,7 @@ TEST(DegenerateConfigs, SinglePathMeasurementFlowsThroughPipeline) {
 
   // One path cannot identify Fig. 1's links: the degraded solver must land
   // on the regularized fallback, not crash.
-  Matrix r1(1, sc.estimator().r().cols());
-  for (std::size_t c = 0; c < r1.cols(); ++c) r1(0, c) = sc.estimator().r()(0, c);
+  const SparseMatrix r1 = sc.estimator().sparse_r().select_rows({0});
   const auto est = robust::degraded_estimate(r1, m);
   ASSERT_TRUE(est.ok()) << est.error().to_string();
   EXPECT_EQ(est->method, robust::SolveMethod::kRegularizedFallback);

@@ -66,7 +66,7 @@ TEST(ResilientProbing, TotalOutageDegradesToMissingNotGarbage) {
   EXPECT_EQ(stats.attempts_used, policy.attempts());
 
   // The estimator reports a structured error, never a crash.
-  const auto est = robust::degraded_estimate(sc.estimator().r(), m);
+  const auto est = robust::degraded_estimate(sc.estimator().sparse_r(), m);
   ASSERT_FALSE(est.ok());
   EXPECT_EQ(est.code(), robust::ErrorCode::kEmptyInput);
 }

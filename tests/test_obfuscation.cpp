@@ -100,6 +100,19 @@ TEST_F(ObfuscationTest, DamageIsPositiveAndSubstantial) {
   EXPECT_GT(r.damage, 1000.0);
 }
 
+TEST_F(ObfuscationTest, ZeroMinVictimsNeverSucceedsWithoutVictims) {
+  // min_victims 0 counts as 1: with no candidate victims the shrink loop
+  // must not run (it would solve an attacker-only LP and pop an empty list).
+  AttackContext ctx = scenario_.context(net_.attackers);
+  ObfuscationOptions opt;
+  opt.min_victims = 0;
+  opt.candidate_victims = std::vector<LinkId>{};
+  const AttackResult r = obfuscation_attack(ctx, opt);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
+  EXPECT_TRUE(r.victims.empty());
+}
+
 TEST_F(ObfuscationTest, NoAttackersFails) {
   AttackContext ctx = scenario_.context({});
   ObfuscationOptions opt;

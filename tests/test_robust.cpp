@@ -252,11 +252,14 @@ Matrix test_r() {
   return Matrix{{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}, {1.0, 2.0}};
 }
 
+// The degraded solvers take R in CSR form, as Estimator::sparse_r() holds it.
+SparseMatrix test_sparse_r() { return SparseMatrix::from_dense(test_r()); }
+
 Vector test_y() { return Vector{3.0, 5.0, 8.0, 13.0}; }
 
 TEST(DegradedEstimate, CompleteMeasurementsRecoverExactly) {
-  auto res =
-      degraded_estimate(test_r(), DegradedMeasurement::all_measured(test_y()));
+  auto res = degraded_estimate(test_sparse_r(),
+                               DegradedMeasurement::all_measured(test_y()));
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->method, SolveMethod::kFullRank);
   EXPECT_EQ(res->paths_used, 4u);
@@ -270,7 +273,7 @@ TEST(DegradedEstimate, SurvivesDroppedRedundantRows) {
   DegradedMeasurement m;
   m.y = test_y();
   m.measured = {true, false, true, false};  // rows 0 and 2 still identify x
-  auto res = degraded_estimate(test_r(), m);
+  auto res = degraded_estimate(test_sparse_r(), m);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->method, SolveMethod::kFullRank);
   EXPECT_EQ(res->paths_used, 2u);
@@ -282,7 +285,7 @@ TEST(DegradedEstimate, RankDeficiencyFallsBackRegularized) {
   DegradedMeasurement m;
   m.y = test_y();
   m.measured = {true, false, false, false};  // one row, two unknowns
-  auto res = degraded_estimate(test_r(), m);
+  auto res = degraded_estimate(test_sparse_r(), m);
   ASSERT_TRUE(res.ok()) << res.error().to_string();
   EXPECT_EQ(res->method, SolveMethod::kRegularizedFallback);
   EXPECT_EQ(res->paths_used, 1u);
@@ -298,7 +301,7 @@ TEST(DegradedEstimate, FallbackShrinksTowardPrior) {
   const Vector prior{0.0, 5.0};
   DegradedOptions opt;
   opt.prior = &prior;
-  auto res = degraded_estimate(test_r(), m, opt);
+  auto res = degraded_estimate(test_sparse_r(), m, opt);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->method, SolveMethod::kRegularizedFallback);
   // x[1] is unconstrained by the measured row; the prior decides it.
@@ -309,7 +312,7 @@ TEST(DegradedEstimate, NothingMeasuredIsStructuredError) {
   DegradedMeasurement m;
   m.y = test_y();
   m.measured = {false, false, false, false};
-  auto res = degraded_estimate(test_r(), m);
+  auto res = degraded_estimate(test_sparse_r(), m);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.code(), ErrorCode::kEmptyInput);
 }
@@ -318,7 +321,7 @@ TEST(DegradedEstimate, MaskShapeMismatchIsStructuredError) {
   DegradedMeasurement m;
   m.y = Vector{1.0, 2.0};
   m.measured = {true, true};
-  auto res = degraded_estimate(test_r(), m);
+  auto res = degraded_estimate(test_sparse_r(), m);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.code(), ErrorCode::kDimensionMismatch);
 }
@@ -327,7 +330,7 @@ TEST(DegradedResidual, RestrictsToMeasuredRows) {
   DegradedMeasurement m;
   m.y = Vector{3.0, 999.0, 8.0, 13.0};  // unmeasured row holds garbage
   m.measured = {true, false, true, true};
-  auto res = degraded_residual_norm1(test_r(), m, Vector{3.0, 5.0});
+  auto res = degraded_residual_norm1(test_sparse_r(), m, Vector{3.0, 5.0});
   ASSERT_TRUE(res.ok());
   EXPECT_NEAR(*res, 0.0, 1e-9);  // garbage row must not contribute
 }

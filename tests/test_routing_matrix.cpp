@@ -24,20 +24,21 @@ TEST(RoutingMatrix, EntriesAreLinkIncidence) {
   Path p;
   p.nodes = {0, 1, 2};
   p.links = {a, b};
-  const Matrix r = routing_matrix(g, {p, one_hop(g, c)});
+  const SparseMatrix r = routing_matrix(g, {p, one_hop(g, c)});
   EXPECT_EQ(r.rows(), 2u);
   EXPECT_EQ(r.cols(), 3u);
-  EXPECT_DOUBLE_EQ(r(0, a), 1.0);
-  EXPECT_DOUBLE_EQ(r(0, b), 1.0);
-  EXPECT_DOUBLE_EQ(r(0, c), 0.0);
-  EXPECT_DOUBLE_EQ(r(1, c), 1.0);
+  EXPECT_EQ(r.nnz(), 3u);
+  EXPECT_DOUBLE_EQ(r.at(0, a), 1.0);
+  EXPECT_DOUBLE_EQ(r.at(0, b), 1.0);
+  EXPECT_DOUBLE_EQ(r.at(0, c), 0.0);
+  EXPECT_DOUBLE_EQ(r.at(1, c), 1.0);
 }
 
 TEST(RoutingMatrix, IdentityFromOneHopPaths) {
   Graph g = ring(5);
   std::vector<Path> paths;
   for (LinkId l = 0; l < g.num_links(); ++l) paths.push_back(one_hop(g, l));
-  const Matrix r = routing_matrix(g, paths);
+  const SparseMatrix r = routing_matrix(g, paths);
   EXPECT_TRUE(approx_equal(r, Matrix::identity(5)));
   EXPECT_TRUE(is_identifiable(r));
 }
@@ -51,7 +52,7 @@ TEST(RoutingMatrix, IdentifiabilityNeedsEnoughRows) {
 }
 
 TEST(RoutingMatrix, EmptyLinkSetNotIdentifiable) {
-  EXPECT_FALSE(is_identifiable(Matrix(3, 0)));
+  EXPECT_FALSE(is_identifiable(SparseMatrix(3, 0)));
 }
 
 TEST(PathsThrough, NodeAndLinkQueries) {

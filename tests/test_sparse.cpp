@@ -248,8 +248,8 @@ TEST(SparseRoutingMatrix, MatchesDenseConstruction) {
       Path{{0, 2, 3}, {2, 3}},
       Path{{1, 2}, {1}},
   };
-  const Matrix dense = routing_matrix(g, paths);
-  const SparseMatrix sparse = sparse_routing_matrix(g, paths);
+  const Matrix dense{{1, 1, 0, 0}, {0, 0, 1, 1}, {0, 1, 0, 0}};
+  const SparseMatrix sparse = routing_matrix(g, paths);
   EXPECT_TRUE(approx_equal(sparse, dense, 0.0));
   EXPECT_EQ(sparse.nnz(), 5u);
 }

@@ -83,7 +83,7 @@ TEST_F(SparseAwareTest, ZeroEpsilonDegeneratesToTheConsistentAttack) {
   ASSERT_TRUE(r.success);
   // The forged target estimate explains y′ exactly: invisible even to the
   // least-squares defender (Theorem 3 all over again).
-  const Vector reproduced = ctx.estimator->r() * r.x_estimated;
+  const Vector reproduced = ctx.estimator->sparse_r() * r.x_estimated;
   for (std::size_t i = 0; i < reproduced.size(); ++i)
     EXPECT_NEAR(reproduced[i], r.y_observed[i], 1e-6) << "path " << i;
   const DetectionOutcome out =

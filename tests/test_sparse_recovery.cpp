@@ -38,7 +38,7 @@ class SparseRecoveryIdentifiable : public ::testing::Test {
     const auto links = rng_.sample_without_replacement(x.size(), k);
     for (const std::size_t l : links) x[l] += 900.0;
     if (x_out != nullptr) *x_out = x;
-    return scenario_->estimator().r() * x;
+    return scenario_->estimator().sparse_r() * x;
   }
 
   Rng rng_;
@@ -194,7 +194,7 @@ TEST_F(SparseRecoveryUnderdetermined, LeastSquaresRefusesButRecoveryWorks) {
   Vector x = sparse_->prior();
   LinkId planted = paths_[0].links[0];
   x[planted] += 900.0;
-  const auto rec = sparse_->recover(sparse_->r() * x);
+  const auto rec = sparse_->recover(sparse_->sparse_r() * x);
   ASSERT_TRUE(rec.ok()) << rec.error_message();
   ASSERT_EQ(rec->support.size(), 1u);
   EXPECT_EQ(rec->support[0], planted);
@@ -204,7 +204,7 @@ TEST_F(SparseRecoveryUnderdetermined, LeastSquaresRefusesButRecoveryWorks) {
 TEST_F(SparseRecoveryUnderdetermined, CloneIsIndependentAndEquivalent) {
   Vector x = sparse_->prior();
   x[paths_[1].links[2]] += 400.0;
-  const Vector y = sparse_->r() * x;
+  const Vector y = sparse_->sparse_r() * x;
   const auto copy = sparse_->clone();
   ASSERT_NE(copy, nullptr);
   EXPECT_EQ(copy->method(), EstimatorKind::kSparseRecovery);

@@ -238,7 +238,8 @@ int cmd_topo(ArgParser& args) {
                               g, setup->scenario.estimator().paths()),
                           3)
             << '\n';
-  if (auto cond = estimate_condition(setup->scenario.estimator().r())) {
+  if (auto cond = estimate_condition(
+          setup->scenario.estimator().sparse_r().to_dense())) {
     std::cout << "routing-matrix condition number: "
               << Table::num(cond->condition(), 1)
               << "  (higher = more attacker leverage via R⁺)\n";
