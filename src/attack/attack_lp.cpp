@@ -58,9 +58,6 @@ AttackResult solve_attack_lp(const AttackContext& ctx,
   for (std::size_t k = 0; k < support.size(); ++k)
     result.m[support[k]] = std::max(0.0, sol.x[k]);
   result.damage = result.m.norm1();
-  result.y_observed = ctx.true_measurements() + result.m;
-  result.x_estimated = ctx.estimator->estimate(result.y_observed);
-  result.states = classify_all(result.x_estimated, ctx.thresholds);
   result.success = true;
   return result;
 }
@@ -117,7 +114,7 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
   result.status = sol.status;
   if (!sol.optimal()) return result;
 
-  // Materialize m = R Δx̂ and the rest of the result.
+  // Materialize m = R Δx̂.
   result.m = Vector(num_paths);
   for (std::size_t i = 0; i < num_paths; ++i) {
     double acc = 0.0;
@@ -125,10 +122,16 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
     result.m[i] = std::max(0.0, acc);
   }
   result.damage = result.m.norm1();
+  result.success = true;
+  return result;
+}
+
+AttackResult complete_attack_result(const AttackContext& ctx,
+                                    AttackResult result) {
+  if (!result.success) return result;
   result.y_observed = ctx.true_measurements() + result.m;
   result.x_estimated = ctx.estimator->estimate(result.y_observed);
   result.states = classify_all(result.x_estimated, ctx.thresholds);
-  result.success = true;
   return result;
 }
 

@@ -8,6 +8,12 @@
 // support. The LP is
 //   max Σ mᵢ   s.t.  0 ≤ mᵢ ≤ cap  (support paths only; others fixed 0),
 //                    lowerⱼ ≤ (x_true + G m)ⱼ ≤ upperⱼ  for each band j.
+//
+// The two LP functions return the LP outcome only: status, success, m,
+// damage and victims. The observation side (y′, the defender's estimate x̂′
+// and its link states) costs a least-squares solve, so strategies that
+// solve many LPs and return one fill it once, with complete_attack_result,
+// on the result they return.
 
 #pragma once
 
@@ -29,6 +35,7 @@ struct LinkBand {
 
 // Solves the scapegoating LP. `victims` is recorded in the result (it does
 // not alter the constraints — encode the victim requirement in `bands`).
+// y_observed, x_estimated and states are left empty.
 AttackResult solve_attack_lp(const AttackContext& ctx,
                              const std::vector<LinkBand>& bands,
                              std::vector<LinkId> victims);
@@ -40,10 +47,17 @@ AttackResult solve_attack_lp(const AttackContext& ctx,
 // on m (0 ≤ (RΔx̂)ᵢ ≤ cap, and (RΔx̂)ᵢ = 0 on attacker-free paths, which a
 // perfect cut satisfies structurally); the objective is still total damage.
 // Infeasible whenever no consistent manipulation exists (e.g. the victim is
-// not perfectly cut and the band demands it move).
+// not perfectly cut and the band demands it move). Returns the LP outcome
+// only, as solve_attack_lp does.
 AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
                                         const std::vector<LinkBand>& bands,
                                         std::vector<LinkId> victims);
+
+// Fills the observation side of a successful LP outcome: y_observed =
+// y + m, x_estimated = what ctx.estimator answers for y_observed, and
+// states = their classification. An unsuccessful result comes back as is.
+AttackResult complete_attack_result(const AttackContext& ctx,
+                                    AttackResult result);
 
 // Each path's row of R restricted to `links`, as terms over the variable
 // index k of `links`: row i holds {k, R(i, links[k])} for every k with a

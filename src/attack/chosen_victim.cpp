@@ -7,16 +7,18 @@
 
 namespace scapegoat {
 
-AttackResult chosen_victim_attack(const AttackContext& ctx,
-                                  const std::vector<LinkId>& victims,
-                                  ManipulationMode mode,
-                                  CollateralPolicy collateral) {
+AttackResult solve_chosen_victim_lp(const AttackContext& ctx,
+                                    const std::vector<LinkId>& victims,
+                                    ManipulationMode mode,
+                                    CollateralPolicy collateral) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::vector<LinkId> lm = ctx.controlled_links();
 
   // Eq. (7): L_m ∩ L_s = ∅ — a link can't be both hidden and scapegoated.
+  // A victim id that names no link can't be scapegoated either.
   for (LinkId v : victims) {
-    if (std::find(lm.begin(), lm.end(), v) != lm.end()) {
+    if (v >= ctx.estimator->num_links() ||
+        std::find(lm.begin(), lm.end(), v) != lm.end()) {
       AttackResult r;
       r.victims = victims;
       r.status = lp::SolveStatus::kInfeasible;
@@ -50,6 +52,14 @@ AttackResult chosen_victim_attack(const AttackContext& ctx,
   return mode == ManipulationMode::kConsistent
              ? solve_consistent_attack_lp(ctx, bands, victims)
              : solve_attack_lp(ctx, bands, victims);
+}
+
+AttackResult chosen_victim_attack(const AttackContext& ctx,
+                                  const std::vector<LinkId>& victims,
+                                  ManipulationMode mode,
+                                  CollateralPolicy collateral) {
+  return complete_attack_result(
+      ctx, solve_chosen_victim_lp(ctx, victims, mode, collateral));
 }
 
 }  // namespace scapegoat

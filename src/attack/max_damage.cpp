@@ -17,17 +17,18 @@ MaxDamageResult max_damage_attack(const AttackContext& ctx,
 
   // Candidate victims: non-attacker links the attacker can conceivably push
   // past the abnormal threshold (LP relaxation bound).
+  const std::size_t num_links = ctx.estimator->num_links();
   std::vector<LinkId> pool;
   if (opt.candidate_victims) {
     pool = *opt.candidate_victims;
   } else {
-    pool.resize(ctx.estimator->num_links());
+    pool.resize(num_links);
     for (LinkId l = 0; l < pool.size(); ++l) pool[l] = l;
   }
   const std::vector<std::size_t> support = ctx.attacker_path_indices();
   std::vector<LinkId> candidates;
   for (LinkId l : pool) {
-    if (is_controlled(l)) continue;
+    if (l >= num_links || is_controlled(l)) continue;
     if (max_estimate_push(ctx, l, support) <=
         ctx.thresholds.upper + ctx.margin)
       continue;
@@ -35,10 +36,12 @@ MaxDamageResult max_damage_attack(const AttackContext& ctx,
     if (candidates.size() >= opt.max_candidates) break;
   }
 
-  // Single-victim LPs.
+  // Single-victim LPs. Every LP below returns its outcome only; the one
+  // result returned is completed once, at the end.
   std::vector<std::pair<LinkId, AttackResult>> feasible;
   for (LinkId v : candidates) {
-    AttackResult r = chosen_victim_attack(ctx, {v}, opt.mode, opt.collateral);
+    AttackResult r =
+        solve_chosen_victim_lp(ctx, {v}, opt.mode, opt.collateral);
     if (r.success) feasible.emplace_back(v, std::move(r));
   }
   std::sort(feasible.begin(), feasible.end(),
@@ -49,25 +52,26 @@ MaxDamageResult max_damage_attack(const AttackContext& ctx,
     out.single_victim_damages.emplace_back(v, r.damage);
   if (feasible.empty()) return out;
 
-  out.best = feasible.front().second;
-  if (!opt.joint_victims) return out;
+  out.best = std::move(feasible.front().second);
 
   // Greedy victim-set growth: adding a victim adds an abnormality constraint
   // (never relaxes the LP), but can still *increase* optimal damage when the
   // paths that scapegoat it admit more manipulation than the single-victim
   // optimum used. Keep additions that stay feasible and improve damage.
+  const std::size_t max_victims = opt.joint_victims ? opt.max_victims : 1;
   std::vector<LinkId> current = {feasible.front().first};
-  for (std::size_t k = 1; k < feasible.size() && current.size() < opt.max_victims;
+  for (std::size_t k = 1; k < feasible.size() && current.size() < max_victims;
        ++k) {
     std::vector<LinkId> trial = current;
     trial.push_back(feasible[k].first);
     AttackResult r =
-        chosen_victim_attack(ctx, trial, opt.mode, opt.collateral);
+        solve_chosen_victim_lp(ctx, trial, opt.mode, opt.collateral);
     if (r.success && r.damage >= out.best.damage) {
       out.best = std::move(r);
       current = std::move(trial);
     }
   }
+  out.best = complete_attack_result(ctx, std::move(out.best));
   return out;
 }
 

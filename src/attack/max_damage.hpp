@@ -7,6 +7,9 @@
 // for each surviving single-link victim, and (c) optionally grows a joint
 // victim set greedily in decreasing single-victim damage order, keeping an
 // addition only when the joint LP stays feasible and does not reduce damage.
+// The single-victim and growth LPs are compared by damage alone, so only
+// `best` is completed with y_observed / x_estimated / states — one estimate
+// per call. Candidate ids ≥ the number of links are skipped.
 
 #pragma once
 

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "attack/attack_lp.hpp"
+
 namespace scapegoat::testkit {
 namespace {
 
@@ -157,6 +159,55 @@ bool ref_perfect_cut(const std::vector<Path>& paths,
     if (!carries_attacker) return false;
   }
   return true;
+}
+
+AttackResult ref_obfuscation_descending_scan(const AttackContext& ctx,
+                                             const ObfuscationOptions& opt) {
+  const std::vector<LinkId> lm = ctx.controlled_links();
+  const std::vector<std::size_t> support = ctx.attacker_path_indices();
+  const Matrix& g = ctx.estimator->pseudo_inverse();
+  const std::size_t num_links = ctx.estimator->num_links();
+
+  std::vector<LinkId> pool;
+  if (opt.candidate_victims) {
+    pool = *opt.candidate_victims;
+  } else {
+    for (LinkId l = 0; l < num_links; ++l) pool.push_back(l);
+  }
+  std::vector<LinkId> victims;
+  std::vector<double> influence(num_links, 0.0);
+  for (LinkId l : pool) {
+    if (l >= num_links) continue;
+    if (std::find(lm.begin(), lm.end(), l) != lm.end()) continue;
+    if (max_estimate_push(ctx, l, support) < ctx.thresholds.lower + ctx.margin)
+      continue;
+    victims.push_back(l);
+    double up = 0.0;  // a link listed twice is weighed once, not twice
+    for (std::size_t i : support)
+      if (g(l, i) > 0.0) up += g(l, i);
+    influence[l] = up;
+  }
+  std::sort(victims.begin(), victims.end(), [&](LinkId a, LinkId b) {
+    return influence[a] > influence[b];
+  });
+  if (victims.size() > opt.max_victims) victims.resize(opt.max_victims);
+
+  const std::size_t floor = std::max<std::size_t>(opt.min_victims, 1);
+  while (victims.size() >= floor) {
+    std::vector<LinkBand> bands;
+    for (LinkId l : lm)
+      bands.push_back({l, ctx.thresholds.lower + ctx.margin,
+                       ctx.thresholds.upper - ctx.margin});
+    for (LinkId v : victims)
+      bands.push_back({v, ctx.thresholds.lower + ctx.margin,
+                       ctx.thresholds.upper - ctx.margin});
+    AttackResult r = opt.mode == ManipulationMode::kConsistent
+                         ? solve_consistent_attack_lp(ctx, bands, victims)
+                         : solve_attack_lp(ctx, bands, victims);
+    if (r.success) return complete_attack_result(ctx, std::move(r));
+    victims.pop_back();
+  }
+  return AttackResult{};  // status kInfeasible, no victims
 }
 
 double ref_eq23_residual(const Matrix& r, const Vector& x_hat,

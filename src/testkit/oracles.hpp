@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "attack/manipulation.hpp"
+#include "attack/obfuscation.hpp"
 #include "graph/graph.hpp"
 #include "linalg/matrix.hpp"
 #include "lp/model.hpp"
@@ -62,6 +64,17 @@ bool check_moore_penrose(const Matrix& a, const Matrix& g, double tol = 1e-6);
 bool ref_perfect_cut(const std::vector<Path>& paths,
                      const std::vector<NodeId>& attackers,
                      const std::vector<LinkId>& victims);
+
+// ---- attack: the obfuscation shrink, one victim at a time -----------------
+
+// obfuscation_attack's answer by the plain descending scan: build the same
+// influence-ordered candidate list, then solve the band LP for prefix
+// lengths n, n−1, …, max(min_victims, 1) and complete the first feasible
+// one. It shares the attack-LP solvers with the library — the point of the
+// differential is the probe order, not the LP — so a correct bisection must
+// match it bitwise.
+AttackResult ref_obfuscation_descending_scan(const AttackContext& ctx,
+                                             const ObfuscationOptions& opt);
 
 // ---- detect: Eq. 23, literally --------------------------------------------
 

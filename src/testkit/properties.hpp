@@ -15,6 +15,10 @@
 //                                      directly on the graph) ⇒ consistent
 //                                      chosen-victim LP feasible ⇒ invisible
 //                                      to Eq. 23 (Theorem 3)
+//   attack_obfuscation_bisection_matches_descending_scan  the obfuscation
+//                                      shrink vs a one-victim-at-a-time
+//                                      descending scan, bitwise, in both
+//                                      manipulation modes
 //   detector_residual_matches_eq23     detect_scapegoating vs the literal
 //                                      Σ|y − Rx̂| evaluation
 //   tomography_cached_factorization_matches_fresh_qr  the least-squares

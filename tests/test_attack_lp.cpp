@@ -1,5 +1,6 @@
 // Unit tests for the shared attack-LP layer (solve_attack_lp,
-// solve_consistent_attack_lp, max_estimate_push) — below the strategy level.
+// solve_consistent_attack_lp, complete_attack_result, max_estimate_push) —
+// below the strategy level.
 
 #include "attack/attack_lp.hpp"
 
@@ -47,7 +48,8 @@ TEST_F(AttackLpTest, ConstantBandViolationIsInfeasibleImmediately) {
   // m ⪰ 0 can only push estimates around, and the pseudo-inverse has
   // negative entries, so this may or may not be feasible a priori; what we
   // assert is internal consistency: if feasible, the band truly holds.
-  const AttackResult r = solve_attack_lp(c, bands, {});
+  const AttackResult r =
+      complete_attack_result(c, solve_attack_lp(c, bands, {}));
   if (r.success) {
     EXPECT_LE(r.x_estimated[0], c.x_true[0] - 5.0 + 1e-6);
   } else {
@@ -61,12 +63,38 @@ TEST_F(AttackLpTest, BandsAreRespectedAtTheOptimum) {
       {0, 400.0, 600.0},   // link 1 estimate confined to a window
       {8, -kInf, 150.0},   // link 9 kept low
   };
-  const AttackResult r = solve_attack_lp(c, bands, {0});
+  const AttackResult r =
+      complete_attack_result(c, solve_attack_lp(c, bands, {0}));
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.x_estimated[0], 400.0 - 1e-6);
   EXPECT_LE(r.x_estimated[0], 600.0 + 1e-6);
   EXPECT_LE(r.x_estimated[8], 150.0 + 1e-6);
   EXPECT_EQ(r.victims, (std::vector<LinkId>{0}));
+}
+
+TEST_F(AttackLpTest, LpOutcomeLeavesTheObservationSideToCompletion) {
+  AttackContext c = ctx();
+  std::vector<LinkBand> bands{{0, 400.0, 600.0}};
+  const AttackResult lp_only = solve_attack_lp(c, bands, {0});
+  ASSERT_TRUE(lp_only.success);
+  EXPECT_EQ(lp_only.y_observed.size(), 0u);
+  EXPECT_EQ(lp_only.x_estimated.size(), 0u);
+  EXPECT_TRUE(lp_only.states.empty());
+
+  const AttackResult done = complete_attack_result(c, lp_only);
+  EXPECT_EQ(done.m.data(), lp_only.m.data());
+  EXPECT_EQ(done.damage, lp_only.damage);
+  EXPECT_EQ(done.y_observed.data(),
+            (c.true_measurements() + lp_only.m).data());
+  EXPECT_EQ(done.x_estimated.data(),
+            c.estimator->estimate(done.y_observed).data());
+  EXPECT_EQ(done.states, classify_all(done.x_estimated, c.thresholds));
+
+  // An unsuccessful outcome has nothing to complete.
+  const AttackResult failed = complete_attack_result(
+      c, solve_consistent_attack_lp(c, {{0, 500.0, 400.0}}, {0}));
+  EXPECT_FALSE(failed.success);
+  EXPECT_EQ(failed.y_observed.size(), 0u);
 }
 
 TEST_F(AttackLpTest, MaxEstimatePushBoundsTheLp) {
@@ -87,7 +115,8 @@ TEST_F(AttackLpTest, MaxEstimatePushIsAchievableWithoutOtherConstraints) {
   const LinkId l = 0;
   const double bound = max_estimate_push(c, l);
   std::vector<LinkBand> bands{{l, bound - 1e-6, kInf}};
-  const AttackResult r = solve_attack_lp(c, bands, {l});
+  const AttackResult r =
+      complete_attack_result(c, solve_attack_lp(c, bands, {l}));
   ASSERT_TRUE(r.success);
   EXPECT_NEAR(r.x_estimated[l], bound, 1e-5);
 }
@@ -98,7 +127,8 @@ TEST_F(AttackLpTest, ConsistentLpKeepsResidualZero) {
   for (LinkId l : c.controlled_links())
     bands.push_back({l, -kInf, c.thresholds.lower - 1.0});
   bands.push_back({0, c.thresholds.upper + 1.0, kInf});
-  const AttackResult r = solve_consistent_attack_lp(c, bands, {0});
+  const AttackResult r =
+      complete_attack_result(c, solve_consistent_attack_lp(c, bands, {0}));
   ASSERT_TRUE(r.success);
   const Vector residual =
       r.y_observed - c.estimator->sparse_r() * r.x_estimated;

@@ -116,6 +116,25 @@ TEST_F(ChosenVictimTest, ConsistentDamageNeverExceedsUnrestricted) {
   EXPECT_LE(consistent.damage, unrestricted.damage + 1e-6);
 }
 
+TEST_F(ChosenVictimTest, OutOfRangeVictimIsRefusedWithoutSolving) {
+  // A victim id past the last link names no link: refused like an L_m
+  // overlap, before any band reads its true metric or pseudo-inverse row.
+  AttackContext ctx = scenario_.context(net_.attackers);
+  const LinkId missing = ctx.estimator->num_links();
+  for (CollateralPolicy collateral :
+       {CollateralPolicy::kUnconstrained, CollateralPolicy::kAvoidAbnormal}) {
+    const AttackResult r = chosen_victim_attack(
+        ctx, {0, missing}, ManipulationMode::kUnrestricted, collateral);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
+    EXPECT_EQ(r.victims, (std::vector<LinkId>{0, missing}));
+  }
+  const AttackResult consistent =
+      chosen_victim_attack(ctx, {missing}, ManipulationMode::kConsistent);
+  EXPECT_FALSE(consistent.success);
+  EXPECT_EQ(consistent.status, lp::SolveStatus::kInfeasible);
+}
+
 TEST(ChosenVictimNoAttackers, AttackIsInfeasible) {
   Rng rng(32);
   Scenario sc = Scenario::fig1(rng);

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "attack/chosen_victim.hpp"
 #include "core/scenario.hpp"
+#include "obs/obs.hpp"
 #include "topology/example_networks.hpp"
 
 namespace scapegoat {
@@ -82,6 +85,65 @@ TEST_F(MaxDamageTest, CandidateRestrictionIsHonored) {
   const MaxDamageResult md = max_damage_attack(ctx, opt);
   ASSERT_TRUE(md.best.success);
   EXPECT_EQ(md.best.victims, (std::vector<LinkId>{9}));
+}
+
+TEST_F(MaxDamageTest, OutOfRangeCandidatesAreSkipped) {
+  AttackContext ctx = scenario_.context(net_.attackers);
+  const LinkId missing = ctx.estimator->num_links();
+  MaxDamageOptions opt;
+  opt.candidate_victims = std::vector<LinkId>{missing, 9, missing + 1};
+  const MaxDamageResult md = max_damage_attack(ctx, opt);
+  ASSERT_TRUE(md.best.success);
+  EXPECT_EQ(md.best.victims, (std::vector<LinkId>{9}));
+  ASSERT_EQ(md.single_victim_damages.size(), 1u);
+  EXPECT_EQ(md.single_victim_damages[0].first, LinkId{9});
+}
+
+// Bitwise field-by-field equality of two attack results.
+void expect_same_bits(const AttackResult& a, const AttackResult& b) {
+  auto bits = [](const Vector& v) {
+    std::vector<std::uint64_t> out;
+    for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(bits(a.m), bits(b.m));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.damage),
+            std::bit_cast<std::uint64_t>(b.damage));
+  EXPECT_EQ(bits(a.y_observed), bits(b.y_observed));
+  EXPECT_EQ(bits(a.x_estimated), bits(b.x_estimated));
+  EXPECT_EQ(a.states, b.states);
+  EXPECT_EQ(a.victims, b.victims);
+}
+
+TEST_F(MaxDamageTest, OnlyTheReturnedResultIsEstimated) {
+  // The single-victim and growth LPs are compared by damage alone; the
+  // least-squares estimate is computed once, for the result returned.
+  AttackContext ctx = scenario_.context(net_.attackers);
+  for (ManipulationMode mode :
+       {ManipulationMode::kUnrestricted, ManipulationMode::kConsistent}) {
+    MaxDamageOptions opt;
+    opt.mode = mode;
+    obs::MetricsRegistry reg;
+    MaxDamageResult md;
+    {
+      obs::ScopedInstrumentation scope(reg);
+      md = max_damage_attack(ctx, opt);
+    }
+    ASSERT_TRUE(md.best.success);
+    // Fig. 1 perfectly cuts one link only, so one consistent LP is feasible.
+    if (mode == ManipulationMode::kUnrestricted) {
+      ASSERT_GE(md.single_victim_damages.size(), 2u);
+    }
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter_value("tomography.estimate.dense"), 1u);
+
+    // The completed best is what chosen_victim_attack returns for its
+    // victim set, down to the last bit.
+    expect_same_bits(md.best, chosen_victim_attack(ctx, md.best.victims,
+                                                   opt.mode, opt.collateral));
+  }
 }
 
 TEST_F(MaxDamageTest, EmptyCandidateSetFails) {

@@ -113,6 +113,23 @@ TEST_F(ObfuscationTest, ZeroMinVictimsNeverSucceedsWithoutVictims) {
   EXPECT_TRUE(r.victims.empty());
 }
 
+TEST_F(ObfuscationTest, OutOfRangeCandidatesAreSkipped) {
+  // Candidate ids past the last link name no link: they are dropped from
+  // the pool, so the answer is the one for the valid candidates alone.
+  AttackContext ctx = scenario_.context(net_.attackers);
+  const LinkId missing = ctx.estimator->num_links();
+  ObfuscationOptions opt;
+  opt.min_victims = 1;
+  opt.candidate_victims = std::vector<LinkId>{missing, 0, missing + 1};
+  const AttackResult r = obfuscation_attack(ctx, opt);
+  opt.candidate_victims = std::vector<LinkId>{0};
+  const AttackResult valid_only = obfuscation_attack(ctx, opt);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.victims, (std::vector<LinkId>{0}));
+  EXPECT_EQ(r.m.data(), valid_only.m.data());
+  EXPECT_EQ(r.states, valid_only.states);
+}
+
 TEST_F(ObfuscationTest, NoAttackersFails) {
   AttackContext ctx = scenario_.context({});
   ObfuscationOptions opt;

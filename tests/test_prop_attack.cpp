@@ -1,7 +1,8 @@
 // Differential property suite for the attack layer: Theorem 1's perfect-cut
 // condition computed literally from the graph vs the attack-LP feasibility
 // verdict, with the Theorem 3 consistency corollary (a consistent
-// chosen-victim attack must pass the Eq. 23 detector).
+// chosen-victim attack must pass the Eq. 23 detector), and the obfuscation
+// shrink vs the one-victim-at-a-time scan it replaces.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,11 @@ namespace {
 
 TEST(PropAttack, FeasibilityMatchesCutCondition) {
   SCAPEGOAT_RUN_PROPERTY("attack_feasibility_matches_cut_condition");
+}
+
+TEST(PropAttack, ObfuscationBisectionMatchesDescendingScan) {
+  SCAPEGOAT_RUN_PROPERTY(
+      "attack_obfuscation_bisection_matches_descending_scan");
 }
 
 // ---- oracle self-check: ref_perfect_cut on a hand-built path set ----------
