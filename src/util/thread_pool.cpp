@@ -63,11 +63,9 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    {
-      obs::ScopedTimer timer("pool.task.run_us");
-      task();
-    }
-    obs::count("pool.tasks_run");
+    // No metrics after task(): once a task has signalled completion, its
+    // waiter may return and free the registry it installed.
+    task();
   }
 }
 

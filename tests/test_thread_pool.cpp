@@ -1,7 +1,8 @@
 // Unit tests for util/thread_pool: task completion via futures, exception
 // propagation out of workers, parallel_for index coverage (every index
-// exactly once, any grain), nested/inline execution, and drain-on-destroy
-// with queued work.
+// exactly once, any grain), nested/inline execution, drain-on-destroy
+// with queued work, and workers leaving an installed metrics registry alone
+// once the work that used it has returned.
 
 #include "util/thread_pool.hpp"
 
@@ -13,6 +14,8 @@
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "obs/obs.hpp"
 
 namespace scapegoat {
 namespace {
@@ -136,6 +139,24 @@ TEST(ThreadPool, DestructionDrainsQueuedWork) {
     // Destructor joins only after every queued task has executed.
   }
   EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, RegistryMayBeFreedOnceParallelForReturns) {
+  // A helper task can still be finishing on its worker when the caller's
+  // parallel_for returns. Whatever the worker does after the last chunk
+  // must not touch the registry, which the caller frees right away.
+  ThreadPool pool(4);
+  for (int round = 0; round < 500; ++round) {
+    std::atomic<std::size_t> covered{0};
+    {
+      obs::MetricsRegistry registry;
+      obs::ScopedInstrumentation scope(registry);
+      pool.parallel_for(0, 64, 1, [&covered](std::size_t lo, std::size_t hi) {
+        covered += hi - lo;
+      });
+    }
+    ASSERT_EQ(covered.load(), 64u);
+  }
 }
 
 TEST(ThreadPool, GlobalPoolResizes) {
