@@ -9,6 +9,9 @@
 //   max Σ mᵢ   s.t.  0 ≤ mᵢ ≤ cap  (support paths only; others fixed 0),
 //                    lowerⱼ ≤ (x_true + G m)ⱼ ≤ upperⱼ  for each band j.
 //
+// A band whose link is not a link of R makes both LPs return kInfeasible
+// without solving.
+//
 // The two LP functions return the LP outcome only: status, success, m,
 // damage and victims. The observation side (y′, the defender's estimate x̂′
 // and its link states) costs a least-squares solve, so strategies that

@@ -151,7 +151,7 @@ robust::Expected<LossScapegoatPlan> plan_loss_scapegoat(
     if (!chain_all_abnormal(tree, victim_child, states)) continue;
     if (!chain_none_abnormal(tree, attacker, states)) continue;
     if (family == LossAttackFamily::kSubtreeFraming &&
-        fit->residual > opt.stealth_alpha)
+        fit->residual > kLossStealthAlpha)
       continue;
     plan.feasible = true;
     plan.drop_rate = rate;
@@ -189,13 +189,13 @@ robust::Expected<LossScapegoatOutcome> evaluate_loss_scapegoat(
   // estimate and statistic are exactly what a deployed defender computes.
   MulticastMleEstimator defender(g, tree, opt.mle);
   defender.ingest(run.obs);
-  const Vector y = run.leaf_loss_metrics(opt.mle.pass_floor);
+  const Vector y = run.leaf_loss_metrics(kMlePassFloor);
 
   LossScapegoatOutcome out;
   out.x_estimated = defender.estimate(y);
   out.states = classify_all(out.x_estimated, opt.thresholds);
   out.residual = defender.residual_statistic(y);
-  out.detected = out.residual > opt.defender_alpha;
+  out.detected = out.residual > kLossDefenderAlpha;
   out.victim_blamed = chain_all_abnormal(tree, plan.victim_child, out.states);
   out.attacker_clean = chain_none_abnormal(tree, plan.attacker, out.states);
   obs::count(out.detected ? "attack.loss.detected" : "attack.loss.undetected");

@@ -27,7 +27,7 @@
 // chain stays un-blamed — the attacker rehearsing against a copy of the
 // defender, exactly like the delay-domain LPs optimize against G = R⁺. For
 // kSubtreeFraming the planner additionally requires the rehearsal residual
-// to stay under stealth_alpha (a split-framing plan is accepted loud).
+// to stay under kLossStealthAlpha (a split-framing plan is accepted loud).
 //
 // evaluate_loss_scapegoat replays the accepted plan on a FRESH probe seed
 // through an honest MulticastMleEstimator defender (ingest → estimate →
@@ -62,6 +62,12 @@ std::optional<LossAttackFamily> loss_attack_family_from_string(
     std::string_view s);
 std::ostream& operator<<(std::ostream& os, LossAttackFamily family);
 
+// Planner-side stealth cap on the rehearsal residual (probability units),
+// applied to kSubtreeFraming only.
+inline constexpr double kLossStealthAlpha = 0.05;
+// The honest defender's detector threshold, same units.
+inline constexpr double kLossDefenderAlpha = 0.05;
+
 struct LossScapegoatOptions {
   // Ascending candidate drop rates; the planner takes the first that blames
   // the victim (smallest footprint wins, like the delay LPs' minimal Δ).
@@ -76,11 +82,6 @@ struct LossScapegoatOptions {
   // Definition-1 thresholds in the loss-metric domain; defaults to
   // loss_thresholds(): ≥ 0.99 delivery normal, < 0.90 abnormal.
   StateThresholds thresholds = loss_thresholds();
-  // Planner-side stealth cap on the rehearsal residual (probability units),
-  // applied to kSubtreeFraming only.
-  double stealth_alpha = 0.05;
-  // The honest defender's detector threshold, same units.
-  double defender_alpha = 0.05;
 };
 
 struct LossScapegoatPlan {
@@ -100,7 +101,7 @@ struct LossScapegoatPlan {
 struct LossScapegoatOutcome {
   bool victim_blamed = false;   // every victim-chain link abnormal
   bool attacker_clean = false;  // no attacker-chain link abnormal
-  bool detected = false;        // residual_statistic > defender_alpha
+  bool detected = false;        // residual_statistic > kLossDefenderAlpha
   double residual = 0.0;        // probability units
   Vector x_estimated;           // defender's per-physical-link loss metrics
   std::vector<LinkState> states;

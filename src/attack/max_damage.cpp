@@ -58,9 +58,9 @@ MaxDamageResult max_damage_attack(const AttackContext& ctx,
   // (never relaxes the LP), but can still *increase* optimal damage when the
   // paths that scapegoat it admit more manipulation than the single-victim
   // optimum used. Keep additions that stay feasible and improve damage.
-  const std::size_t max_victims = opt.joint_victims ? opt.max_victims : 1;
   std::vector<LinkId> current = {feasible.front().first};
-  for (std::size_t k = 1; k < feasible.size() && current.size() < max_victims;
+  for (std::size_t k = 1;
+       k < feasible.size() && current.size() < opt.max_victims;
        ++k) {
     std::vector<LinkId> trial = current;
     trial.push_back(feasible[k].first);

@@ -4,9 +4,10 @@
 // L_s ⊂ L. Exhaustive search over victim subsets is exponential, so the
 // implementation (a) prunes candidate victims the attacker cannot possibly
 // push past b_u (max_estimate_push bound), (b) solves the chosen-victim LP
-// for each surviving single-link victim, and (c) optionally grows a joint
-// victim set greedily in decreasing single-victim damage order, keeping an
-// addition only when the joint LP stays feasible and does not reduce damage.
+// for each surviving single-link victim, and (c) grows a joint victim set of
+// up to max_victims links (1 = single victim only) greedily in decreasing
+// single-victim damage order, keeping an addition only when the joint LP
+// stays feasible and does not reduce damage.
 // The single-victim and growth LPs are compared by damage alone, so only
 // `best` is completed with y_observed / x_estimated / states — one estimate
 // per call. Candidate ids ≥ the number of links are skipped.
@@ -23,7 +24,6 @@
 namespace scapegoat {
 
 struct MaxDamageOptions {
-  bool joint_victims = true;        // try multi-link victim sets (step c)
   std::size_t max_victims = 8;      // cap on |L_s| during greedy growth
   std::size_t max_candidates = 64;  // solve at most this many single-victim LPs
   ManipulationMode mode = ManipulationMode::kUnrestricted;

@@ -115,7 +115,7 @@ AttackResult sparse_aware_attack(const AttackContext& ctx,
     }
   }
 
-  const lp::Solution sol = lp::solve(model, ctx.lp_options);
+  const lp::Solution sol = lp::solve(model);
   result.status = sol.status;
   if (!sol.optimal()) {
     obs::count("attack.sparse_aware.infeasible");

@@ -81,14 +81,14 @@ struct GuardOutcome {
 };
 
 // Runs one trial attempt function under the per-trial watchdog budget,
-// retrying with an identical derived RNG stream when the budget expires,
-// then quarantining. `attempt_fn(rng)` must fully overwrite its outputs on
-// every attempt (trials re-derive all randomized state from the rng, so a
-// retry is bitwise-equivalent to a fresh first attempt).
+// retrying (robust::kTrialRetries times) with an identical derived RNG
+// stream when the budget expires, then quarantining. `attempt_fn(rng)` must
+// fully overwrite its outputs on every attempt (trials re-derive all
+// randomized state from the rng, so a retry is bitwise-equivalent to a fresh
+// first attempt).
 template <typename Fn>
 GuardOutcome run_trial_guarded(const robust::Budget& budget,
-                               std::size_t retries, std::uint64_t seed,
-                               Fn&& attempt_fn) {
+                               std::uint64_t seed, Fn&& attempt_fn) {
   GuardOutcome out;
   for (std::size_t attempt = 0;; ++attempt) {
     robust::Watchdog dog(budget);
@@ -97,7 +97,7 @@ GuardOutcome run_trial_guarded(const robust::Budget& budget,
     attempt_fn(rng);
     out.attempts = attempt + 1;
     if (!dog.expired()) return out;
-    if (attempt >= retries) {
+    if (attempt >= robust::kTrialRetries) {
       out.quarantined = true;
       return out;
     }
@@ -213,7 +213,7 @@ bool CheckpointedRun::run_block(const Scenario& sc, const TrialBlock& block,
       std::optional<obs::ScopedSpan> span;
       if (!block.span.empty()) span.emplace(block.span);
       guards[i] = run_trial_guarded(
-          opt_.trial_budget, opt_.trial_retries, seeds[i],
+          opt_.trial_budget, seeds[i],
           [&](Rng& rng) { outs[i] = trial(local, idx, rng); });
       if (span) span->attr("trial", idx);
     }

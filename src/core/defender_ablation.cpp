@@ -297,6 +297,8 @@ constexpr std::uint64_t kLossTopoSalt = 0x10ab70b05ull;
 constexpr std::uint64_t kLossTrialSalt = 0x10ab17121ull;
 constexpr std::uint64_t kLossCleanSalt = 0x10abc1ea9ull;
 constexpr std::uint64_t kLossProbeSalt = 0x10ab9b0beull;
+// Upper end of the honest per-link delivery draw U[min_link_delivery, max].
+constexpr double kMaxLinkDelivery = 1.0;
 // Unicast-channel coins: per (link, packet) delivery and per (edge, packet)
 // grey-hole drop. Unicast packets never share a coin — per-packet drops are
 // i.i.d. whatever the family, which is exactly why this channel cannot see
@@ -365,7 +367,7 @@ LossTrialOut loss_trial(const Scenario& sc, const LossAttackFamily* family,
 
   std::vector<double> delivery(g.num_links());
   for (double& d : delivery)
-    d = rng.uniform(opt.min_link_delivery, opt.max_link_delivery);
+    d = rng.uniform(opt.min_link_delivery, kMaxLinkDelivery);
 
   simnet::MulticastAdversary adv;
   std::size_t victim_child = 0;
@@ -490,7 +492,7 @@ std::uint64_t loss_config_hash(const LossAblationOptions& opt) {
   h.mix(opt.mle_alpha);
   h.mix(opt.ls_alpha);
   h.mix(opt.min_link_delivery);
-  h.mix(opt.max_link_delivery);
+  h.mix(kMaxLinkDelivery);
   return h.hash();
 }
 

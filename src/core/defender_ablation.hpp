@@ -153,9 +153,8 @@ struct LossAblationOptions : ExecutionPolicy {
 
   double mle_alpha = 0.05;  // MLE residual threshold, probability units
   double ls_alpha = 0.5;    // LS Eq. 23 threshold, loss-metric units
-  // Honest per-link delivery drawn U[min, max] — the background loss floor.
+  // Honest per-link delivery drawn U[min, 1] — the background loss floor.
   double min_link_delivery = 0.985;
-  double max_link_delivery = 1.0;
 
   robust::ResilienceOptions resilience;  // see PresenceRatioOptions
 };

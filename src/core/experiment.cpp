@@ -109,6 +109,9 @@ constexpr std::uint64_t kCleanSalt = 0xc1ea9ba5e11ull;
 constexpr std::uint64_t kPerfectSalt = 0x9e2fec7c07ull;
 constexpr std::uint64_t kImperfectSalt = 0x19e2fec7c07ull;
 
+constexpr std::size_t kMaxAttackers = 6;  // Fig. 7 attacker count U[1, max]
+constexpr std::size_t kMinObfuscationVictims = 5;  // §V-C2 success bar
+
 // Random attacker node set of size `count` (monitors are eligible — the
 // paper's §II-D explicitly allows malicious monitors).
 std::vector<NodeId> sample_attackers(const Graph& g, std::size_t count,
@@ -148,7 +151,7 @@ PresenceTrialOut presence_trial(Scenario& sc, const PresenceRatioOptions& opt,
   sc.resample_metrics(rng);
   const auto& paths = sc.estimator().paths();
   const std::size_t na =
-      static_cast<std::size_t>(rng.uniform_int(1, opt.max_attackers));
+      static_cast<std::size_t>(rng.uniform_int(1, kMaxAttackers));
 
   // Pick the victim first; draw attackers either uniformly (low-ratio
   // regime) or from the nodes sitting on the victim's measurement paths
@@ -222,7 +225,7 @@ std::uint64_t presence_config_hash(TopologyKind kind,
   h.mix(static_cast<std::uint64_t>(opt.seed));
   h.mix(opt.topologies);
   h.mix(opt.trials_per_topology);
-  h.mix(opt.max_attackers);
+  h.mix(kMaxAttackers);
   h.mix(opt.bins);
   return h.hash();
 }
@@ -281,9 +284,7 @@ struct SingleTrialOut {
 };
 
 // One Fig. 8 trial: a lone attacker runs both §V-C constructions.
-SingleTrialOut single_attacker_trial(Scenario& sc,
-                                     const SingleAttackerOptions& opt,
-                                     Rng& rng) {
+SingleTrialOut single_attacker_trial(Scenario& sc, Rng& rng) {
   SingleTrialOut out;
   sc.resample_metrics(rng);
   const NodeId attacker = rng.index(sc.graph().num_nodes());
@@ -295,7 +296,7 @@ SingleTrialOut single_attacker_trial(Scenario& sc,
   out.max_damage = max_damage_attack(ctx, md).best.success;
 
   ObfuscationOptions ob;
-  ob.min_victims = opt.min_obfuscation_victims;
+  ob.min_victims = kMinObfuscationVictims;
   ob.max_victims = 24;
   out.obfuscation = obfuscation_attack(ctx, ob).success;
   return out;
@@ -324,7 +325,7 @@ std::uint64_t single_config_hash(TopologyKind kind,
   h.mix(static_cast<std::uint64_t>(opt.seed));
   h.mix(opt.topologies);
   h.mix(opt.trials_per_topology);
-  h.mix(opt.min_obfuscation_victims);
+  h.mix(kMinObfuscationVictims);
   return h.hash();
 }
 
@@ -347,7 +348,7 @@ SingleAttackerResult run_single_attacker_experiment(
     if (!run.run_block(
             *sc, {"trial", t * n, n, base ^ kTrialSalt},
             [&](Scenario& local, std::uint64_t, Rng& rng) {
-              return single_attacker_trial(local, opt, rng);
+              return single_attacker_trial(local, rng);
             },
             [&](std::size_t, const SingleTrialOut& o) {
               if (o.max_damage) ++out.max_damage_successes;

@@ -13,11 +13,11 @@ namespace {
 // True cost experienced by traffic on `path`: real link delays plus the
 // attacker tax per malicious node crossed.
 double true_cost(const Path& path, const Vector& x_true,
-                 const std::vector<bool>& malicious, double tax) {
+                 const std::vector<bool>& malicious) {
   double acc = 0.0;
   for (LinkId l : path.links) acc += x_true[l];
   for (NodeId v : path.nodes)
-    if (malicious[v]) acc += tax;
+    if (malicious[v]) acc += kAttackerTaxMs;
   return acc;
 }
 
@@ -79,14 +79,14 @@ RecoveryAssessment assess_recovery(const Scenario& scenario,
   std::vector<double> truth(x_true.data());
   // The oracle routes tax-aware: each link incident to a malicious node
   // carries half the tax, so an interior malicious hop (two incident links
-  // on the path) costs exactly `attacker_tax_ms`. Soft avoidance — crossing
+  // on the path) costs exactly kAttackerTaxMs. Soft avoidance — crossing
   // an attacker when every alternative is worse is still allowed, which
   // keeps every demand routable.
   std::vector<double> tax_aware = truth;
   for (LinkId l = 0; l < g.num_links(); ++l) {
     const Link& link = g.link(l);
-    if (malicious[link.u]) tax_aware[l] += opt.attacker_tax_ms / 2.0;
-    if (malicious[link.v]) tax_aware[l] += opt.attacker_tax_ms / 2.0;
+    if (malicious[link.u]) tax_aware[l] += kAttackerTaxMs / 2.0;
+    if (malicious[link.v]) tax_aware[l] += kAttackerTaxMs / 2.0;
   }
 
   double baseline = 0.0, misled = 0.0, informed = 0.0;
@@ -108,10 +108,9 @@ RecoveryAssessment assess_recovery(const Scenario& scenario,
       ++out.unroutable;
       continue;
     }
-    baseline += true_cost(*base_path, x_true, malicious, opt.attacker_tax_ms);
-    misled += true_cost(*misled_path, x_true, malicious, opt.attacker_tax_ms);
-    informed +=
-        true_cost(*informed_path, x_true, malicious, opt.attacker_tax_ms);
+    baseline += true_cost(*base_path, x_true, malicious);
+    misled += true_cost(*misled_path, x_true, malicious);
+    informed += true_cost(*informed_path, x_true, malicious);
     ++counted;
   }
   if (counted > 0) {

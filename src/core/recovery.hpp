@@ -12,7 +12,7 @@
 //     links drained (the operator trusts the scapegoat),
 //   * informed — oracle routing on true metrics avoiding attacker nodes
 //     (what recovery could do if the real culprits were known).
-// Each routed demand pays its links' true delay plus `attacker_tax_ms` per
+// Each routed demand pays its links' true delay plus kAttackerTaxMs per
 // malicious node it crosses.
 
 #pragma once
@@ -23,8 +23,10 @@
 
 namespace scapegoat {
 
+// Data-plane delay per malicious hop.
+inline constexpr double kAttackerTaxMs = 300.0;
+
 struct RecoveryOptions {
-  double attacker_tax_ms = 300.0;  // data-plane delay per malicious hop
   std::size_t demand_pairs = 200;  // sampled src/dst demands
 };
 

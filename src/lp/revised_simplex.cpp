@@ -16,7 +16,7 @@ namespace {
 
 constexpr std::size_t kWatchdogStride = 64;
 // Basis changes between LU refreshes: long enough to amortize the O(m³)
-// factorization, short enough that eta-file drift stays below feas_tol.
+// factorization, short enough that eta-file drift stays below kFeasTol.
 constexpr std::size_t kRefactorStride = 64;
 constexpr std::size_t kStallLimit = 200;  // matches the tableau's Bland trip
 
@@ -54,11 +54,6 @@ class RevisedSimplex {
   SolveStatus optimize(bool phase1);
   Solution finish(Solution sol, SolveStatus status);
 
-  bool out_of_time() const {
-    return own_watchdog_.expired() ||
-           (ambient_watchdog_ != nullptr && ambient_watchdog_->expired());
-  }
-
   const Model& model_;
   const SimplexOptions& opt_;
 
@@ -84,15 +79,13 @@ class RevisedSimplex {
 
   std::size_t iterations_ = 0;
 
-  robust::Watchdog own_watchdog_;
-  const robust::Watchdog* ambient_watchdog_ = nullptr;
+  // The calling trial's ambient deadline, polled every kWatchdogStride pivots.
+  const robust::Watchdog* deadline_ = robust::ScopedTrialDeadline::current();
 };
 
 RevisedSimplex::RevisedSimplex(const Model& model, const SimplexOptions& opt)
     : model_(model),
-      opt_(opt),
-      own_watchdog_(robust::Budget{opt.max_wall_ms, 0}),
-      ambient_watchdog_(robust::ScopedTrialDeadline::current()) {
+      opt_(opt) {
   m_ = model.num_constraints();
   n_ = model.num_variables();
 
@@ -269,7 +262,7 @@ RevisedSimplex::StepResult RevisedSimplex::step(bool phase1, bool bland) {
 
   std::size_t enter = num_cols_;
   double enter_dir = 0.0;
-  double best = opt_.cost_tol;
+  double best = kCostTol;
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (state_[j] == ColState::kBasic) continue;
     if (lower_[j] == upper_[j]) continue;  // fixed: can never move
@@ -284,9 +277,9 @@ RevisedSimplex::StepResult RevisedSimplex::step(bool phase1, bool bland) {
     // Free columns are parked kAtLower at 0 and may move either way.
     const bool is_free = !std::isfinite(lower_[j]) && !std::isfinite(upper_[j]);
     double dir = 0.0;
-    if (state_[j] == ColState::kAtLower && d < -opt_.cost_tol) dir = 1.0;
-    else if (state_[j] == ColState::kAtUpper && d > opt_.cost_tol) dir = -1.0;
-    else if (is_free && d > opt_.cost_tol) dir = -1.0;
+    if (state_[j] == ColState::kAtLower && d < -kCostTol) dir = 1.0;
+    else if (state_[j] == ColState::kAtUpper && d > kCostTol) dir = -1.0;
+    else if (is_free && d > kCostTol) dir = -1.0;
     if (dir == 0.0) continue;
     if (bland) {
       enter = j;
@@ -320,17 +313,17 @@ RevisedSimplex::StepResult RevisedSimplex::step(bool phase1, bool bland) {
     const std::size_t bj = basis_[i];
     double limit = kInf;
     double bound = 0.0;
-    if (delta < -opt_.pivot_tol && std::isfinite(lower_[bj])) {
+    if (delta < -kPivotTol && std::isfinite(lower_[bj])) {
       limit = (value_[bj] - lower_[bj]) / -delta;
       bound = lower_[bj];
-    } else if (delta > opt_.pivot_tol && std::isfinite(upper_[bj])) {
+    } else if (delta > kPivotTol && std::isfinite(upper_[bj])) {
       limit = (upper_[bj] - value_[bj]) / delta;
       bound = upper_[bj];
     }
     if (limit == kInf) continue;
     if (limit < 0.0) limit = 0.0;  // drift: take the degenerate step
-    if (limit < t_max - opt_.pivot_tol ||
-        (limit < t_max + opt_.pivot_tol && leave != m_ &&
+    if (limit < t_max - kPivotTol ||
+        (limit < t_max + kPivotTol && leave != m_ &&
          bj < basis_[leave])) {
       t_max = limit;
       leave = i;
@@ -338,7 +331,7 @@ RevisedSimplex::StepResult RevisedSimplex::step(bool phase1, bool bland) {
     }
   }
   if (t_max == kInf) return StepResult::kUnbounded;
-  if (t_max <= opt_.pivot_tol) obs::count("lp.revised.degenerate_pivots");
+  if (t_max <= kPivotTol) obs::count("lp.revised.degenerate_pivots");
 
   // Apply the step to the basic values and the entering column.
   for (std::size_t i = 0; i < m_; ++i)
@@ -370,7 +363,8 @@ SolveStatus RevisedSimplex::optimize(bool phase1) {
   double last_obj = objective(phase1);
   bool bland = false;
   while (iterations_ < opt_.max_iterations) {
-    if (iterations_ % kWatchdogStride == 0 && out_of_time())
+    if (iterations_ % kWatchdogStride == 0 && deadline_ != nullptr &&
+        deadline_->expired())
       return SolveStatus::kTimeLimit;
     if (!lu_.ok()) {
       // Singular refactorized basis — numerically wedged. Surface it as an
@@ -425,7 +419,7 @@ Solution RevisedSimplex::run() {
     const SolveStatus s1 = optimize(/*phase1=*/true);
     if (s1 == SolveStatus::kIterationLimit || s1 == SolveStatus::kTimeLimit)
       return finish(sol, s1);
-    if (objective(/*phase1=*/true) > opt_.feas_tol) {
+    if (objective(/*phase1=*/true) > kFeasTol) {
       sol.status = SolveStatus::kInfeasible;
       sol.iterations = iterations_;
       sol.basis = basis_;
@@ -436,7 +430,7 @@ Solution RevisedSimplex::run() {
     // with lower == upper == 0 they are never eligible to move again.
     for (std::size_t j = first_artificial_; j < num_cols_; ++j) {
       upper_[j] = 0.0;
-      if (std::abs(value_[j]) <= opt_.feas_tol) value_[j] = 0.0;
+      if (std::abs(value_[j]) <= kFeasTol) value_[j] = 0.0;
       if (state_[j] != ColState::kBasic) value_[j] = 0.0;
     }
     obs::count("lp.revised.phase_transitions");

@@ -33,9 +33,9 @@ enum class SolveStatus {
   kInfeasible,
   kUnbounded,
   kIterationLimit,
-  // Cooperative wall-clock budget expired (options.max_wall_ms or the
-  // ambient robust::ScopedTrialDeadline). Like kIterationLimit, the
-  // Solution carries the exit basis and basic point as a certificate.
+  // The ambient robust::ScopedTrialDeadline expired mid-solve. Like
+  // kIterationLimit, the Solution carries the exit basis and basic point as
+  // a certificate.
   kTimeLimit,
 };
 
@@ -65,18 +65,17 @@ struct Solution {
   bool optimal() const { return status == SolveStatus::kOptimal; }
 };
 
+// Tolerances shared by both solvers. They decide the feasibility verdicts
+// Theorems 1-2 reason about, so they are fixed, not per-solve options.
+inline constexpr double kPivotTol = 1e-9;  // entries below this can't be pivots
+inline constexpr double kCostTol = 1e-7;   // reduced-cost optimality tolerance
+// Phase-1 objective below this ⇒ feasible.
+inline constexpr double kFeasTol = 1e-6;
+
+// The only per-solve option. Wall time is bounded by the ambient
+// robust::ScopedTrialDeadline alone (kTimeLimit; DESIGN.md §10).
 struct SimplexOptions {
   std::size_t max_iterations = 50'000;
-  double pivot_tol = 1e-9;     // entries below this can't be pivots
-  double cost_tol = 1e-7;      // reduced-cost optimality tolerance
-  double feas_tol = 1e-6;      // phase-1 objective below this ⇒ feasible
-  // Per-solve wall-clock budget in ms; 0 = unlimited. Checked every
-  // kWatchdogStride pivots alongside any ambient trial deadline
-  // (robust::ScopedTrialDeadline), so a hung solve returns kTimeLimit with
-  // its basis certificate instead of stalling a whole sweep. Wall budgets
-  // are load-dependent: a solve that *hits* one is outside the bitwise
-  // determinism contract (DESIGN.md §10).
-  double max_wall_ms = 0.0;
 };
 
 Solution solve(const Model& model, const SimplexOptions& options = {});

@@ -154,13 +154,16 @@ class CheckpointJournal {
   std::string buffer_;    // lines staged since the last flush
 };
 
+// Retries of a trial whose watchdog budget expired; attempts before
+// quarantine = 1 + kTrialRetries.
+inline constexpr std::size_t kTrialRetries = 1;
+
 // Resilience knobs shared by all four experiment runners (wired from
 // `--checkpoint FILE` / `--resume` / `--trial-budget-ms` in the drivers).
 struct ResilienceOptions {
   std::string checkpoint_path;  // empty = checkpointing off
   bool resume = false;          // replay completed trials from the journal
   Budget trial_budget;          // per-trial watchdog budget (0 = unlimited)
-  std::size_t trial_retries = 1;  // attempts before quarantine = 1 + retries
   // Stop (resumably) after computing this many new trials; 0 = no quota.
   // The kill/resume tests use it to stop at deterministic points; operators
   // can use it to slice a huge sweep into bounded sessions.

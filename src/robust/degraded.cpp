@@ -53,6 +53,10 @@ Expected<DegradedEstimate> degraded_estimate(const SparseMatrix& r,
     return Error{ErrorCode::kDimensionMismatch,
                  "measurement mask/vector must have one entry per path row"};
   }
+  if (opt.prior != nullptr && opt.prior->size() != r.cols()) {
+    return Error{ErrorCode::kDimensionMismatch,
+                 "prior must have one entry per link"};
+  }
   if (r.cols() == 0) {
     return Error{ErrorCode::kEmptyInput, "routing matrix has no links"};
   }
@@ -87,12 +91,9 @@ Expected<DegradedEstimate> degraded_estimate(const SparseMatrix& r,
   }
 
   // Rank-deficient (or numerically untrustworthy) drop: ridge fallback,
-  // defined for any shape when λ > 0.
-  const double lambda = opt.ridge_lambda > 0.0 ? opt.ridge_lambda : 1e-3;
-  const Vector* prior =
-      (opt.prior != nullptr && opt.prior->size() == rk.cols()) ? opt.prior
-                                                               : nullptr;
-  auto fallback = ridge_least_squares(rk, yk, lambda, prior);
+  // defined for any shape since λ > 0.
+  constexpr double kRidgeLambda = 1e-3;
+  auto fallback = ridge_least_squares(rk, yk, kRidgeLambda, opt.prior);
   if (!fallback.ok()) return fallback.error();
   est.x = std::move(*fallback);
   est.method = SolveMethod::kRegularizedFallback;

@@ -55,7 +55,6 @@ inline std::ostream& operator<<(std::ostream& os, SolveMethod method) {
 }
 
 struct DegradedOptions {
-  double ridge_lambda = 1e-3;   // fallback regularization strength
   const Vector* prior = nullptr;  // fallback shrinks toward this (default 0)
 };
 
@@ -68,7 +67,8 @@ struct DegradedEstimate {
 };
 
 // Drops unmeasured rows from (r, m.y) and solves what remains. Errors:
-//   kDimensionMismatch — m does not have one entry per row of r,
+//   kDimensionMismatch — m does not have one entry per row of r, or
+//                        opt.prior does not have one entry per link,
 //   kEmptyInput        — no measured rows at all,
 //   kIllConditioned    — even the regularized fallback failed to factor.
 Expected<DegradedEstimate> degraded_estimate(const SparseMatrix& r,

@@ -8,6 +8,8 @@
 
 namespace scapegoat::service {
 
+constexpr std::size_t kMaxRestartsPerShard = 8;
+
 ProbeIngestService::ProbeIngestService(
     const std::vector<const Scenario*>& catalog, const ServiceOptions& opt)
     : catalog_(catalog), opt_(opt) {
@@ -112,7 +114,7 @@ void ProbeIngestService::supervise() {
       const Shard::Phase phase = shard.phase();
       if (phase == Shard::Phase::kCrashed) {
         shard.join();
-        if (restarts_used_[k] < opt_.max_restarts_per_shard) {
+        if (restarts_used_[k] < kMaxRestartsPerShard) {
           ++restarts_used_[k];
           restarts_.fetch_add(1, std::memory_order_relaxed);
           obs::count("service.shard.restarts");
@@ -191,7 +193,7 @@ void ProbeIngestService::drain() {
   // restart it (within budget) so the drain finishes the queue too.
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     while (shards_[k]->phase() == Shard::Phase::kCrashed &&
-           restarts_used_[k] < opt_.max_restarts_per_shard) {
+           restarts_used_[k] < kMaxRestartsPerShard) {
       ++restarts_used_[k];
       restarts_.fetch_add(1, std::memory_order_relaxed);
       obs::count("service.shard.restarts");

@@ -4,7 +4,7 @@
 // `ProbeIngestService` owns N worker shards, each with its own bounded
 // IngestQueue, plus one supervisor thread that:
 //   * restarts crashed shards from their robust/checkpoint journals (up to
-//     max_restarts_per_shard; beyond that the shard stays down and the
+//     kMaxRestartsPerShard = 8; beyond that the shard stays down and the
 //     service reports it),
 //   * detects wedged shards — mid-batch with a stale heartbeat for longer
 //     than wedge_timeout_ms — and aborts them cooperatively so the restart

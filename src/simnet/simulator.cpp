@@ -107,8 +107,7 @@ ProbeRun Simulator::run_probes(const std::vector<Path>& paths,
     for (std::size_t k = 0; k < opt.probes_per_path; ++k) {
       Event e;
       e.kind = Event::Kind::kSpawn;
-      e.time_ms = static_cast<double>(p) * opt.path_stagger_ms +
-                  static_cast<double>(k) * opt.probe_spacing_ms;
+      e.time_ms = static_cast<double>(k) * opt.probe_spacing_ms;
       e.packet = packets.size();
       packets.push_back(Packet{p, 0, k, 0.0, false});
       queue.push(e);

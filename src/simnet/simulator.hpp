@@ -95,7 +95,6 @@ class DropAdversary final : public Adversary {
 struct ProbeOptions {
   std::size_t probes_per_path = 1;
   double probe_spacing_ms = 1.0;   // gap between probes of the same path
-  double path_stagger_ms = 0.0;    // start-time offset between paths
   double jitter_ms = 0.0;          // uniform [0, jitter) extra per link hop
   // Per-link delivery probability (loss channel); empty = lossless.
   std::vector<double> link_delivery_prob;

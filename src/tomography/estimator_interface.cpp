@@ -93,14 +93,12 @@ std::unique_ptr<Estimator> make_estimator(EstimatorKind kind, const Graph& g,
                               : SparseConstraint::kEquality;
       sparse.epsilon_ms = options.sparse_epsilon_ms;
       sparse.prior = options.sparse_prior;
-      sparse.lp_options = options.lp_options;
       return std::make_unique<SparseRecoveryEstimator>(g, std::move(paths),
                                                        std::move(sparse));
     }
     case EstimatorKind::kMulticastMle: {
       MulticastMleOptions mle;
       mle.min_rate = options.mle_min_rate;
-      mle.max_fixed_point_iters = options.mle_fixed_point_iters;
       return std::make_unique<MulticastMleEstimator>(g, std::move(paths),
                                                      mle);
     }

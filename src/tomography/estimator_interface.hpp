@@ -48,7 +48,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
-#include "lp/simplex.hpp"
 #include "robust/expected.hpp"
 #include "tomography/link_state.hpp"
 
@@ -171,13 +170,9 @@ struct EstimatorOptions {
   // Sparse recovery: x_prior of the ℓ1 objective; empty means zeros (the
   // "anomalies over a silent baseline" model).
   Vector sparse_prior;
-  // Sparse recovery: LP solver options for every recovery solve.
-  lp::SimplexOptions lp_options;
-  // Multicast MLE: clamp floor for fitted per-link success rates and the
-  // iteration cap of the degree > 2 fixed-point solve (the full knob set
-  // lives in MulticastMleOptions, multicast_mle.hpp).
+  // Multicast MLE: clamp floor for fitted per-link success rates
+  // (MulticastMleOptions::min_rate, multicast_mle.hpp).
   double mle_min_rate = 1e-6;
-  std::size_t mle_fixed_point_iters = 1000;
 };
 
 std::unique_ptr<Estimator> make_estimator(EstimatorKind kind, const Graph& g,

@@ -23,12 +23,14 @@ MonitorPlacementResult place_monitors(const Graph& g,
     if (g.degree(v) <= 2) is_monitor[v] = true;
 
   // Random seed monitors beyond the structural set.
+  constexpr std::size_t kInitialMonitors = 4;
+  constexpr std::size_t kGrowthStep = 4;  // monitors added per failed attempt
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     if (!is_monitor[v]) candidates.push_back(v);
   rng.shuffle(candidates);
   std::size_t next_candidate = 0;
-  for (; next_candidate < opt.initial_monitors &&
+  for (; next_candidate < kInitialMonitors &&
          next_candidate < candidates.size();
        ++next_candidate)
     is_monitor[candidates[next_candidate]] = true;
@@ -53,7 +55,7 @@ MonitorPlacementResult place_monitors(const Graph& g,
       if (selector.identifiable()) break;
     }
     bool grew = false;
-    for (std::size_t i = 0; i < opt.growth_step; ++i) {
+    for (std::size_t i = 0; i < kGrowthStep; ++i) {
       if (next_candidate < candidates.size()) {
         is_monitor[candidates[next_candidate++]] = true;
         grew = true;

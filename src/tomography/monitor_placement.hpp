@@ -25,9 +25,6 @@
 namespace scapegoat {
 
 struct MonitorPlacementOptions {
-  std::size_t initial_monitors = 4;  // random seed monitors (beyond the
-                                     // structurally required degree-≤2 set)
-  std::size_t growth_step = 4;       // monitors added per failed attempt
   PathSelectionOptions path_options;
 };
 

@@ -319,10 +319,12 @@ namespace {
 // unclamped iterate may pass 1 — infeasible fits are the detector's signal,
 // so the clamp happens in the caller, after the ratio α = A_k/A_parent).
 double fit_internal_reach(const std::vector<double>& child_gammas,
-                          double gamma_k, const MulticastMleOptions& opt,
-                          std::size_t* fixed_point_nodes, bool* converged) {
+                          double gamma_k, std::size_t* fixed_point_nodes,
+                          bool* converged) {
   constexpr double kTiny = 1e-15;
   constexpr double kHuge = 1e6;
+  constexpr std::size_t kMaxFixedPointIters = 1000;  // degree > 2 solver cap
+  constexpr double kFixedPointTol = 1e-12;
   if (child_gammas.size() == 2) {
     const double denom = child_gammas[0] + child_gammas[1] - gamma_k;
     if (denom <= kTiny) return kHuge;  // degenerate: no finite interior fit
@@ -332,7 +334,7 @@ double fit_internal_reach(const std::vector<double>& child_gammas,
   const double max_child =
       *std::max_element(child_gammas.begin(), child_gammas.end());
   double a = 1.0;
-  for (std::size_t it = 0; it < opt.max_fixed_point_iters; ++it) {
+  for (std::size_t it = 0; it < kMaxFixedPointIters; ++it) {
     double comp = 1.0;
     for (double gc : child_gammas) comp *= 1.0 - gc / a;
     const double denom = 1.0 - comp;
@@ -341,7 +343,7 @@ double fit_internal_reach(const std::vector<double>& child_gammas,
     // Keep the iterate above every child OR rate: A < max γ_c flips factor
     // signs and the recursion leaves its basin.
     next = std::min(std::max(next, max_child * (1.0 + 1e-12)), kHuge);
-    if (std::abs(next - a) <= opt.fixed_point_tol * std::max(1.0, a))
+    if (std::abs(next - a) <= kFixedPointTol * std::max(1.0, a))
       return next;
     a = next;
   }
@@ -394,8 +396,8 @@ robust::Expected<MulticastMleResult> solve_multicast_mle(
     child_gammas.reserve(node.children.size());
     for (std::size_t c : node.children)
       child_gammas.push_back(std::min(std::max(gammas[c], 0.0), 1.0));
-    raw[k] = fit_internal_reach(child_gammas, gk, opt,
-                                &out.fixed_point_nodes, &out.converged);
+    raw[k] = fit_internal_reach(child_gammas, gk, &out.fixed_point_nodes,
+                                &out.converged);
   }
 
   // Top-down: α̂_k = Ã_k / Ã_parent, clamped into [min_rate, 1]; the
@@ -505,17 +507,17 @@ robust::Expected<MulticastMleResult> MulticastMleEstimator::solve_for(
 namespace {
 
 // Degenerate-input completion shared by estimate()/residual_statistic():
-// floor the per-leaf marginals at pass_floor and fit the independence
+// floor the per-leaf marginals at kMlePassFloor and fit the independence
 // completion — the only defensible total answer when the typed path errors.
 MulticastMleResult floored_fit(std::size_t num_physical_links,
                                const MulticastTree& tree, const Vector& y,
                                const MulticastMleOptions& opt) {
   obs::count("tomography.mle.estimate_floored");
-  Vector pass(tree.num_leaves(), opt.pass_floor);
+  Vector pass(tree.num_leaves(), kMlePassFloor);
   for (std::size_t i = 0; i < pass.size() && i < y.size(); ++i) {
     const double yi = y[i];
     if (!std::isnan(yi) && yi >= 0.0)
-      pass[i] = std::max(std::min(std::exp(-yi), 1.0), opt.pass_floor);
+      pass[i] = std::max(std::min(std::exp(-yi), 1.0), kMlePassFloor);
   }
   auto floored = solve_multicast_mle(num_physical_links, tree,
                                      independence_gammas(tree, pass), opt);

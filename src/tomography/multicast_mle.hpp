@@ -140,11 +140,11 @@ Vector model_gammas(const MulticastTree& tree, const Vector& link_success);
 
 // ---- the MLE --------------------------------------------------------------
 
+// Leaf pass-rate floor in metric conversions.
+inline constexpr double kMlePassFloor = 1e-9;
+
 struct MulticastMleOptions {
   double min_rate = 1e-6;        // clamp floor for fitted success rates
-  std::size_t max_fixed_point_iters = 1000;  // degree > 2 solver cap
-  double fixed_point_tol = 1e-12;
-  double pass_floor = 1e-9;      // leaf pass-rate floor in metric conversions
 };
 
 struct MulticastMleResult {
@@ -213,7 +213,7 @@ class MulticastMleEstimator final : public Estimator {
       const MulticastObservation& obs) const;
 
   // y = per-leaf loss metrics (−log pass) in tree.leaves order. Total:
-  // degenerate leaves are floored at pass_floor (use try_estimate for the
+  // degenerate leaves are floored at kMlePassFloor (use try_estimate for the
   // typed taxonomy). Non-tree path sets: pseudo-inverse delegation.
   Vector estimate(const Vector& y) const override;
   robust::Expected<Vector> try_estimate(const Vector& y) const override;

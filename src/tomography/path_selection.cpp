@@ -62,13 +62,14 @@ void IncrementalPathSelector::sample(const std::vector<NodeId>& monitors,
   // the budget. Bail out once sampling stops producing rank gains — with an
   // unidentifiable monitor set no amount of sampling helps, and the caller
   // (monitor growth) reacts faster this way.
+  constexpr std::size_t kSamplesPerPair = 30;  // waypoint draws per pair
   std::size_t unproductive = 0;
   const std::size_t patience = 2 * pairs.size() + 200;
-  for (std::size_t round = 0; round < opt_.samples_per_pair && !tracker_.full();
+  for (std::size_t round = 0; round < kSamplesPerPair && !tracker_.full();
        ++round) {
     for (const auto& [s, t] : pairs) {
       if (tracker_.full() || unproductive > patience) break;
-      Path p = sample_waypoint_path(g_, s, t, opt_.max_path_length, rng);
+      Path p = sample_waypoint_path(g_, s, t, kMaxSampledPathLength, rng);
       if (try_accept(std::move(p), true)) {
         unproductive = 0;
       } else {
@@ -88,7 +89,7 @@ void IncrementalPathSelector::add_redundant(
     const NodeId s = monitors[rng.index(monitors.size())];
     const NodeId t = monitors[rng.index(monitors.size())];
     if (s == t) continue;
-    Path p = sample_waypoint_path(g_, s, t, opt_.max_path_length, rng);
+    Path p = sample_waypoint_path(g_, s, t, kMaxSampledPathLength, rng);
     if (try_accept(std::move(p), false)) {
       ++added;
       stale = 0;

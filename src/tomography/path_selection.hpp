@@ -27,9 +27,10 @@
 
 namespace scapegoat {
 
+// Hop cap on waypoint-sampled paths (here and in secure_placement).
+inline constexpr std::size_t kMaxSampledPathLength = 12;
+
 struct PathSelectionOptions {
-  std::size_t max_path_length = 12;    // hop cap on sampled paths
-  std::size_t samples_per_pair = 30;   // waypoint draws per monitor pair
   std::size_t redundant_paths = 0;     // extra paths beyond rank |L|
 };
 

@@ -59,6 +59,7 @@ PathSelectionResult secure_select_paths(const Graph& g,
                                         const SecureSelectionOptions& opt,
                                         Rng& rng) {
   assert(monitors.size() >= 2);
+  constexpr std::size_t kCandidatesPerStep = 8;  // draws compared per step
   PathSelectionResult result;
   RankTracker tracker(g.num_links());
   Exposure exposure(g.num_nodes());
@@ -86,7 +87,7 @@ PathSelectionResult secure_select_paths(const Graph& g,
       pairs.emplace_back(monitors[i], monitors[j]);
   rng.shuffle(pairs);
 
-  // Rank phase: at each step, gather up to `candidates_per_step`
+  // Rank phase: at each step, gather up to kCandidatesPerStep
   // rank-gaining candidates and accept the one minimizing the resulting
   // maximum node exposure.
   std::size_t stall = 0;
@@ -94,13 +95,13 @@ PathSelectionResult secure_select_paths(const Graph& g,
   while (!tracker.full() && stall <= patience) {
     std::vector<Path> candidates;
     for (std::size_t attempt = 0;
-         attempt < 4 * opt.candidates_per_step &&
-         candidates.size() < opt.candidates_per_step && stall <= patience;
+         attempt < 4 * kCandidatesPerStep &&
+         candidates.size() < kCandidatesPerStep && stall <= patience;
          ++attempt) {
       const auto& [s, t] = pairs[rng.index(pairs.size())];
       Path p = rng.bernoulli(0.25)
                    ? shortest_path(g, s, t).value_or(Path{})
-                   : sample_waypoint_path(g, s, t, opt.base.max_path_length,
+                   : sample_waypoint_path(g, s, t, kMaxSampledPathLength,
                                           rng);
       if (p.empty() || seen.contains(key_of(p))) {
         ++stall;
@@ -132,11 +133,11 @@ PathSelectionResult secure_select_paths(const Graph& g,
          stall < 50 * (opt.base.redundant_paths + 1)) {
     std::vector<Path> candidates;
     for (std::size_t attempt = 0;
-         attempt < 2 * opt.candidates_per_step &&
-         candidates.size() < opt.candidates_per_step;
+         attempt < 2 * kCandidatesPerStep &&
+         candidates.size() < kCandidatesPerStep;
          ++attempt) {
       const auto& [s, t] = pairs[rng.index(pairs.size())];
-      Path p = sample_waypoint_path(g, s, t, opt.base.max_path_length, rng);
+      Path p = sample_waypoint_path(g, s, t, kMaxSampledPathLength, rng);
       if (!p.empty() && !seen.contains(key_of(p)))
         candidates.push_back(std::move(p));
     }

@@ -38,8 +38,7 @@ std::vector<double> node_presence_ratios(const Graph& g,
 double max_presence_ratio(const Graph& g, const std::vector<Path>& paths);
 
 struct SecureSelectionOptions {
-  PathSelectionOptions base;           // length cap, budgets, redundancy
-  std::size_t candidates_per_step = 8; // rank-gaining draws compared per step
+  PathSelectionOptions base;           // redundancy
 };
 
 // Security-aware variant of select_paths over a fixed monitor set.

@@ -34,6 +34,11 @@ std::ostream& operator<<(std::ostream& os, SparseConstraint c) {
 
 namespace {
 
+// |x − prior| above this counts as recovered support.
+constexpr double kSupportTolMs = 1e-6;
+// Slack added to the Chebyshev ε* before the relaxed re-solve.
+constexpr double kRelaxSlackMs = 1e-7;
+
 // Adds the split variables of x = prior + u⁺ − u⁻ to `model`:
 // u⁺ⱼ = variable j ∈ [0, ∞), u⁻ⱼ = variable n+j ∈ [0, priorⱼ] — the box on
 // u⁻ is what keeps x ⪰ 0 without any extra rows.
@@ -101,7 +106,7 @@ robust::Expected<SparseRecoveryResult> SparseRecoveryEstimator::recover(
                              b[i] + eps);
       }
     }
-    lp::Solution sol = lp::solve(model, options_.lp_options);
+    lp::Solution sol = lp::solve(model);
     result.lp_iterations += sol.iterations;
     return sol;
   };
@@ -126,15 +131,14 @@ robust::Expected<SparseRecoveryResult> SparseRecoveryEstimator::recover(
       terms.back().coeff = 1.0;
       cheb.add_constraint(std::move(terms), lp::RowType::kGreaterEqual, b[i]);
     }
-    lp::Solution aux = lp::solve(cheb, options_.lp_options);
+    lp::Solution aux = lp::solve(cheb);
     result.lp_iterations += aux.iterations;
     if (aux.optimal()) {
       obs::count("tomography.sparse.relaxed");
       result.relaxed = true;
       // Absolute + relative slack keeps the re-solve strictly feasible in
       // floating point.
-      eps = std::max(eps, aux.objective * (1.0 + 1e-9) +
-                              std::max(options_.relax_slack_ms, 1e-9));
+      eps = std::max(eps, aux.objective * (1.0 + 1e-9) + kRelaxSlackMs);
       sol = solve_l1(eps);
     }
   }
@@ -157,7 +161,7 @@ robust::Expected<SparseRecoveryResult> SparseRecoveryEstimator::recover(
   result.x = Vector(n);
   for (std::size_t j = 0; j < n; ++j) {
     result.x[j] = prior_[j] + sol.x[j] - sol.x[n + j];
-    if (std::abs(result.x[j] - prior_[j]) > options_.support_tol_ms)
+    if (std::abs(result.x[j] - prior_[j]) > kSupportTolMs)
       result.support.push_back(j);
   }
   obs::observe("tomography.sparse.support_size",

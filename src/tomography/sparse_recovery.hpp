@@ -64,18 +64,14 @@ struct SparseRecoveryOptions {
   double epsilon_ms = 0.0;  // ball radius for kInfBall (per-path, ms)
   // ℓ1 anchor x_prior; empty means zeros. Must match num_links otherwise.
   Vector prior;
-  // |x − prior| above this counts as recovered support.
-  double support_tol_ms = 1e-6;
   // On an infeasible LP, find the minimal feasible ε* via the Chebyshev
-  // auxiliary LP and re-solve at ε* + relax_slack_ms.
+  // auxiliary LP and re-solve at ε* + kRelaxSlackMs (sparse_recovery.cpp).
   bool auto_relax = true;
-  double relax_slack_ms = 1e-7;
-  lp::SimplexOptions lp_options;
 };
 
 struct SparseRecoveryResult {
   Vector x;                      // recovered link metrics (⪰ 0)
-  std::vector<LinkId> support;   // links with |x − prior| > support_tol
+  std::vector<LinkId> support;   // links with |x − prior| > 1e-6 ms
   double objective = 0.0;        // realized ‖x − prior‖₁ per the LP
   double epsilon_used = 0.0;     // ball radius of the accepted solve
   bool relaxed = false;          // true iff the Chebyshev fallback fired

@@ -11,6 +11,7 @@ namespace scapegoat {
 
 GeometricGraph random_geometric(const GeometricParams& params, Rng& rng) {
   assert(params.num_nodes > 0 && params.density > 0.0);
+  constexpr std::size_t kMaxAttempts = 200;  // redraws before stitching
   GeometricGraph out;
   out.side = std::sqrt(static_cast<double>(params.num_nodes) / params.density);
   out.radius = std::sqrt(params.mean_degree / (std::numbers::pi * params.density));
@@ -32,7 +33,7 @@ GeometricGraph random_geometric(const GeometricParams& params, Rng& rng) {
       }
     }
     if (!params.require_connected || is_connected(out.graph)) return out;
-    if (attempt + 1 >= params.max_attempts) {
+    if (attempt + 1 >= kMaxAttempts) {
       // Density too low to connect by luck: keep the largest draw and stitch
       // components together with shortest bridging links so downstream code
       // always gets a usable connected topology.

@@ -17,7 +17,6 @@ struct GeometricParams {
   double density = 5.0;      // λ: nodes per unit area
   double mean_degree = 5.0;  // target average number of neighbors
   bool require_connected = true;
-  std::size_t max_attempts = 200;
 };
 
 struct GeometricGraph {
@@ -28,7 +27,8 @@ struct GeometricGraph {
 };
 
 // Generates an RGG; if `require_connected`, redraws positions until the
-// graph is connected (the paper's "extended network generation mode").
+// graph is connected (the paper's "extended network generation mode"), and
+// after 200 draws stitches the last one's components together.
 GeometricGraph random_geometric(const GeometricParams& params, Rng& rng);
 
 }  // namespace scapegoat

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "core/scenario.hpp"
+#include "obs/obs.hpp"
 #include "topology/example_networks.hpp"
 
 namespace scapegoat {
@@ -155,6 +156,29 @@ TEST_F(AttackLpTest, EmptyAttackerSetOnlySatisfiesTrivialBands) {
   // Unsatisfiable band → infeasible.
   std::vector<LinkBand> bad{{0, c.thresholds.upper + 1.0, kInf}};
   EXPECT_FALSE(solve_attack_lp(c, bad, {}).success);
+}
+
+TEST_F(AttackLpTest, OutOfRangeBandIsRefusedWithoutSolving) {
+  // A band naming a link past the end of R has no row in G = R⁺ and no
+  // true metric: both LPs refuse it as infeasible before building a model.
+  AttackContext c = ctx();
+  const LinkId past_end = c.estimator->num_links();
+  const std::vector<LinkBand> bands{{0, -kInf, kInf},
+                                    {past_end, -kInf, kInf}};
+  obs::MetricsRegistry reg;
+  AttackResult plain, consistent;
+  {
+    obs::ScopedInstrumentation scope(reg);
+    plain = solve_attack_lp(c, bands, {past_end});
+    consistent = solve_consistent_attack_lp(c, bands, {past_end});
+  }
+  EXPECT_FALSE(plain.success);
+  EXPECT_EQ(plain.status, lp::SolveStatus::kInfeasible);
+  EXPECT_FALSE(consistent.success);
+  EXPECT_EQ(consistent.status, lp::SolveStatus::kInfeasible);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("lp.simplex.solves"), 0u);
+  EXPECT_EQ(snap.counter_value("lp.revised.solves"), 0u);
 }
 
 }  // namespace

@@ -118,14 +118,14 @@ TEST(LossScapegoatPlanner, SubtreeFramingIsFeasibleAndStealthy) {
   EXPECT_FALSE(plan->adversary.exclusive);
   // The rehearsal already certifies stealth (a boundary clamp on a perfect
   // link is benign — the residual cap is what the planner enforces).
-  EXPECT_LE(plan->planned_residual, opt.stealth_alpha);
+  EXPECT_LE(plan->planned_residual, kLossStealthAlpha);
 
   const auto outcome = evaluate_loss_scapegoat(s.g, s.tree, *plan, opt);
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
   EXPECT_TRUE(outcome->victim_blamed);
   EXPECT_TRUE(outcome->attacker_clean);
   EXPECT_FALSE(outcome->detected);
-  EXPECT_LE(outcome->residual, opt.defender_alpha);
+  EXPECT_LE(outcome->residual, kLossDefenderAlpha);
   // Both physical links of the victim chain are framed — the relay 2—3
   // carried every probe faithfully and still reads abnormal.
   const auto& victim_chain = s.tree.nodes[s.victim_child].chain;
@@ -157,7 +157,7 @@ TEST(LossScapegoatPlanner, SplitFramingBlamesButTripsTheResidual) {
   ASSERT_TRUE(outcome.ok()) << outcome.error_message();
   EXPECT_TRUE(outcome->victim_blamed);
   EXPECT_TRUE(outcome->detected);
-  EXPECT_GT(outcome->residual, opt.defender_alpha);
+  EXPECT_GT(outcome->residual, kLossDefenderAlpha);
 }
 
 TEST(LossScapegoatPlanner, HonestBackgroundLossDoesNotAlarmTheDefender) {

@@ -61,7 +61,7 @@ TEST_F(MaxDamageTest, VictimsNeverIncludeControlledLinks) {
 TEST_F(MaxDamageTest, DisablingJointSearchStillSucceeds) {
   AttackContext ctx = scenario_.context(net_.attackers);
   MaxDamageOptions opt;
-  opt.joint_victims = false;
+  opt.max_victims = 1;
   const MaxDamageResult md = max_damage_attack(ctx, opt);
   ASSERT_TRUE(md.best.success);
   EXPECT_EQ(md.best.victims.size(), 1u);
@@ -70,9 +70,8 @@ TEST_F(MaxDamageTest, DisablingJointSearchStillSucceeds) {
 TEST_F(MaxDamageTest, JointSearchNeverLosesToSingleVictim) {
   AttackContext ctx = scenario_.context(net_.attackers);
   MaxDamageOptions single;
-  single.joint_victims = false;
+  single.max_victims = 1;
   MaxDamageOptions joint;
-  joint.joint_victims = true;
   const double d_single = max_damage_attack(ctx, single).best.damage;
   const double d_joint = max_damage_attack(ctx, joint).best.damage;
   EXPECT_GE(d_joint + 1e-6, d_single);

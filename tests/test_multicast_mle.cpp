@@ -271,7 +271,7 @@ TEST(MulticastMleEstimatorTest, TryEstimateSurfacesDeadLeavesAsTypedError) {
   obs.probes = 100;
   obs.reach_count = {90, 90, 0, 90};  // leaf 0 never reached
   est.ingest(obs);
-  const Vector y{-std::log(est.options().pass_floor), -std::log(0.9)};
+  const Vector y{-std::log(kMlePassFloor), -std::log(0.9)};
   const auto attempt = est.try_estimate(y);
   ASSERT_FALSE(attempt.ok());
   EXPECT_EQ(attempt.code(), robust::ErrorCode::kMissingData);

@@ -32,7 +32,7 @@ TEST(Recovery, MisledRecoveryIsWorseThanOracle) {
   // drains an innocent link while crossing attackers blindly. (Both
   // optimize the same true-cost metric; the oracle has correct weights.)
   EXPECT_LE(a.informed_delay_ms,
-            a.misled_delay_ms + opt.attacker_tax_ms / 2.0);
+            a.misled_delay_ms + kAttackerTaxMs / 2.0);
   EXPECT_GT(a.misled_delay_ms, 0.0);
 }
 
@@ -101,7 +101,7 @@ TEST(Recovery, IspScaleRun) {
   // The oracle (tax-aware, correct weights, no drained constraint) is never
   // meaningfully worse than the misled policy.
   EXPECT_LE(a.informed_delay_ms,
-            a.misled_delay_ms + opt.attacker_tax_ms / 2.0);
+            a.misled_delay_ms + kAttackerTaxMs / 2.0);
 }
 
 }  // namespace

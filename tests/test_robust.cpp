@@ -326,6 +326,19 @@ TEST(DegradedEstimate, MaskShapeMismatchIsStructuredError) {
   EXPECT_EQ(res.code(), ErrorCode::kDimensionMismatch);
 }
 
+TEST(DegradedEstimate, WrongWidthPriorIsStructuredError) {
+  // A prior must hold one entry per link, as in sparse recovery and
+  // ridge_least_squares; a wrong width is refused, not silently dropped.
+  const Vector prior{0.0, 5.0, 7.0};
+  DegradedOptions opt;
+  opt.prior = &prior;
+  auto res = degraded_estimate(test_sparse_r(),
+                               DegradedMeasurement::all_measured(test_y()),
+                               opt);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.code(), ErrorCode::kDimensionMismatch);
+}
+
 TEST(DegradedResidual, RestrictsToMeasuredRows) {
   DegradedMeasurement m;
   m.y = Vector{3.0, 999.0, 8.0, 13.0};  // unmeasured row holds garbage
