@@ -6,9 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
+#include "attack/attack_lp.hpp"
+#include "core/scenario.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+#include "robust/checkpoint.hpp"
+#include "testkit/gen.hpp"
+#include "testkit/source.hpp"
+#include "topology/example_networks.hpp"
 #include "util/random.hpp"
 
 namespace scapegoat::lp {
@@ -144,6 +153,164 @@ TEST(SimplexStress, RedundantRowsDoNotConfusePhase1) {
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 4.0, 1e-8);
+}
+
+// ---- Pinned tableau output -----------------------------------------------
+//
+// Everything solve_tableau returns — status, pivot count, exit basis and the
+// bits of x and the objective — hashed over a fixed set of models. A change
+// to the tableau's data layout must keep this value: same pivots in the same
+// order give the same bits. Only the sign of a zero is outside the contract
+// (no comparison, ratio or max(0, ·) can see it), so -0 is folded to +0.
+
+void mix_solution(robust::ConfigHasher& h, const Solution& s) {
+  const auto mix_value = [&h](double v) { h.mix(v == 0.0 ? 0.0 : v); };
+  h.mix(static_cast<std::uint64_t>(s.status));
+  h.mix(static_cast<std::uint64_t>(s.iterations));
+  h.mix(static_cast<std::uint64_t>(s.basis.size()));
+  for (std::size_t b : s.basis) h.mix(static_cast<std::uint64_t>(b));
+  h.mix(static_cast<std::uint64_t>(s.x.size()));
+  for (double v : s.x) mix_value(v);
+  mix_value(s.objective);
+}
+
+// Degenerate LP: every row passes through the origin, so Dantzig pivots in
+// place until the stall counter trips the switch to Bland.
+Model degenerate_lp(std::uint64_t seed, std::size_t n, std::size_t rows) {
+  Rng rng(seed);
+  Model m(Sense::kMaximize);
+  for (std::size_t j = 0; j < n; ++j)
+    m.add_variable(0.0, 1.0, rng.uniform(0.1, 1.0));
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<Term> terms;
+    for (std::size_t j = 0; j < n; ++j) {
+      const int c = rng.uniform_int(-2, 2);
+      if (c != 0) terms.push_back({j, static_cast<double>(c)});
+    }
+    if (!terms.empty())
+      m.add_constraint(std::move(terms), RowType::kLessEqual, 0.0);
+  }
+  return m;
+}
+
+// The attack LPs solve_attack_lp and solve_consistent_attack_lp build for a
+// chosen-victim attack on each link of the Fig. 1 scenario: attacker links
+// kept normal, the victim pushed abnormal, bystanders kept below abnormal.
+std::vector<Model> fig1_attack_lps() {
+  Rng rng(121);
+  const Scenario scenario = Scenario::fig1(rng);
+  const AttackContext ctx = scenario.context(fig1_network().attackers);
+  const std::vector<std::size_t> support = ctx.attacker_path_indices();
+  const Matrix& g = ctx.estimator->pseudo_inverse();
+  const SparseMatrix& r = ctx.estimator->sparse_r();
+  const std::size_t num_links = ctx.x_true.size();
+  const std::vector<LinkId> controlled = ctx.controlled_links();
+  std::vector<bool> has_attacker(ctx.estimator->num_paths(), false);
+  for (std::size_t i : support) has_attacker[i] = true;
+
+  std::vector<Model> models;
+  for (LinkId victim = 0; victim < num_links; ++victim) {
+    std::vector<LinkBand> bands;
+    for (LinkId l : controlled)
+      bands.push_back({l, -kInfinity, ctx.thresholds.lower - ctx.margin});
+    bands.push_back({victim, ctx.thresholds.upper + ctx.margin, kInfinity});
+    for (LinkId l = 0; l < num_links; ++l) {
+      if (l == victim ||
+          std::find(controlled.begin(), controlled.end(), l) !=
+              controlled.end())
+        continue;
+      bands.push_back({l, -kInfinity, ctx.thresholds.upper - ctx.margin});
+    }
+
+    Model unrestricted(Sense::kMaximize);
+    for (std::size_t k = 0; k < support.size(); ++k)
+      unrestricted.add_variable(0.0, ctx.per_path_cap, 1.0);
+    Model consistent(Sense::kMaximize);
+    const Vector colsum =
+        r.multiply_transpose(Vector(ctx.estimator->num_paths(), 1.0));
+    std::vector<LinkId> banded;
+    for (const LinkBand& band : bands) {
+      const double base = ctx.x_true[band.link];
+      std::vector<Term> terms;
+      for (std::size_t k = 0; k < support.size(); ++k) {
+        const double coeff = g(band.link, support[k]);
+        if (std::abs(coeff) > 1e-11) terms.push_back({k, coeff});
+      }
+      if (!terms.empty()) {
+        if (std::isfinite(band.upper))
+          unrestricted.add_constraint(terms, RowType::kLessEqual,
+                                      band.upper - base);
+        if (std::isfinite(band.lower))
+          unrestricted.add_constraint(std::move(terms),
+                                      RowType::kGreaterEqual,
+                                      band.lower - base);
+      }
+      consistent.add_variable(
+          std::isfinite(band.lower) ? band.lower - base : -kInfinity,
+          std::isfinite(band.upper) ? band.upper - base : kInfinity,
+          colsum[band.link]);
+      banded.push_back(band.link);
+    }
+    const auto rows = restricted_rows(r, banded);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].empty()) continue;
+      if (!has_attacker[i]) {
+        consistent.add_constraint(rows[i], RowType::kEqual, 0.0);
+      } else {
+        consistent.add_constraint(rows[i], RowType::kGreaterEqual, 0.0);
+        consistent.add_constraint(rows[i], RowType::kLessEqual,
+                                  ctx.per_path_cap);
+      }
+    }
+    models.push_back(std::move(unrestricted));
+    models.push_back(std::move(consistent));
+  }
+  return models;
+}
+
+TEST(SimplexPinned, TableauSolutionsHashToPinnedValue) {
+  std::vector<Model> models;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    testkit::Source src(seed);
+    models.push_back(testkit::gen_lp_model(src));
+  }
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    testkit::Source src(1000 + seed);
+    models.push_back(
+        testkit::gen_lp_model(src, {.max_vars = 14, .max_constraints = 12}));
+  }
+  models.push_back(degenerate_lp(220, 40, 80));
+  models.push_back(degenerate_lp(7, 50, 100));
+  for (Model& m : fig1_attack_lps()) models.push_back(std::move(m));
+
+  robust::ConfigHasher hash;
+  std::size_t by_status[5] = {};
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedInstrumentation inst(registry);
+    for (const Model& m : models) {
+      const Solution s = solve_tableau(m);
+      ++by_status[static_cast<std::size_t>(s.status)];
+      mix_solution(hash, s);
+      // The pivot-budget certificate: where a starved solve stops.
+      SimplexOptions starved;
+      starved.max_iterations = 3;
+      mix_solution(hash, solve_tableau(m, starved));
+    }
+  }
+  std::uint64_t bland_switches = 0, phase_transitions = 0;
+  for (const obs::CounterSample& c : registry.snapshot().counters) {
+    if (c.name == "lp.simplex.bland_switches") bland_switches = c.value;
+    if (c.name == "lp.simplex.phase_transitions") phase_transitions = c.value;
+  }
+
+  // The set reaches every path the pinned value is meant to cover.
+  EXPECT_GT(by_status[static_cast<std::size_t>(SolveStatus::kOptimal)], 0u);
+  EXPECT_GT(by_status[static_cast<std::size_t>(SolveStatus::kInfeasible)],
+            0u);
+  EXPECT_GT(bland_switches, 0u);
+  EXPECT_GT(phase_transitions, 0u);
+  EXPECT_EQ(robust::encode_u64_hex(hash.hash()), "95175c67d4affacd");
 }
 
 }  // namespace
