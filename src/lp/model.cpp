@@ -16,9 +16,17 @@ std::size_t Model::add_variable(double lower, double upper, double objective,
 
 void Model::add_constraint(std::vector<Term> terms, RowType type, double rhs,
                            std::string name) {
-  for ([[maybe_unused]] const Term& t : terms) assert(t.var < variables_.size());
   constraints_.push_back(
       Constraint{std::move(terms), type, rhs, std::move(name)});
+}
+
+bool Model::well_formed() const {
+  for (const Constraint& c : constraints_) {
+    if (!std::isfinite(c.rhs)) return false;
+    for (const Term& t : c.terms)
+      if (t.var >= variables_.size() || !std::isfinite(t.coeff)) return false;
+  }
+  return true;
 }
 
 double Model::objective_value(const std::vector<double>& x) const {

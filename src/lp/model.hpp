@@ -51,6 +51,7 @@ class Model {
   std::size_t add_variable(double lower, double upper, double objective,
                            std::string name = {});
 
+  // Terms are taken as given; see well_formed().
   void add_constraint(std::vector<Term> terms, RowType type, double rhs,
                       std::string name = {});
 
@@ -59,6 +60,11 @@ class Model {
 
   const Variable& variable(std::size_t i) const { return variables_[i]; }
   const Constraint& constraint(std::size_t i) const { return constraints_[i]; }
+
+  // True when every term names a variable of this model and every term
+  // coefficient and rhs is finite. Both solvers refuse any other model with
+  // kInfeasible before building anything from it.
+  bool well_formed() const;
 
   // Objective value of a candidate point (no feasibility check).
   double objective_value(const std::vector<double>& x) const;

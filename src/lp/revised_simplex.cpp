@@ -450,7 +450,9 @@ Solution solve_revised(const Model& model, const SimplexOptions& options) {
   obs::ScopedSpan span("lp.revised.solve");
 
   Solution sol;
-  if (model.num_constraints() == 0) {
+  if (!model.well_formed()) {
+    sol.status = SolveStatus::kInfeasible;
+  } else if (model.num_constraints() == 0) {
     // No rows → the basis is empty; each variable optimizes independently
     // over its own box.
     const double sense = model.sense() == Sense::kMaximize ? -1.0 : 1.0;

@@ -1,7 +1,7 @@
 // Bounded-variable revised simplex with a factorized basis.
 //
-// The tableau solver (simplex.hpp) carries the whole m×(n+slacks+artificials)
-// array through every pivot — O(m·n) work per pivot and a dense bound row per
+// The tableau solver (simplex.hpp) carries a dense m × (nonbasic columns)
+// array through every pivot — O(m·n) work per pivot and a bound row per
 // box-constrained variable, which is what makes the ≥5k-link attack LPs
 // crawl. The revised method keeps only:
 //   * the constraint matrix column-wise sparse (never modified),

@@ -1,8 +1,11 @@
 #include "lp/simplex.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "lp/revised_simplex.hpp"
 #include "obs/obs.hpp"
@@ -27,7 +30,12 @@ struct VarMap {
   bool split = false;
 };
 
-// Dense standard-form tableau: min cᵀu s.t. T u = rhs, u ≥ 0.
+// Condensed (Tucker) standard-form tableau: min cᵀu s.t. T u = rhs, u ≥ 0.
+// A basic column is a unit vector with a zero reduced cost, so only the
+// nonbasic columns are stored: one row-major m × nn buffer, with
+// nonbasic_[p] naming the column at position p as basis_[i] names the one
+// basic in row i. The pivots, and so every value returned, are those of the
+// full tableau; only the sign of some zero entries differs.
 class Tableau {
  public:
   Tableau(const Model& model, const SimplexOptions& opt);
@@ -37,33 +45,39 @@ class Tableau {
  private:
   enum class StepResult { kPivoted, kOptimal, kUnbounded };
 
+  double* row(std::size_t i) { return a_.data() + i * nn_; }
+
   StepResult step(bool bland);
-  void pivot(std::size_t row, std::size_t col);
-  // Rebuilds the reduced-cost row and objective from `costs`.
+  // Pivots on row `row_index` and the column stored at position `q`.
+  void pivot(std::size_t row_index, std::size_t q);
+  // Rebuilds the reduced costs and objective from `costs` (by column id).
   void install_costs(const std::vector<double>& costs);
   // Runs pivots until optimal/unbounded/limit; returns final status w.r.t.
   // the currently installed costs.
   SolveStatus optimize();
-  bool drive_out_artificials();
+  void drive_out_artificials();
+  // Removes the nonbasic artificial columns, which phase 2 never lets enter.
+  void drop_artificial_columns();
   std::vector<double> extract_model_solution() const;
 
   const Model& model_;
   const SimplexOptions& opt_;
 
-  std::size_t num_cols_ = 0;       // structural + slack columns
-  std::size_t first_artificial_ = 0;
-  std::size_t total_cols_ = 0;     // including artificials
+  std::size_t first_artificial_ = 0;  // structural + slack columns
+  std::size_t total_cols_ = 0;        // including artificials
   std::vector<VarMap> var_map_;
 
-  std::vector<std::vector<double>> rows_;  // m rows of length total_cols_
-  std::vector<double> rhs_;                // length m, kept ≥ 0 by invariant
-  std::vector<std::size_t> basis_;         // basis_[i] = column basic in row i
-  std::vector<double> phase2_costs_;       // length total_cols_ (0 on artificials)
+  std::size_t m_ = 0;                   // rows
+  std::size_t nn_ = 0;                  // stored (nonbasic) columns
+  std::vector<double> a_;               // m_ × nn_, row-major
+  std::vector<std::size_t> nonbasic_;   // nonbasic_[p] = column at position p
+  std::vector<double> rhs_;             // length m, kept ≥ 0 by invariant
+  std::vector<std::size_t> basis_;      // basis_[i] = column basic in row i
+  std::vector<double> phase2_costs_;    // by column id (0 on artificials)
 
-  std::vector<double> d_;   // reduced costs
+  std::vector<double> d_;   // reduced costs of the stored columns
   double obj_ = 0.0;        // current objective (minimization form)
   std::size_t iterations_ = 0;
-  bool allow_artificial_entering_ = true;
 
   // Cooperative budget: the calling trial's ambient deadline, polled every
   // kWatchdogStride pivots.
@@ -107,53 +121,41 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
   }
   const std::size_t structural_cols = col;
 
-  // 2. Build raw rows (structural part + rhs) from constraints and bound rows.
-  struct RawRow {
-    std::vector<double> coeffs;  // structural_cols wide
-    RowType type;
-    double rhs;
-  };
-  std::vector<RawRow> raw;
-  raw.reserve(model.num_constraints() + bound_rows.size());
-  for (std::size_t i = 0; i < model.num_constraints(); ++i) {
-    const Constraint& c = model.constraint(i);
-    RawRow r{std::vector<double>(structural_cols, 0.0), c.type, c.rhs};
-    for (const Term& t : c.terms) {
-      const VarMap& m = var_map_[t.var];
-      if (m.split) {
-        r.coeffs[m.col] += t.coeff;
-        r.coeffs[m.col_minus] -= t.coeff;
-      } else {
-        r.coeffs[m.col] += t.coeff * m.sign;
-        r.rhs -= t.coeff * m.shift;
+  // 2. Each row's rhs after the bound shifts and its sense after making
+  //    the rhs ≥ 0 (a negated row flips ≤ and ≥).
+  const std::size_t num_rows = model.num_constraints();
+  m_ = num_rows + bound_rows.size();
+  rhs_.assign(m_, 0.0);
+  std::vector<RowType> types(m_, RowType::kLessEqual);
+  std::vector<bool> negated(m_, false);
+  std::size_t num_slacks = 0, num_surplus = 0, num_artificials = 0;
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (i < num_rows) {
+      const Constraint& c = model.constraint(i);
+      types[i] = c.type;
+      rhs_[i] = c.rhs;
+      for (const Term& t : c.terms) {
+        const VarMap& m = var_map_[t.var];
+        if (!m.split) rhs_[i] -= t.coeff * m.shift;
       }
+    } else {
+      rhs_[i] = bound_rows[i - num_rows].range;
     }
-    raw.push_back(std::move(r));
-  }
-  for (const BoundRow& b : bound_rows) {
-    RawRow r{std::vector<double>(structural_cols, 0.0), RowType::kLessEqual,
-             b.range};
-    r.coeffs[var_map_[b.var].col] = 1.0;
-    raw.push_back(std::move(r));
-  }
-
-  // 3. Normalize rhs ≥ 0, count slack and artificial columns.
-  std::size_t num_slacks = 0, num_artificials = 0;
-  for (RawRow& r : raw) {
-    if (r.rhs < 0.0) {
-      for (double& a : r.coeffs) a = -a;
-      r.rhs = -r.rhs;
-      if (r.type == RowType::kLessEqual)
-        r.type = RowType::kGreaterEqual;
-      else if (r.type == RowType::kGreaterEqual)
-        r.type = RowType::kLessEqual;
+    if (rhs_[i] < 0.0) {
+      negated[i] = true;
+      rhs_[i] = -rhs_[i];
+      if (types[i] == RowType::kLessEqual)
+        types[i] = RowType::kGreaterEqual;
+      else if (types[i] == RowType::kGreaterEqual)
+        types[i] = RowType::kLessEqual;
     }
-    switch (r.type) {
+    switch (types[i]) {
       case RowType::kLessEqual:
         ++num_slacks;  // slack enters the basis directly
         break;
       case RowType::kGreaterEqual:
-        ++num_slacks;  // surplus
+        ++num_slacks;  // surplus, nonbasic
+        ++num_surplus;
         ++num_artificials;
         break;
       case RowType::kEqual:
@@ -162,20 +164,59 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
     }
   }
 
-  num_cols_ = structural_cols + num_slacks;
-  first_artificial_ = num_cols_;
-  total_cols_ = num_cols_ + num_artificials;
+  first_artificial_ = structural_cols + num_slacks;
+  total_cols_ = first_artificial_ + num_artificials;
 
-  // 4. Assemble the dense tableau with identity basis.
-  const std::size_t m = raw.size();
-  rows_.assign(m, std::vector<double>(total_cols_, 0.0));
-  rhs_.assign(m, 0.0);
-  basis_.assign(m, 0);
-  phase2_costs_.assign(total_cols_, 0.0);
+  // 3. The starting basis is the slack of every ≤ row and the artificial of
+  //    every ≥ and = row, so the stored columns are the structurals followed
+  //    by the surpluses.
+  nn_ = structural_cols + num_surplus;
+  a_.assign(m_ * nn_, 0.0);
+  nonbasic_.resize(nn_);
+  basis_.assign(m_, 0);
+  for (std::size_t p = 0; p < structural_cols; ++p) nonbasic_[p] = p;
+  std::size_t slack_col = structural_cols;
+  std::size_t surplus_pos = structural_cols;
+  std::size_t art_col = first_artificial_;
+  for (std::size_t i = 0; i < m_; ++i) {
+    double* r = row(i);
+    if (i < num_rows) {
+      for (const Term& t : model.constraint(i).terms) {
+        const VarMap& m = var_map_[t.var];
+        if (m.split) {
+          r[m.col] += t.coeff;
+          r[m.col_minus] -= t.coeff;
+        } else {
+          r[m.col] += t.coeff * m.sign;
+        }
+      }
+    } else {
+      r[var_map_[bound_rows[i - num_rows].var].col] = 1.0;
+    }
+    if (negated[i])
+      for (std::size_t p = 0; p < structural_cols; ++p) r[p] = -r[p];
+    switch (types[i]) {
+      case RowType::kLessEqual:
+        basis_[i] = slack_col++;
+        break;
+      case RowType::kGreaterEqual:
+        r[surplus_pos] = -1.0;
+        nonbasic_[surplus_pos++] = slack_col++;
+        basis_[i] = art_col++;
+        break;
+      case RowType::kEqual:
+        basis_[i] = art_col++;
+        break;
+    }
+  }
+  assert(slack_col == first_artificial_);
+  assert(surplus_pos == nn_);
+  assert(art_col == total_cols_);
 
   // Phase-2 costs: minimization form of the model objective on structural
   // columns. (Shifts contribute a constant handled at extraction time; we
   // report the objective by re-evaluating the model at the solution.)
+  phase2_costs_.assign(total_cols_, 0.0);
   const double sense = model.sense() == Sense::kMaximize ? -1.0 : 1.0;
   for (std::size_t j = 0; j < n; ++j) {
     const Variable& v = model.variable(j);
@@ -187,118 +228,94 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
       phase2_costs_[mp.col] += sense * v.objective * mp.sign;
     }
   }
-
-  std::size_t slack_col = structural_cols;
-  std::size_t art_col = first_artificial_;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t c = 0; c < structural_cols; ++c)
-      rows_[i][c] = raw[i].coeffs[c];
-    rhs_[i] = raw[i].rhs;
-    switch (raw[i].type) {
-      case RowType::kLessEqual:
-        rows_[i][slack_col] = 1.0;
-        basis_[i] = slack_col++;
-        break;
-      case RowType::kGreaterEqual:
-        rows_[i][slack_col] = -1.0;
-        ++slack_col;
-        rows_[i][art_col] = 1.0;
-        basis_[i] = art_col++;
-        break;
-      case RowType::kEqual:
-        rows_[i][art_col] = 1.0;
-        basis_[i] = art_col++;
-        break;
-    }
-  }
-  assert(slack_col == num_cols_);
-  assert(art_col == total_cols_);
 }
 
 void Tableau::install_costs(const std::vector<double>& costs) {
-  d_ = costs;
+  d_.resize(nn_);
+  for (std::size_t p = 0; p < nn_; ++p) d_[p] = costs[nonbasic_[p]];
   obj_ = 0.0;
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
+  for (std::size_t i = 0; i < m_; ++i) {
     const double cb = costs[basis_[i]];
     if (cb == 0.0) continue;
     obj_ += cb * rhs_[i];
-    for (std::size_t j = 0; j < total_cols_; ++j)
-      d_[j] -= cb * rows_[i][j];
+    const double* r = row(i);
+    for (std::size_t p = 0; p < nn_; ++p) d_[p] -= cb * r[p];
   }
 }
 
-void Tableau::pivot(std::size_t row, std::size_t col) {
-  std::vector<double>& pr = rows_[row];
-  const double piv = pr[col];
+void Tableau::pivot(std::size_t row_index, std::size_t q) {
+  // A local, not nn_ reloaded per row from the stack-resident Tableau: that
+  // reload made the pivot ~40% slower under one stack layout.
+  const std::size_t nn = nn_;
+  double* pr = row(row_index);
+  const double piv = pr[q];
   assert(std::abs(piv) > 0.0);
   const double inv = 1.0 / piv;
-  for (double& a : pr) a *= inv;
-  rhs_[row] *= inv;
-  pr[col] = 1.0;  // kill roundoff on the pivot itself
+  // Position q changes hands: the entering column turns into an implicit
+  // unit vector, and the leaving one, a unit vector until now, is stored
+  // there. Seeding q with the leaving column's entries (1 in the pivot row,
+  // 0 elsewhere) lets the one update below compute its new ones.
+  pr[q] = 1.0;
+  for (std::size_t p = 0; p < nn; ++p) pr[p] *= inv;
+  rhs_[row_index] *= inv;
 
-  // A local, not total_cols_ reloaded per row from the stack-resident
-  // Tableau: that reload made pivot ~40% slower under one stack layout.
-  const std::size_t cols = total_cols_;
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (i == row) continue;
-    const double f = rows_[i][col];
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (i == row_index) continue;
+    double* ri = row(i);
+    const double f = ri[q];
     if (f == 0.0) continue;
-    std::vector<double>& ri = rows_[i];
-    for (std::size_t j = 0; j < cols; ++j) ri[j] -= f * pr[j];
-    ri[col] = 0.0;
-    rhs_[i] -= f * rhs_[row];
+    ri[q] = 0.0;
+    for (std::size_t p = 0; p < nn; ++p) ri[p] -= f * pr[p];
+    rhs_[i] -= f * rhs_[row_index];
     if (rhs_[i] < 0.0 && rhs_[i] > -kPivotTol) rhs_[i] = 0.0;
   }
-  const double fd = d_[col];
+  const double fd = d_[q];
   if (fd != 0.0) {
-    for (std::size_t j = 0; j < cols; ++j) d_[j] -= fd * pr[j];
-    d_[col] = 0.0;
-    // Δobj = reduced cost × step length (rhs_[row] is already the
+    d_[q] = 0.0;
+    for (std::size_t p = 0; p < nn; ++p) d_[p] -= fd * pr[p];
+    // Δobj = reduced cost × step length (rhs_[row_index] is already the
     // normalized ratio θ at this point).
-    obj_ += fd * rhs_[row];
+    obj_ += fd * rhs_[row_index];
   }
-  basis_[row] = col;
+  std::swap(basis_[row_index], nonbasic_[q]);
   ++iterations_;
 }
 
 Tableau::StepResult Tableau::step(bool bland) {
-  // Entering column: negative reduced cost.
-  std::size_t enter = total_cols_;
-  const std::size_t limit =
-      allow_artificial_entering_ ? total_cols_ : first_artificial_;
-  if (bland) {
-    for (std::size_t j = 0; j < limit; ++j) {
-      if (d_[j] < -kCostTol) {
-        enter = j;
-        break;
-      }
-    }
-  } else {
-    double best = -kCostTol;
-    for (std::size_t j = 0; j < limit; ++j) {
-      if (d_[j] < best) {
-        best = d_[j];
-        enter = j;
-      }
+  // Entering column: negative reduced cost. Bland takes the smallest column
+  // id, Dantzig the most negative cost with ties to the smallest id — the
+  // columns a scan in id order picks.
+  std::size_t enter = nn_;
+  std::size_t enter_id = total_cols_;
+  double best = -kCostTol;
+  for (std::size_t p = 0; p < nn_; ++p) {
+    const double dp = d_[p];
+    if (!(dp < -kCostTol)) continue;
+    const std::size_t id = nonbasic_[p];
+    if (bland ? id < enter_id
+              : dp < best || (dp == best && id < enter_id)) {
+      best = dp;
+      enter = p;
+      enter_id = id;
     }
   }
-  if (enter == total_cols_) return StepResult::kOptimal;
+  if (enter == nn_) return StepResult::kOptimal;
 
   // Ratio test; Bland tie-break on the leaving basis index.
-  std::size_t leave = rows_.size();
+  std::size_t leave = m_;
   double best_ratio = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const double a = rows_[i][enter];
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double a = a_[i * nn_ + enter];
     if (a <= kPivotTol) continue;
     const double ratio = rhs_[i] / a;
     if (ratio < best_ratio - kPivotTol ||
         (ratio < best_ratio + kPivotTol &&
-         (leave == rows_.size() || basis_[i] < basis_[leave]))) {
+         (leave == m_ || basis_[i] < basis_[leave]))) {
       best_ratio = ratio;
       leave = i;
     }
   }
-  if (leave == rows_.size()) return StepResult::kUnbounded;
+  if (leave == m_) return StepResult::kUnbounded;
   pivot(leave, enter);
   return StepResult::kPivoted;
 }
@@ -331,32 +348,50 @@ SolveStatus Tableau::optimize() {
   return SolveStatus::kIterationLimit;
 }
 
-bool Tableau::drive_out_artificials() {
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
+void Tableau::drive_out_artificials() {
+  for (std::size_t i = 0; i < m_; ++i) {
     if (basis_[i] < first_artificial_) continue;
-    // Basic artificial at (numerically) zero level: pivot in any usable
-    // non-artificial column. If none exists the row is redundant; zero it.
-    std::size_t col = total_cols_;
-    for (std::size_t j = 0; j < first_artificial_; ++j) {
-      if (std::abs(rows_[i][j]) > 1e-7) {
-        col = j;
-        break;
+    // Basic artificial at (numerically) zero level: pivot in the usable
+    // non-artificial column of smallest id. If none exists the row is
+    // redundant; zero it and keep the (harmless) artificial basic.
+    double* r = row(i);
+    std::size_t q = nn_;
+    std::size_t q_id = first_artificial_;
+    for (std::size_t p = 0; p < nn_; ++p) {
+      if (nonbasic_[p] < q_id && std::abs(r[p]) > 1e-7) {
+        q = p;
+        q_id = nonbasic_[p];
       }
     }
-    if (col != total_cols_) {
-      pivot(i, col);
+    if (q != nn_) {
+      pivot(i, q);
     } else {
-      for (double& a : rows_[i]) a = 0.0;
+      std::fill(r, r + nn_, 0.0);
       rhs_[i] = 0.0;
-      rows_[i][basis_[i]] = 1.0;  // keep the (harmless) artificial basic
     }
   }
-  return true;
+}
+
+void Tableau::drop_artificial_columns() {
+  // In place, row by row: no position moves right, so every source entry is
+  // read before it is overwritten.
+  std::vector<std::size_t> keep;
+  for (std::size_t p = 0; p < nn_; ++p)
+    if (nonbasic_[p] < first_artificial_) keep.push_back(p);
+  if (keep.size() == nn_) return;
+  const std::size_t kept = keep.size();
+  for (std::size_t i = 0; i < m_; ++i)
+    for (std::size_t c = 0; c < kept; ++c)
+      a_[i * kept + c] = a_[i * nn_ + keep[c]];
+  for (std::size_t c = 0; c < kept; ++c) nonbasic_[c] = nonbasic_[keep[c]];
+  nn_ = kept;
+  a_.resize(m_ * nn_);
+  nonbasic_.resize(nn_);
 }
 
 std::vector<double> Tableau::extract_model_solution() const {
   std::vector<double> u(total_cols_, 0.0);
-  for (std::size_t i = 0; i < rows_.size(); ++i) u[basis_[i]] = rhs_[i];
+  for (std::size_t i = 0; i < m_; ++i) u[basis_[i]] = rhs_[i];
 
   std::vector<double> x(model_.num_variables(), 0.0);
   for (std::size_t j = 0; j < model_.num_variables(); ++j) {
@@ -394,13 +429,13 @@ Solution Tableau::run() {
       return sol;
     }
     drive_out_artificials();
+    drop_artificial_columns();
     obs::count("lp.simplex.phase_transitions");
   }
   obs::count("lp.simplex.phase1_iterations", iterations_);
   const std::size_t phase1_iters = iterations_;
 
   // Phase 2.
-  allow_artificial_entering_ = false;
   install_costs(phase2_costs_);
   const SolveStatus s2 = optimize();
   obs::count("lp.simplex.phase2_iterations", iterations_ - phase1_iters);
@@ -441,9 +476,10 @@ std::string to_string(SolveStatus status) {
 
 namespace {
 
-// Estimate of the dense tableau's footprint in cells: rows = constraints
+// Estimate of the full tableau's footprint in cells: rows = constraints
 // plus one bound row per doubly-bounded variable; columns = structurals plus
-// up to a slack and an artificial per row.
+// up to a slack and an artificial per row. The condensed tableau stores
+// fewer columns; the estimate is kept so every model stays on its solver.
 std::size_t estimated_tableau_cells(const Model& model) {
   std::size_t bound_rows = 0;
   for (std::size_t j = 0; j < model.num_variables(); ++j) {
@@ -467,11 +503,15 @@ Solution solve(const Model& model, const SimplexOptions& options) {
 Solution solve_tableau(const Model& model, const SimplexOptions& options) {
   obs::ScopedTimer timer("lp.simplex.solve_us");
   obs::ScopedSpan span("lp.simplex.solve");
-  Tableau tableau(model, options);
-  Solution sol = tableau.run();
+  Solution sol;
+  if (model.well_formed()) {
+    Tableau tableau(model, options);
+    sol = tableau.run();
+  } else {
+    sol.status = SolveStatus::kInfeasible;
+  }
   obs::count("lp.simplex.solves");
   obs::count("lp.simplex.pivots", sol.iterations);
-  obs::count("lp.simplex.iterations", sol.iterations);
   switch (sol.status) {
     case SolveStatus::kOptimal:
       obs::count("lp.simplex.status.optimal");

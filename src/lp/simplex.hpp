@@ -1,21 +1,25 @@
-// Two-phase primal simplex over a dense tableau.
+// Two-phase primal simplex over a condensed (Tucker) tableau.
 //
 // Problem sizes in this library (attack LPs on ~100-node topologies) are a
-// few hundred variables by a few hundred rows, which a dense tableau handles
+// few hundred variables by a few hundred rows, which a tableau handles
 // comfortably and — more importantly for a reproduction — transparently:
 // every pivot is observable and the phase-1 infeasibility certificate is the
 // exact quantity Theorems 1-2 reason about ("does a feasible manipulation
-// vector exist?").
+// vector exist?"). The tableau stores only its nonbasic columns, in one flat
+// row-major buffer: a basic column is a unit vector, so it is implied by the
+// basis. Pricing breaks ties by column id, so the pivots are those of the
+// full tableau.
 //
 // Degeneracy is handled by switching from Dantzig to Bland's rule after a
 // stall, which guarantees termination.
 //
-// lp::solve is the entry point: it runs the dense tableau here
-// (solve_tableau) until the estimated tableau would reach
-// kRevisedCellThreshold cells, and the factorized revised simplex
-// (revised_simplex.hpp) from there on. The choice is made from the model's
-// size alone; callers that must pin one solver — differential tests,
-// benchmarks — call solve_tableau or solve_revised directly.
+// lp::solve is the entry point: it runs the tableau here (solve_tableau)
+// until the estimated full tableau would reach kRevisedCellThreshold cells,
+// and the factorized revised simplex (revised_simplex.hpp) from there on.
+// The choice is made from the model's size alone; callers that must pin one
+// solver — differential tests, benchmarks — call solve_tableau or
+// solve_revised directly. Both refuse a model that is not well_formed() with
+// kInfeasible, before building anything from it.
 
 #pragma once
 
@@ -45,9 +49,9 @@ inline std::ostream& operator<<(std::ostream& os, SolveStatus status) {
   return os << to_string(status);
 }
 
-// lp::solve's switchover point, in estimated dense-tableau cells: rows
+// lp::solve's switchover point, in estimated full-tableau cells: rows
 // including per-variable bound rows × columns including slacks and
-// artificials. Small LPs keep the transparent tableau, large attack LPs get
+// artificials (the condensed tableau stores fewer; the rule is kept as is). Small LPs keep the transparent tableau, large attack LPs get
 // the factorized basis.
 inline constexpr std::size_t kRevisedCellThreshold = std::size_t{1} << 18;
 
@@ -80,7 +84,7 @@ struct SimplexOptions {
 
 Solution solve(const Model& model, const SimplexOptions& options = {});
 
-// The dense-tableau solver, whatever the model's size.
+// The tableau solver, whatever the model's size.
 Solution solve_tableau(const Model& model, const SimplexOptions& options = {});
 
 }  // namespace scapegoat::lp

@@ -12,7 +12,7 @@
 //
 // Conventions (DESIGN.md §9):
 //   * metric names are dot-separated, lowest subsystem first
-//     ("lp.simplex.iterations", "linalg.qr.factorize_us"),
+//     ("lp.simplex.pivots", "linalg.qr.factorize_us"),
 //   * duration histograms end in `_us` and record microseconds,
 //   * counters under "pool." are scheduling-dependent and excluded from the
 //     cross-thread-count determinism contract; every other counter must fold

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lp/model.hpp"
+#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "util/random.hpp"
 
@@ -229,6 +232,62 @@ TEST(Simplex, OptimalSolutionCarriesExitBasis) {
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   ASSERT_EQ(s.basis.size(), 2u);  // one basic column per constraint row
+}
+
+// A malformed model is refused by both solvers — kInfeasible, no pivots, no
+// point — instead of being indexed or pivoted on.
+void expect_refused(const Model& m) {
+  EXPECT_FALSE(m.well_formed());
+  for (const Solution& s : {solve_tableau(m), solve_revised(m), solve(m)}) {
+    EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+    EXPECT_EQ(s.iterations, 0u);
+    EXPECT_TRUE(s.x.empty());
+    EXPECT_TRUE(s.basis.empty());
+  }
+}
+
+Model two_variable_model() {
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, 4.0, 1.0);
+  m.add_variable(-1.0, kInfinity, 1.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, RowType::kLessEqual, 5.0);
+  return m;
+}
+
+TEST(MalformedModel, TermNamingUnknownVariableIsRefused) {
+  Model m = two_variable_model();
+  m.add_constraint({{0, 1.0}, {2, 1.0}}, RowType::kGreaterEqual, 1.0);
+  expect_refused(m);
+  Model far = two_variable_model();
+  far.add_constraint({{std::numeric_limits<std::size_t>::max(), 1.0}},
+                     RowType::kEqual, 0.0);
+  expect_refused(far);
+}
+
+TEST(MalformedModel, NonFiniteCoefficientIsRefused) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInfinity,
+                     -kInfinity}) {
+    Model m = two_variable_model();
+    m.add_constraint({{0, 1.0}, {1, bad}}, RowType::kLessEqual, 3.0);
+    expect_refused(m);
+  }
+}
+
+TEST(MalformedModel, NonFiniteRhsIsRefused) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInfinity,
+                     -kInfinity}) {
+    Model m = two_variable_model();
+    m.add_constraint({{0, 1.0}}, RowType::kGreaterEqual, bad);
+    expect_refused(m);
+  }
+}
+
+TEST(MalformedModel, WellFormedModelStillSolves) {
+  const Model m = two_variable_model();
+  EXPECT_TRUE(m.well_formed());
+  const Solution s = solve_tableau(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(s.objective, 5.0, 1e-9);
 }
 
 }  // namespace
