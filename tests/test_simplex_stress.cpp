@@ -1,11 +1,13 @@
 // Randomized stress battery for the simplex: mixed row senses, shifted and
 // negative bounds, free variables — each optimum cross-checked by Monte
 // Carlo feasible sampling (no sampled feasible point may beat the reported
-// optimum) and by exact feasibility of the returned solution.
+// optimum) and by exact feasibility of the returned solution — plus a
+// pinned hash of the tableau's exact output over a fixed model set.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "attack/attack_lp.hpp"
