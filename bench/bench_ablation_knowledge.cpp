@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
       if (!belief.ok()) continue;  // can't even form an attack plan
       ++identifiable;
 
-      AttackContext belief_ctx = real_ctx;
-      belief_ctx.estimator = &belief;
+      const AttackContext belief_ctx(real_ctx, belief);
 
       // Deploy a plan: embed the belief-indexed m into the real system and
       // judge with the full estimator.

@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "core/scapegoat.hpp"
-#include "tomography/regularized.hpp"
+#include "linalg/least_squares.hpp"
 
 int main(int argc, char** argv) {
   using namespace scapegoat;
@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   Table table({"lambda", "naive_lands", "overshoot_lands",
                "honest_max_err_ms", "victim_estimate_drop_ms"});
   for (double lambda : {0.0, 0.5, 2.0, 8.0, 32.0, 128.0}) {
-    RegularizedEstimator reg(sc->estimator().sparse_r().to_dense(), lambda,
-                             Vector(sc->graph().num_links(), 10.5));
+    const RidgeSolver reg(sc->estimator().sparse_r().to_dense(), lambda,
+                          Vector(sc->graph().num_links(), 10.5));
     if (!reg.ok()) continue;
 
     std::size_t naive_lands = 0, overshoot_lands = 0, attacks = 0;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     for (std::size_t trial = 0; trial < trials; ++trial) {
       sc->resample_metrics(rng);
       honest_errs.push_back(
-          (reg.estimate(sc->clean_measurements()) - sc->x_true())
+          (reg.solve(sc->clean_measurements()) - sc->x_true())
               .norm_inf());
 
       const auto att =
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
       auto lands = [&](const AttackResult& r) {
         if (!r.success) return false;
-        const Vector x_reg = reg.estimate(r.y_observed);
+        const Vector x_reg = reg.solve(r.y_observed);
         bool ok = classify(x_reg[victim], t) == LinkState::kAbnormal;
         for (LinkId l : lm)
           ok = ok && classify(x_reg[l], t) == LinkState::kNormal;
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       if (lands(naive)) ++naive_lands;
       if (lands(overshoot)) ++overshoot_lands;
       drops.push_back(naive.x_estimated[victim] -
-                      reg.estimate(naive.y_observed)[victim]);
+                      reg.solve(naive.y_observed)[victim]);
     }
     table.add_row({Table::num(lambda, 1),
                    Table::num(ratio(naive_lands, attacks), 3),

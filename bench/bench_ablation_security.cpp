@@ -47,11 +47,8 @@ PolicyResult evaluate(const Graph& g, const std::vector<Path>& paths,
   Vector x(g.num_links());
   for (std::size_t trial = 0; trial < trials; ++trial) {
     for (auto& xi : x) xi = rng.uniform(cfg.delay_min_ms, cfg.delay_max_ms);
-    AttackContext ctx;
-    ctx.graph = &g;
-    ctx.estimator = &est;
+    AttackContext ctx(g, est, {rng.index(g.num_nodes())});
     ctx.x_true = x;
-    ctx.attackers = {rng.index(g.num_nodes())};
     MaxDamageOptions opt;
     opt.max_candidates = 24;
     opt.max_victims = 3;

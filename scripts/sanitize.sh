@@ -9,9 +9,12 @@
 # driver shares (test_checkpoint, test_experiment, test_golden_figures),
 # the suites whose code walks R's CSR rows by index (test_localize,
 # test_attack_lp, test_detector, test_routing_matrix, test_sparse_aware),
-# the attack strategy suites that feed them link ids (test_chosen_victim,
-# test_max_damage, test_obfuscation, test_attack_properties,
-# test_attacks_fig1), the worker pool every parallel kernel runs on
+# the attack strategy suites that feed them link and node ids
+# (test_chosen_victim, test_max_damage, test_obfuscation,
+# test_attack_properties, test_attacks_fig1, test_naive_attack, and
+# test_manipulation, whose out-of-range attacker ids must be skipped by the
+# context's derived sets), the dense least-squares and Tikhonov kernels
+# (test_least_squares), the worker pool every parallel kernel runs on
 # (test_thread_pool), the measurement-design, topology, recovery and
 # ablation suites (test_monitor_placement, test_path_selection,
 # test_secure_placement, test_topology, test_recovery,
@@ -29,7 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 preset=asan-ubsan
-suites='test_robust test_fault_injection test_checkpoint test_rocketfuel test_scenario_io test_args test_lp test_simnet test_sparse test_revised_simplex test_service test_estimator test_max_damage test_obfuscation test_estimator_interface test_sparse_recovery test_sparse_aware test_multicast_mle test_multicast_probe test_loss_scapegoat test_golden_figures test_experiment test_localize test_attack_lp test_detector test_routing_matrix test_chosen_victim test_attack_properties test_attacks_fig1 test_thread_pool test_monitor_placement test_path_selection test_secure_placement test_recovery test_defender_ablation test_topology test_simplex_stress'
+suites='test_robust test_fault_injection test_checkpoint test_rocketfuel test_scenario_io test_args test_lp test_simnet test_sparse test_revised_simplex test_service test_estimator test_max_damage test_obfuscation test_estimator_interface test_sparse_recovery test_sparse_aware test_multicast_mle test_multicast_probe test_loss_scapegoat test_golden_figures test_experiment test_localize test_attack_lp test_detector test_routing_matrix test_chosen_victim test_attack_properties test_attacks_fig1 test_thread_pool test_monitor_placement test_path_selection test_secure_placement test_recovery test_defender_ablation test_topology test_simplex_stress test_manipulation test_naive_attack test_least_squares'
 prop_suites='test_testkit test_prop_lp test_prop_linalg test_prop_attack test_prop_detect test_prop_checkpoint test_prop_tomography test_prop_corpus'
 export SCAPEGOAT_PROP_ITERS="${SCAPEGOAT_PROP_ITERS:-25}"
 jobs=$(nproc 2>/dev/null || echo 4)

@@ -15,11 +15,11 @@ constexpr double kCoeffTol = 1e-11;  // |G| entries below this are zero
 AttackResult solve_attack_lp(const AttackContext& ctx,
                              const std::vector<LinkBand>& bands,
                              std::vector<LinkId> victims) {
-  assert(ctx.estimator != nullptr && ctx.estimator->ok());
+  assert(ctx.estimator->ok());
   AttackResult result;
   result.victims = std::move(victims);
 
-  const std::vector<std::size_t> support = ctx.attacker_path_indices();
+  const std::vector<std::size_t>& support = ctx.attacker_path_indices();
   const Matrix& g = ctx.estimator->pseudo_inverse();
   const std::size_t num_paths = ctx.estimator->num_paths();
   const std::size_t num_links = std::min(g.rows(), ctx.x_true.size());
@@ -67,7 +67,7 @@ AttackResult solve_attack_lp(const AttackContext& ctx,
 AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
                                         const std::vector<LinkBand>& bands,
                                         std::vector<LinkId> victims) {
-  assert(ctx.estimator != nullptr && ctx.estimator->ok());
+  assert(ctx.estimator->ok());
   AttackResult result;
   result.victims = std::move(victims);
 
@@ -132,7 +132,7 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
 
 AttackResult complete_attack_result(const AttackContext& ctx,
                                     AttackResult result) {
-  if (!result.success) return result;
+  if (result.status != lp::SolveStatus::kOptimal) return result;
   result.y_observed = ctx.true_measurements() + result.m;
   result.x_estimated = ctx.estimator->estimate(result.y_observed);
   result.states = classify_all(result.x_estimated, ctx.thresholds);
@@ -154,16 +154,29 @@ std::vector<std::vector<lp::Term>> restricted_rows(
   return rows;
 }
 
-double max_estimate_push(const AttackContext& ctx, LinkId link) {
-  return max_estimate_push(ctx, link, ctx.attacker_path_indices());
+std::vector<LinkId> victim_pool(
+    const AttackContext& ctx,
+    const std::optional<std::vector<LinkId>>& candidate_victims) {
+  const std::size_t num_links = ctx.estimator->num_links();
+  const std::vector<LinkId>& lm = ctx.controlled_links();
+  std::vector<LinkId> pool;
+  auto offer = [&](LinkId l) {
+    if (l < num_links && !std::binary_search(lm.begin(), lm.end(), l))
+      pool.push_back(l);
+  };
+  if (candidate_victims) {
+    for (LinkId l : *candidate_victims) offer(l);
+  } else {
+    for (LinkId l = 0; l < num_links; ++l) offer(l);
+  }
+  return pool;
 }
 
-double max_estimate_push(const AttackContext& ctx, LinkId link,
-                         const std::vector<std::size_t>& support) {
-  assert(ctx.estimator != nullptr && ctx.estimator->ok());
+double max_estimate_push(const AttackContext& ctx, LinkId link) {
+  assert(ctx.estimator->ok());
   const Matrix& g = ctx.estimator->pseudo_inverse();
   double acc = ctx.x_true[link];
-  for (std::size_t i : support) {
+  for (std::size_t i : ctx.attacker_path_indices()) {
     const double coeff = g(link, i);
     if (coeff > kCoeffTol) acc += coeff * ctx.per_path_cap;
   }

@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "attack/manipulation.hpp"
@@ -56,9 +57,10 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
                                         const std::vector<LinkBand>& bands,
                                         std::vector<LinkId> victims);
 
-// Fills the observation side of a successful LP outcome: y_observed =
-// y + m, x_estimated = what ctx.estimator answers for y_observed, and
-// states = their classification. An unsuccessful result comes back as is.
+// Fills the observation side of a result that carries a manipulation
+// (status kOptimal): y_observed = y + m, x_estimated = what ctx.estimator
+// answers for y_observed, and states = their classification. Any other
+// result comes back as is.
 AttackResult complete_attack_result(const AttackContext& ctx,
                                     AttackResult result);
 
@@ -86,14 +88,15 @@ enum class CollateralPolicy {
   kKeepNormal,     // bystanders must stay < b_l (fully clean frame-up)
 };
 
+// The links a victim search starts from: `candidate_victims` (every link
+// when unset) in order, minus ids that name no link and minus L_m.
+std::vector<LinkId> victim_pool(
+    const AttackContext& ctx,
+    const std::optional<std::vector<LinkId>>& candidate_victims);
+
 // Upper bound on how far the attacker can push link j's estimate upward:
 // x_true[j] + cap · Σ_i max(G(j,i), 0) over attacker-present paths i. Used
 // to prune hopeless victim candidates before solving LPs.
 double max_estimate_push(const AttackContext& ctx, LinkId link);
-
-// The same bound over a support the caller computed once as
-// ctx.attacker_path_indices() — for attack loops that bound many links.
-double max_estimate_push(const AttackContext& ctx, LinkId link,
-                         const std::vector<std::size_t>& support);
 
 }  // namespace scapegoat

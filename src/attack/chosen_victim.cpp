@@ -12,7 +12,7 @@ AttackResult solve_chosen_victim_lp(const AttackContext& ctx,
                                     ManipulationMode mode,
                                     CollateralPolicy collateral) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<LinkId> lm = ctx.controlled_links();
+  const std::vector<LinkId>& lm = ctx.controlled_links();
 
   // Eq. (7): L_m ∩ L_s = ∅ — a link can't be both hidden and scapegoated.
   // A victim id that names no link can't be scapegoated either.

@@ -7,29 +7,35 @@
 
 namespace scapegoat {
 
-std::vector<LinkId> AttackContext::controlled_links() const {
-  assert(graph != nullptr);
-  return graph->incident_links(attackers);
+AttackContext::AttackContext(const Graph& graph, const Estimator& estimator,
+                             std::vector<NodeId> attackers)
+    : graph(&graph), estimator(&estimator), attackers(std::move(attackers)) {
+  std::vector<NodeId> nodes;  // the attackers that name a node of the graph
+  for (NodeId v : this->attackers)
+    if (v < graph.num_nodes()) nodes.push_back(v);
+  controlled_links_ = graph.incident_links(nodes);
+  attacker_paths_ = paths_through_nodes(estimator.paths(), nodes);
 }
 
-std::vector<std::size_t> AttackContext::attacker_path_indices() const {
-  assert(estimator != nullptr);
-  return paths_through_nodes(estimator->paths(), attackers);
+AttackContext::AttackContext(const AttackContext& base,
+                             const Estimator& estimator)
+    : AttackContext(*base.graph, estimator, base.attackers) {
+  x_true = base.x_true;
+  thresholds = base.thresholds;
+  per_path_cap = base.per_path_cap;
+  margin = base.margin;
 }
 
 Vector AttackContext::true_measurements() const {
-  assert(estimator != nullptr);
   assert(x_true.size() == estimator->num_links());
   return path_metrics(estimator->paths(), x_true);
 }
 
 bool satisfies_constraint1(const AttackContext& ctx, const Vector& m,
                            double tol) {
-  assert(ctx.estimator != nullptr);
   if (m.size() != ctx.estimator->num_paths()) return false;
-  const std::vector<std::size_t> support = ctx.attacker_path_indices();
   std::vector<bool> allowed(m.size(), false);
-  for (std::size_t i : support) allowed[i] = true;
+  for (std::size_t i : ctx.attacker_path_indices()) allowed[i] = true;
   for (std::size_t i = 0; i < m.size(); ++i) {
     if (m[i] < -tol) return false;                 // (i) m ⪰ 0
     if (!allowed[i] && std::abs(m[i]) > tol) return false;  // (ii) support
@@ -48,13 +54,13 @@ bool verify_chosen_victim_result(const AttackContext& ctx,
   const Vector x_hat = ctx.estimator->estimate(y_prime);
   const std::vector<LinkState> states = classify_all(x_hat, ctx.thresholds);
 
-  for (LinkId l : ctx.controlled_links())
+  const std::vector<LinkId>& lm = ctx.controlled_links();
+  for (LinkId l : lm)
     if (states[l] != LinkState::kNormal) return false;
   for (LinkId l : result.victims)
     if (states[l] != LinkState::kAbnormal) return false;
 
   // L_m ∩ L_s = ∅ (Eq. 7).
-  const std::vector<LinkId> lm = ctx.controlled_links();
   for (LinkId l : result.victims)
     if (std::find(lm.begin(), lm.end(), l) != lm.end()) return false;
 

@@ -22,27 +22,49 @@
 
 namespace scapegoat {
 
+// The attack's reach — L_m and the attacker path support — depends only on
+// (graph, estimator paths, V_m), so the constructor derives it once and the
+// three inputs stay fixed for the context's life; an attack against another
+// system or attacker set builds a new context. A context is valid only while
+// its estimator's path set is unchanged (Estimator::try_append_path
+// invalidates it). Attacker ids that name no node of the graph reach
+// nothing: the derived sets skip them.
 struct AttackContext {
-  const Graph* graph = nullptr;
+  AttackContext(const Graph& graph, const Estimator& estimator,
+                std::vector<NodeId> attackers);
+  // The same attack (attackers, x_true, thresholds, cap, margin) against
+  // another estimator on the same graph — e.g. an attacker's belief system
+  // over fewer paths. Derives its own sets.
+  AttackContext(const AttackContext& base, const Estimator& estimator);
+
+  const Graph* const graph;
   // The defender under attack — any Estimator family. The attack LPs model
   // the least-squares response through pseudo_inverse() (a property of R
   // shared by all families); AttackResult::x_estimated always reports what
   // THIS estimator answers, so a sparse-recovery defender's reaction is
   // evaluated faithfully.
-  const Estimator* estimator = nullptr;
-  Vector x_true;                  // real link metrics (no attack)
-  std::vector<NodeId> attackers;  // V_m
-  StateThresholds thresholds;     // b_l / b_u
-  double per_path_cap = 2000.0;   // max delay added to one path (§V-A)
-  double margin = 1.0;            // slack for strict </> state constraints, ms
+  const Estimator* const estimator;
+  Vector x_true;                        // real link metrics (no attack)
+  const std::vector<NodeId> attackers;  // V_m
+  StateThresholds thresholds;           // b_l / b_u
+  double per_path_cap = 2000.0;         // max delay added to one path (§V-A)
+  double margin = 1.0;                  // slack for strict </> states, ms
 
-  // L_m: all links incident to an attacker node.
-  std::vector<LinkId> controlled_links() const;
-  // Indices of measurement paths with at least one attacker on them — the
-  // support Constraint 1 allows m to have.
-  std::vector<std::size_t> attacker_path_indices() const;
+  // L_m: all links incident to an attacker node, ascending.
+  const std::vector<LinkId>& controlled_links() const {
+    return controlled_links_;
+  }
+  // Indices of measurement paths with at least one attacker on them, in
+  // ascending order — the support Constraint 1 allows m to have.
+  const std::vector<std::size_t>& attacker_path_indices() const {
+    return attacker_paths_;
+  }
   // True end-to-end measurements y = R x_true.
   Vector true_measurements() const;
+
+ private:
+  std::vector<LinkId> controlled_links_;
+  std::vector<std::size_t> attacker_paths_;
 };
 
 // Constraint-1 check for a candidate manipulation vector.

@@ -10,27 +10,11 @@ namespace scapegoat {
 MaxDamageResult max_damage_attack(const AttackContext& ctx,
                                   const MaxDamageOptions& opt) {
   MaxDamageResult out;
-  const std::vector<LinkId> lm = ctx.controlled_links();
-  auto is_controlled = [&](LinkId l) {
-    return std::find(lm.begin(), lm.end(), l) != lm.end();
-  };
-
   // Candidate victims: non-attacker links the attacker can conceivably push
   // past the abnormal threshold (LP relaxation bound).
-  const std::size_t num_links = ctx.estimator->num_links();
-  std::vector<LinkId> pool;
-  if (opt.candidate_victims) {
-    pool = *opt.candidate_victims;
-  } else {
-    pool.resize(num_links);
-    for (LinkId l = 0; l < pool.size(); ++l) pool[l] = l;
-  }
-  const std::vector<std::size_t> support = ctx.attacker_path_indices();
   std::vector<LinkId> candidates;
-  for (LinkId l : pool) {
-    if (l >= num_links || is_controlled(l)) continue;
-    if (max_estimate_push(ctx, l, support) <=
-        ctx.thresholds.upper + ctx.margin)
+  for (LinkId l : victim_pool(ctx, opt.candidate_victims)) {
+    if (max_estimate_push(ctx, l) <= ctx.thresholds.upper + ctx.margin)
       continue;
     candidates.push_back(l);
     if (candidates.size() >= opt.max_candidates) break;

@@ -2,14 +2,16 @@
 
 #include <cassert>
 
+#include "attack/attack_lp.hpp"
+
 namespace scapegoat {
 
 AttackResult naive_delay_attack(const AttackContext& ctx,
                                 const std::vector<double>& delays_ms) {
-  assert(ctx.estimator != nullptr && ctx.estimator->ok());
-  assert(delays_ms.size() == ctx.attackers.size());
+  assert(ctx.estimator->ok());
+  AttackResult result;  // kInfeasible: a delay per attacker is required
+  if (delays_ms.size() != ctx.attackers.size()) return result;
 
-  AttackResult result;
   const auto& paths = ctx.estimator->paths();
   result.m = Vector(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -19,14 +21,11 @@ AttackResult naive_delay_attack(const AttackContext& ctx,
     result.m[i] = hold;
   }
   result.damage = result.m.norm1();
-  result.y_observed = ctx.true_measurements() + result.m;
-  result.x_estimated = ctx.estimator->estimate(result.y_observed);
-  result.states = classify_all(result.x_estimated, ctx.thresholds);
   // "Success" here only means the manipulation was applied — the whole
   // point of this baseline is that it does NOT hide the attacker.
   result.success = result.damage > 0.0;
   result.status = lp::SolveStatus::kOptimal;
-  return result;
+  return complete_attack_result(ctx, std::move(result));
 }
 
 AttackResult naive_delay_attack(const AttackContext& ctx, double delay_ms) {

@@ -22,7 +22,8 @@
 namespace scapegoat {
 
 // Per-node delays for the naive attacker; `delays[k]` pairs with
-// `ctx.attackers[k]`. Uniform helper below.
+// `ctx.attackers[k]`, and a list of another length gives an unsuccessful
+// kInfeasible result. Uniform helper below.
 AttackResult naive_delay_attack(const AttackContext& ctx,
                                 const std::vector<double>& delays_ms);
 

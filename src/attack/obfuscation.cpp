@@ -12,11 +12,10 @@ namespace {
 // Total upward influence the attacker has on a link's estimate — the shrink
 // order: links it can barely move are the ones that make the band
 // constraints infeasible.
-double upward_influence(const AttackContext& ctx, LinkId link,
-                        const std::vector<std::size_t>& support) {
+double upward_influence(const AttackContext& ctx, LinkId link) {
   const Matrix& g = ctx.estimator->pseudo_inverse();
   double acc = 0.0;
-  for (std::size_t i : support) {
+  for (std::size_t i : ctx.attacker_path_indices()) {
     const double c = g(link, i);
     if (c > 0.0) acc += c;
   }
@@ -27,31 +26,16 @@ double upward_influence(const AttackContext& ctx, LinkId link,
 
 AttackResult obfuscation_attack(const AttackContext& ctx,
                                 const ObfuscationOptions& opt) {
-  const std::vector<LinkId> lm = ctx.controlled_links();
-  auto is_controlled = [&](LinkId l) {
-    return std::find(lm.begin(), lm.end(), l) != lm.end();
-  };
-
   // Initial L_s: every non-attacker link the relaxation says can reach the
   // uncertain band, ordered by decreasing upward influence so the shrink
   // removes the weakest candidates first.
-  const std::size_t num_links = ctx.estimator->num_links();
-  std::vector<LinkId> pool;
-  if (opt.candidate_victims) {
-    pool = *opt.candidate_victims;
-  } else {
-    pool.resize(num_links);
-    for (LinkId l = 0; l < pool.size(); ++l) pool[l] = l;
-  }
-  const std::vector<std::size_t> support = ctx.attacker_path_indices();
   std::vector<LinkId> victims;
-  std::vector<double> influence(num_links, 0.0);
-  for (LinkId l : pool) {
-    if (l >= num_links || is_controlled(l)) continue;
-    if (max_estimate_push(ctx, l, support) < ctx.thresholds.lower + ctx.margin)
+  std::vector<double> influence(ctx.estimator->num_links(), 0.0);
+  for (LinkId l : victim_pool(ctx, opt.candidate_victims)) {
+    if (max_estimate_push(ctx, l) < ctx.thresholds.lower + ctx.margin)
       continue;
     victims.push_back(l);
-    influence[l] = upward_influence(ctx, l, support);
+    influence[l] = upward_influence(ctx, l);
   }
   std::sort(victims.begin(), victims.end(), [&](LinkId a, LinkId b) {
     return influence[a] > influence[b];
@@ -60,6 +44,7 @@ AttackResult obfuscation_attack(const AttackContext& ctx,
 
   // Eq. (10): every link of L_o = L_s ∪ L_m lands in [b_l, b_u]. The LP for
   // the prefix of k victims bands L_m and victims[0, k).
+  const std::vector<LinkId>& lm = ctx.controlled_links();
   const double lower = ctx.thresholds.lower + ctx.margin;
   const double upper = ctx.thresholds.upper - ctx.margin;
   std::vector<LinkBand> bands;

@@ -35,11 +35,10 @@ std::ostream& operator<<(std::ostream& os, LeakageScope scope) {
 AttackResult sparse_aware_attack(const AttackContext& ctx,
                                  const std::vector<LinkId>& victims,
                                  const SparseAwareOptions& opt) {
-  assert(ctx.estimator != nullptr);
   AttackResult result;
   result.victims = victims;
 
-  const std::vector<LinkId> lm = ctx.controlled_links();
+  const std::vector<LinkId>& lm = ctx.controlled_links();
   // Eq. (7): L_m ∩ L_s = ∅ — a link can't be both hidden and scapegoated.
   for (LinkId v : victims) {
     if (std::find(lm.begin(), lm.end(), v) != lm.end()) {
@@ -126,14 +125,11 @@ AttackResult sparse_aware_attack(const AttackContext& ctx,
   for (std::size_t i = 0; i < num_paths; ++i)
     if (m_var[i] != SIZE_MAX) result.m[i] = std::max(0.0, sol.x[m_var[i]]);
   result.damage = result.m.norm1();
-  result.y_observed = ctx.true_measurements() + result.m;
-  // The defender the context carries answers — least squares or sparse
-  // recovery, whichever the scenario deployed.
-  result.x_estimated = ctx.estimator->estimate(result.y_observed);
-  result.states = classify_all(result.x_estimated, ctx.thresholds);
   result.success = true;
   obs::count("attack.sparse_aware.successes");
-  return result;
+  // The defender the context carries answers — least squares or sparse
+  // recovery, whichever the scenario deployed.
+  return complete_attack_result(ctx, std::move(result));
 }
 
 }  // namespace scapegoat

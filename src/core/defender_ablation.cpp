@@ -60,8 +60,6 @@ DefenderPanel build_panel(const Scenario& sc,
   DefenderPanel panel;
   for (double eps : opt.defender_epsilons_ms) {
     SparseRecoveryOptions so;
-    so.constraint =
-        eps > 0.0 ? SparseConstraint::kInfBall : SparseConstraint::kEquality;
     so.epsilon_ms = eps;
     so.prior = sc.x_true();
     panel.sparse.push_back(std::make_unique<SparseRecoveryEstimator>(
@@ -94,7 +92,7 @@ TrialOut attack_trial(const Scenario& sc, const DefenderPanel& panel,
     AttackContext ctx =
         sc.context(rng.sample_without_replacement(sc.graph().num_nodes(), na));
     ctx.x_true = x;
-    const std::vector<std::size_t> on = ctx.attacker_path_indices();
+    const std::vector<std::size_t>& on = ctx.attacker_path_indices();
     if (on.empty()) return out;
     y_observed = ctx.true_measurements();
     const double delta = std::min(opt.attack_epsilon_ms, ctx.per_path_cap);

@@ -180,7 +180,7 @@ PresenceTrialOut presence_trial(Scenario& sc, const PresenceRatioOptions& opt,
   }
 
   AttackContext ctx = sc.context(attackers);
-  const auto lm = ctx.controlled_links();
+  const auto& lm = ctx.controlled_links();
   if (std::find(lm.begin(), lm.end(), victim) != lm.end())
     return out;  // victim became attacker-controlled — not a scapegoat
   const PresenceRatio pr = attack_presence_ratio(paths, attackers, {victim});

@@ -66,7 +66,6 @@
 #include "tomography/loss_metric.hpp"
 #include "tomography/monitor_placement.hpp"
 #include "tomography/path_selection.hpp"
-#include "tomography/regularized.hpp"
 #include "tomography/routing_matrix.hpp"
 #include "tomography/secure_placement.hpp"
 #include "topology/example_networks.hpp"

@@ -94,11 +94,8 @@ void Scenario::resample_metrics(Rng& rng) {
 }
 
 AttackContext Scenario::context(std::vector<NodeId> attackers) const {
-  AttackContext ctx;
-  ctx.graph = &graph_;
-  ctx.estimator = estimator_.get();
+  AttackContext ctx(graph_, *estimator_, std::move(attackers));
   ctx.x_true = x_true_;
-  ctx.attackers = std::move(attackers);
   ctx.thresholds = config_.thresholds;
   ctx.per_path_cap = config_.per_path_cap_ms;
   ctx.margin = config_.margin_ms;

@@ -3,9 +3,9 @@
 #include <cassert>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "linalg/cgls.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "obs/obs.hpp"
@@ -80,19 +80,42 @@ robust::Expected<Vector> ridge_least_squares(const Matrix& a, const Vector& b,
   }
   obs::ScopedTimer timer("linalg.lstsq.ridge_us");
   obs::count("linalg.lstsq.ridge_solves");
-  Matrix normal = a.transposed() * a;
-  for (std::size_t i = 0; i < normal.rows(); ++i) normal(i, i) += lambda;
-  CholeskyDecomposition chol(normal);
-  if (!chol.ok()) {
+  const RidgeSolver ridge(a, lambda, prior != nullptr ? *prior : Vector());
+  if (!ridge.ok()) {
     return robust::Error{robust::ErrorCode::kIllConditioned,
                          "regularized normal matrix failed to factor"};
   }
-  Vector rhs = a.transposed() * b;
-  if (prior != nullptr) {
+  return ridge.solve(b);
+}
+
+namespace {
+
+Matrix regularized_normal_matrix(const Matrix& at, double lambda) {
+  Matrix m = at * at.transposed();  // aᵀa, since at = aᵀ
+  for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += lambda;
+  return m;
+}
+
+}  // namespace
+
+RidgeSolver::RidgeSolver(const Matrix& a, double lambda, Vector prior)
+    : at_(a.transposed()),
+      lambda_(lambda),
+      prior_(std::move(prior)),
+      chol_(regularized_normal_matrix(at_, lambda)) {
+  assert(lambda >= 0.0);
+  assert(prior_.empty() || prior_.size() == a.cols());
+}
+
+Vector RidgeSolver::solve(const Vector& b) const {
+  assert(ok());
+  assert(b.size() == at_.cols());
+  Vector rhs = at_ * b;
+  if (!prior_.empty()) {
     for (std::size_t i = 0; i < rhs.size(); ++i)
-      rhs[i] += lambda * (*prior)[i];
+      rhs[i] += lambda_ * prior_[i];
   }
-  return chol.solve(rhs);
+  return chol_.solve(rhs);
 }
 
 Vector residual(const Matrix& a, const Vector& x, const Vector& b) {

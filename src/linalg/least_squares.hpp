@@ -3,15 +3,19 @@
 // `least_squares` solves a dense system: QR by default, the literal Eq. 2
 // normal-equations path as a cross-check, or CGLS over a CSR copy. The
 // tomography estimator does not go through it (it keeps its own QR of R);
-// tests use it as the reference kernel. `RankTracker` supports the greedy
-// measurement-path selector: paths are proposed one at a time and accepted
-// only if their {0,1} incidence row increases the rank of the routing matrix.
+// tests use it as the reference kernel. `RidgeSolver` is the one Tikhonov
+// kernel: the regularized defender of bench_ablation_regularization and
+// the degraded-path fallback (`ridge_least_squares`) both solve through it.
+// `RankTracker` supports the greedy measurement-path selector: paths are
+// proposed one at a time and accepted only if their {0,1} incidence row
+// increases the rank of the routing matrix.
 
 #pragma once
 
 #include <optional>
 #include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "robust/expected.hpp"
 
@@ -38,8 +42,37 @@ robust::Expected<Vector> try_least_squares(
     const Matrix& a, const Vector& b,
     LeastSquaresMethod method = LeastSquaresMethod::kQr);
 
-// Tikhonov solve min ‖a x − b‖₂² + λ‖x − prior‖₂² via Cholesky on
-// aᵀa + λI. Defined for any shape of `a` when λ > 0 (the degraded-path
+// Tikhonov-regularized least squares with the factor kept:
+//     x = argmin ‖a x − b‖₂² + λ‖x − prior‖₂²
+//       = (aᵀa + λI)⁻¹ (aᵀb + λ · prior).
+// aᵀa + λI is Cholesky-factored once, so each further b costs one product
+// and two triangular solves. λ > 0 makes it SPD for any shape of `a`;
+// λ = 0 needs full column rank (the plain Eq. 2 solve). An empty prior
+// shrinks toward zero.
+//
+// As a defense, shrinking toward a prior of historical link baselines
+// blunts scapegoating: the attacker must inject more to drag a victim's
+// estimate across b_u, at the price of bias on honest estimates
+// (quantified by bench_ablation_regularization).
+class RidgeSolver {
+ public:
+  // `prior` is empty or has one entry per column of `a`; lambda ≥ 0.
+  RidgeSolver(const Matrix& a, double lambda, Vector prior = {});
+
+  // False when aᵀa + λI does not factor (λ = 0 and `a` rank deficient).
+  bool ok() const { return chol_.ok(); }
+
+  // Requires ok() and |b| = rows(a).
+  Vector solve(const Vector& b) const;
+
+ private:
+  Matrix at_;  // aᵀ
+  double lambda_;
+  Vector prior_;
+  CholeskyDecomposition chol_;  // of aᵀa + λI
+};
+
+// Checked one-shot RidgeSolver solve, for λ > 0 (the degraded-path
 // fallback); null prior means shrink toward zero. Errors: kInvalidInput for
 // λ ≤ 0, kDimensionMismatch, kIllConditioned if the factorization fails.
 robust::Expected<Vector> ridge_least_squares(const Matrix& a, const Vector& b,

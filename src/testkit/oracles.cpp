@@ -163,8 +163,8 @@ bool ref_perfect_cut(const std::vector<Path>& paths,
 
 AttackResult ref_obfuscation_descending_scan(const AttackContext& ctx,
                                              const ObfuscationOptions& opt) {
-  const std::vector<LinkId> lm = ctx.controlled_links();
-  const std::vector<std::size_t> support = ctx.attacker_path_indices();
+  const std::vector<LinkId>& lm = ctx.controlled_links();
+  const std::vector<std::size_t>& support = ctx.attacker_path_indices();
   const Matrix& g = ctx.estimator->pseudo_inverse();
   const std::size_t num_links = ctx.estimator->num_links();
 
@@ -179,7 +179,7 @@ AttackResult ref_obfuscation_descending_scan(const AttackContext& ctx,
   for (LinkId l : pool) {
     if (l >= num_links) continue;
     if (std::find(lm.begin(), lm.end(), l) != lm.end()) continue;
-    if (max_estimate_push(ctx, l, support) < ctx.thresholds.lower + ctx.margin)
+    if (max_estimate_push(ctx, l) < ctx.thresholds.lower + ctx.margin)
       continue;
     victims.push_back(l);
     double up = 0.0;  // a link listed twice is weighed once, not twice

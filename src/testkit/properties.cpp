@@ -502,7 +502,7 @@ bool prop_attack_obfuscation_bisection_matches_descending_scan(Source& src) {
     // A few non-attacker links from outside the region, rarely perfectly
     // cut, make long consistent prefixes infeasible, so the longest-first
     // scan runs past its first probe.
-    const std::vector<LinkId> lm = ctx.controlled_links();
+    const std::vector<LinkId>& lm = ctx.controlled_links();
     for (std::size_t extra = src.choice(3); extra > 0; --extra) {
       const LinkId l = gen_victim(src, *sc);
       if (std::find(lm.begin(), lm.end(), l) == lm.end())

@@ -88,9 +88,6 @@ std::unique_ptr<Estimator> make_estimator(EstimatorKind kind, const Graph& g,
       return std::make_unique<TomographyEstimator>(g, std::move(paths));
     case EstimatorKind::kSparseRecovery: {
       SparseRecoveryOptions sparse;
-      sparse.constraint = options.sparse_epsilon_ms > 0.0
-                              ? SparseConstraint::kInfBall
-                              : SparseConstraint::kEquality;
       sparse.epsilon_ms = options.sparse_epsilon_ms;
       sparse.prior = options.sparse_prior;
       return std::make_unique<SparseRecoveryEstimator>(g, std::move(paths),

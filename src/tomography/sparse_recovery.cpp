@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -10,27 +9,6 @@
 #include "obs/obs.hpp"
 
 namespace scapegoat {
-
-std::string to_string(SparseConstraint c) {
-  switch (c) {
-    case SparseConstraint::kEquality:
-      return "equality";
-    case SparseConstraint::kInfBall:
-      return "inf_ball";
-  }
-  return "unknown";
-}
-
-std::optional<SparseConstraint> sparse_constraint_from_string(
-    std::string_view s) {
-  if (s == "equality") return SparseConstraint::kEquality;
-  if (s == "inf_ball") return SparseConstraint::kInfBall;
-  return std::nullopt;
-}
-
-std::ostream& operator<<(std::ostream& os, SparseConstraint c) {
-  return os << to_string(c);
-}
 
 namespace {
 
@@ -111,9 +89,7 @@ robust::Expected<SparseRecoveryResult> SparseRecoveryEstimator::recover(
     return sol;
   };
 
-  double eps = options_.constraint == SparseConstraint::kInfBall
-                   ? std::max(0.0, options_.epsilon_ms)
-                   : 0.0;
+  double eps = std::max(0.0, options_.epsilon_ms);
   lp::Solution sol = solve_l1(eps);
 
   if (sol.status == lp::SolveStatus::kInfeasible && options_.auto_relax) {
@@ -190,9 +166,7 @@ robust::Expected<Vector> SparseRecoveryEstimator::try_estimate(
 
 double SparseRecoveryEstimator::residual_statistic(const Vector& y) const {
   const Vector res = residual(y);
-  const double eps = options_.constraint == SparseConstraint::kInfBall
-                         ? std::max(0.0, options_.epsilon_ms)
-                         : 0.0;
+  const double eps = std::max(0.0, options_.epsilon_ms);
   double excess = 0.0;
   for (double ri : res) {
     const double over = std::abs(ri) - eps;

@@ -5,8 +5,10 @@
 // Model: link delays are a k-sparse anomaly over a known prior,
 // x = x_prior + Δ with few nonzero Δ. Recovery is the ℓ1 relaxation
 //
-//   min ‖x − x_prior‖₁   s.t.   Rx = y,            x ⪰ 0   (kEquality)
-//   min ‖x − x_prior‖₁   s.t.   ‖Rx − y‖∞ ≤ ε,     x ⪰ 0   (kInfBall)
+//   min ‖x − x_prior‖₁   s.t.   ‖Rx − y‖∞ ≤ ε,     x ⪰ 0
+//
+// with ε = max(0, epsilon_ms); at ε = 0 the ball is the equality Rx = y and
+// the LP carries equality rows.
 //
 // solved as a bounded-variable LP through lp::solve: the split
 // x = x_prior + u⁺ − u⁻ with u⁺ ∈ [0, ∞), u⁻ ∈ [0, x_priorⱼ] makes the
@@ -33,11 +35,7 @@
 
 #pragma once
 
-#include <iosfwd>
 #include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -48,20 +46,8 @@
 
 namespace scapegoat {
 
-// Which consistency constraint the recovery LP enforces.
-enum class SparseConstraint {
-  kEquality,  // Rx = y exactly
-  kInfBall,   // ‖Rx − y‖∞ ≤ ε
-};
-
-std::string to_string(SparseConstraint c);
-std::optional<SparseConstraint> sparse_constraint_from_string(
-    std::string_view s);
-std::ostream& operator<<(std::ostream& os, SparseConstraint c);
-
 struct SparseRecoveryOptions {
-  SparseConstraint constraint = SparseConstraint::kEquality;
-  double epsilon_ms = 0.0;  // ball radius for kInfBall (per-path, ms)
+  double epsilon_ms = 0.0;  // ball radius ε (per-path, ms); ≤ 0 is Rx = y
   // ℓ1 anchor x_prior; empty means zeros. Must match num_links otherwise.
   Vector prior;
   // On an infeasible LP, find the minimal feasible ε* via the Chebyshev

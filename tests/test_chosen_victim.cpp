@@ -166,11 +166,8 @@ TEST(ChosenVictimWeakAttacker, UninfluencedVictimIsInfeasible) {
   TomographyEstimator est(g, paths);
   ASSERT_TRUE(est.ok());
 
-  AttackContext ctx;
-  ctx.graph = &g;
-  ctx.estimator = &est;
+  AttackContext ctx(g, est, {0});
   ctx.x_true = Vector(g.num_links(), 10.0);
-  ctx.attackers = {0};
   const auto victim = g.find_link(4, 5);
   ASSERT_TRUE(victim.has_value());
   const AttackResult r = chosen_victim_attack(ctx, {*victim});

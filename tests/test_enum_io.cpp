@@ -13,7 +13,6 @@
 #include "robust/expected.hpp"
 #include "service/options.hpp"
 #include "tomography/estimator_interface.hpp"
-#include "tomography/sparse_recovery.hpp"
 
 namespace scapegoat {
 namespace {
@@ -133,20 +132,6 @@ TEST(EnumIo, LossAttackFamilyRoundTrips) {
   std::ostringstream os;
   os << LossAttackFamily::kSubtreeFraming;
   EXPECT_EQ(os.str(), "subtree_framing");
-}
-
-TEST(EnumIo, SparseConstraintRoundTrips) {
-  for (SparseConstraint c :
-       {SparseConstraint::kEquality, SparseConstraint::kInfBall}) {
-    const auto back = sparse_constraint_from_string(to_string(c));
-    ASSERT_TRUE(back.has_value()) << to_string(c);
-    EXPECT_EQ(*back, c);
-  }
-  EXPECT_EQ(to_string(SparseConstraint::kInfBall), "inf_ball");
-  EXPECT_FALSE(sparse_constraint_from_string("l2_ball").has_value());
-  std::ostringstream os;
-  os << SparseConstraint::kEquality;
-  EXPECT_EQ(os.str(), "equality");
 }
 
 TEST(EnumIo, LeakageScopeRoundTrips) {

@@ -53,7 +53,6 @@ TEST_F(EstimatorInterfaceTest, FactoryMakesSparseRecoveryWithOptions) {
   EXPECT_EQ(est->method(), EstimatorKind::kSparseRecovery);
   const auto* sparse = dynamic_cast<const SparseRecoveryEstimator*>(est.get());
   ASSERT_NE(sparse, nullptr);
-  EXPECT_EQ(sparse->options().constraint, SparseConstraint::kInfBall);
   EXPECT_EQ(sparse->options().epsilon_ms, 10.0);
   // ε = 0 maps to the equality-constrained LP.
   EstimatorOptions exact;
@@ -63,7 +62,7 @@ TEST_F(EstimatorInterfaceTest, FactoryMakesSparseRecoveryWithOptions) {
   const auto* eq_sparse =
       dynamic_cast<const SparseRecoveryEstimator*>(eq.get());
   ASSERT_NE(eq_sparse, nullptr);
-  EXPECT_EQ(eq_sparse->options().constraint, SparseConstraint::kEquality);
+  EXPECT_EQ(eq_sparse->options().epsilon_ms, 0.0);
 }
 
 TEST_F(EstimatorInterfaceTest, CloneIsDeepAndPolymorphic) {

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "attack/chosen_victim.hpp"
 #include "core/scenario.hpp"
+#include "tomography/estimator.hpp"
+#include "tomography/routing_matrix.hpp"
 #include "topology/example_networks.hpp"
 
 namespace scapegoat {
@@ -107,6 +112,71 @@ TEST_F(ManipulationTest, SingleAttackerHasSmallerFootprint) {
             both.controlled_links().size());
   EXPECT_LE(only_b.attacker_path_indices().size(),
             both.attacker_path_indices().size());
+}
+
+// The inputs the derived sets depend on cannot change under them.
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<AttackContext&>().attackers)),
+              std::vector<NodeId>>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<AttackContext&>().estimator)),
+              const Estimator*>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<AttackContext&>().graph)),
+              const Graph*>);
+
+TEST_F(ManipulationTest, DerivedSetsMatchTheirDefinitions) {
+  const AttackContext ctx = scenario_.context(net_.attackers);
+  EXPECT_EQ(ctx.attacker_path_indices(),
+            paths_through_nodes(scenario_.estimator().paths(), net_.attackers));
+  EXPECT_EQ(ctx.controlled_links(),
+            scenario_.graph().incident_links(net_.attackers));
+
+  const AttackContext copy = ctx;
+  EXPECT_EQ(copy.attacker_path_indices(), ctx.attacker_path_indices());
+  EXPECT_EQ(copy.controlled_links(), ctx.controlled_links());
+}
+
+TEST_F(ManipulationTest, ContextOnAnotherEstimatorDerivesItsOwnSupport) {
+  // An attacker's belief system over every other path (the knowledge
+  // ablation's pattern): same attackers, fewer paths, its own support.
+  const AttackContext real = scenario_.context(net_.attackers);
+  std::vector<Path> known;
+  for (std::size_t i = 0; i < net_.paths.size(); i += 2)
+    known.push_back(net_.paths[i]);
+  const TomographyEstimator belief(scenario_.graph(), known);
+  const AttackContext belief_ctx(real, belief);
+
+  EXPECT_EQ(belief_ctx.estimator, &belief);
+  EXPECT_EQ(belief_ctx.attackers, real.attackers);
+  EXPECT_EQ(belief_ctx.x_true.data(), real.x_true.data());
+  EXPECT_EQ(belief_ctx.attacker_path_indices(),
+            paths_through_nodes(known, net_.attackers));
+  EXPECT_LT(belief_ctx.attacker_path_indices().size(),
+            real.attacker_path_indices().size());
+  EXPECT_EQ(belief_ctx.controlled_links(), real.controlled_links());
+}
+
+TEST_F(ManipulationTest, OutOfRangeAttackerIdsReachNothing) {
+  // An id past num_nodes() names no node: the derived sets skip it, and
+  // the attacks see the same reach as without it.
+  std::vector<NodeId> attackers = net_.attackers;
+  attackers.push_back(scenario_.graph().num_nodes());
+  attackers.push_back(scenario_.graph().num_nodes() + 1000);
+  const AttackContext ctx = scenario_.context(attackers);
+  const AttackContext valid = scenario_.context(net_.attackers);
+  EXPECT_EQ(ctx.attackers, attackers);
+  EXPECT_EQ(ctx.controlled_links(), valid.controlled_links());
+  EXPECT_EQ(ctx.attacker_path_indices(), valid.attacker_path_indices());
+
+  const AttackResult r = chosen_victim_attack(ctx, {0});
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.m.data(), chosen_victim_attack(valid, {0}).m.data());
+
+  const AttackContext only_bad =
+      scenario_.context({scenario_.graph().num_nodes()});
+  EXPECT_TRUE(only_bad.controlled_links().empty());
+  EXPECT_TRUE(only_bad.attacker_path_indices().empty());
 }
 
 }  // namespace

@@ -96,6 +96,21 @@ TEST_F(NaiveAttackTest, ZeroDelayIsNoAttack) {
   EXPECT_NEAR(r.damage, 0.0, 1e-12);
 }
 
+TEST_F(NaiveAttackTest, DelayCountMismatchIsAnUnsuccessfulResult) {
+  // Two attackers, so one delay or three delays pair with no attacker list.
+  AttackContext ctx = scenario_.context(net_.attackers);
+  ASSERT_EQ(ctx.attackers.size(), 2u);
+  for (const std::vector<double>& delays :
+       {std::vector<double>{500.0}, std::vector<double>{1.0, 2.0, 3.0},
+        std::vector<double>{}}) {
+    const AttackResult r = naive_delay_attack(ctx, delays);
+    EXPECT_FALSE(r.success) << delays.size() << " delays";
+    EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
+    EXPECT_TRUE(r.m.empty());
+    EXPECT_TRUE(r.y_observed.empty());
+  }
+}
+
 TEST_F(NaiveAttackTest, NaiveAttackIsModelConsistentHenceUndetected) {
   // Uniform node delay IS link-explainable: a simple path visiting an
   // interior node crosses exactly two of its incident links, so putting

@@ -126,12 +126,11 @@ TEST_P(CoverageMonotonicity, WiderSupportPreservesFeasibility) {
     if (std::find(big.begin(), big.end(), v) == big.end()) big.push_back(v);
 
   AttackContext ctx_small = sc->context(small);
-  // Same constraint set as ctx_small (its L_m bands), wider support: reuse
-  // the small context but swap in the big attacker list, which only widens
-  // attacker_path_indices(); bands below are built from the SMALL L_m.
+  // Same constraint set as ctx_small (its L_m bands), wider support: the
+  // big attacker list only widens attacker_path_indices(); bands below are
+  // built from the SMALL L_m.
   const auto lm_small = ctx_small.controlled_links();
-  AttackContext ctx_wide = ctx_small;
-  ctx_wide.attackers = big;
+  const AttackContext ctx_wide = sc->context(big);
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (LinkId victim = 0; victim < sc->graph().num_links(); ++victim) {

@@ -59,13 +59,11 @@ TEST_F(SparseAwareTest, StealthyAgainstTheMatchingSparseDefender) {
   // the attack leaves is inside the defender's measurement model, so the
   // excess statistic stays at zero and the Eq. 23 detector cannot fire.
   SparseRecoveryOptions so;
-  so.constraint = SparseConstraint::kInfBall;
   so.epsilon_ms = 10.0;
   so.prior = scenario_.x_true();
   const SparseRecoveryEstimator defender(scenario_.graph(),
                                          scenario_.estimator().paths(), so);
-  AttackContext ctx = scenario_.context(net_.attackers);
-  ctx.estimator = &defender;
+  const AttackContext ctx(scenario_.context(net_.attackers), defender);
   SparseAwareOptions opt;
   opt.epsilon_ms = 10.0;
   const AttackResult r = sparse_aware_attack(ctx, {0}, opt);

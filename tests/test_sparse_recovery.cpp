@@ -86,7 +86,6 @@ TEST_F(SparseRecoveryIdentifiable, CleanMeasurementsRecoverThePrior) {
 TEST_F(SparseRecoveryIdentifiable, InfBallAbsorbsSubEpsilonNoise) {
   ASSERT_TRUE(scenario_.has_value());
   SparseRecoveryOptions so = sparse_->options();
-  so.constraint = SparseConstraint::kInfBall;
   so.epsilon_ms = 10.0;
   const SparseRecoveryEstimator ball(scenario_->graph(),
                                      scenario_->estimator().paths(), so);
