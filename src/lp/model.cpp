@@ -9,7 +9,6 @@ namespace scapegoat::lp {
 
 std::size_t Model::add_variable(double lower, double upper, double objective,
                                 std::string name) {
-  assert(lower <= upper);
   variables_.push_back(Variable{lower, upper, objective, std::move(name)});
   return variables_.size() - 1;
 }
@@ -21,6 +20,12 @@ void Model::add_constraint(std::vector<Term> terms, RowType type, double rhs,
 }
 
 bool Model::well_formed() const {
+  for (const Variable& v : variables_) {
+    // Also false when either bound is NaN.
+    if (!(v.lower <= v.upper) || v.lower == kInfinity ||
+        v.upper == -kInfinity)
+      return false;
+  }
   for (const Constraint& c : constraints_) {
     if (!std::isfinite(c.rhs)) return false;
     for (const Term& t : c.terms)

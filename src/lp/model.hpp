@@ -47,7 +47,8 @@ class Model {
   Sense sense() const { return sense_; }
   void set_sense(Sense sense) { sense_ = sense; }
 
-  // Returns the new variable's index. `lower` may be -inf and `upper` +inf.
+  // Returns the new variable's index. `lower` may be -inf and `upper` +inf;
+  // the bounds are taken as given, see well_formed().
   std::size_t add_variable(double lower, double upper, double objective,
                            std::string name = {});
 
@@ -61,7 +62,9 @@ class Model {
   const Variable& variable(std::size_t i) const { return variables_[i]; }
   const Constraint& constraint(std::size_t i) const { return constraints_[i]; }
 
-  // True when every term names a variable of this model and every term
+  // True when every variable has lower ≤ upper, with neither bound NaN,
+  // lower ≠ +inf and upper ≠ -inf (lower == upper fixes the variable), and
+  // when every term names a variable of this model and every term
   // coefficient and rhs is finite. Both solvers refuse any other model with
   // kInfeasible before building anything from it.
   bool well_formed() const;

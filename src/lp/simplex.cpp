@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -30,26 +29,45 @@ struct VarMap {
   bool split = false;
 };
 
-// Condensed (Tucker) standard-form tableau: min cᵀu s.t. T u = rhs, u ≥ 0.
-// A basic column is a unit vector with a zero reduced cost, so only the
+// Condensed (Tucker) bounded-variable tableau: min cᵀu s.t. T u = rhs,
+// 0 ≤ u ≤ range. A boxed model variable keeps its lower-bound shift and
+// gets range = upper − lower; every other column has an infinite range. A
+// basic column is a unit vector with a zero reduced cost, so only the
 // nonbasic columns are stored: one row-major m × nn buffer, with
 // nonbasic_[p] naming the column at position p as basis_[i] names the one
-// basic in row i. The pivots, and so every value returned, are those of the
-// full tableau; only the sign of some zero entries differs.
+// basic in row i. rhs_ holds the current basic values.
+//
+// A column that reaches its range is stored reflected, as range − u: its
+// entries and reduced cost are negated and reflected_ (by column id) is
+// toggled. So every nonbasic column sits at 0 in the orientation it is
+// stored in — a reflected nonbasic column is at its upper bound — and
+// pricing reads the tableau as if there were no upper bounds. The ratio
+// test adds two blocks: a basic column at its range, and the entering
+// column at its own range (a bound flip).
 class Tableau {
  public:
   Tableau(const Model& model, const SimplexOptions& opt);
 
   Solution run();
+  std::size_t flips() const { return flips_; }
 
  private:
-  enum class StepResult { kPivoted, kOptimal, kUnbounded };
+  enum class StepResult { kMoved, kOptimal, kUnbounded };
 
   double* row(std::size_t i) { return a_.data() + i * nn_; }
 
   StepResult step(bool bland);
-  // Pivots on row `row_index` and the column stored at position `q`.
-  void pivot(std::size_t row_index, std::size_t q);
+  // Pivots on row `row_index` and the column stored at position `q`; the
+  // leaving column becomes nonbasic at its range when `leave_at_upper`,
+  // else at 0.
+  void pivot(std::size_t row_index, std::size_t q, bool leave_at_upper);
+  // Moves the column stored at position `q` to its other bound. No basis
+  // change: O(m), and not counted as a pivot.
+  void flip(std::size_t q);
+  // Cost of column `id` in the orientation it is stored in.
+  double oriented(const std::vector<double>& costs, std::size_t id) const {
+    return reflected_[id] ? -costs[id] : costs[id];
+  }
   // Rebuilds the reduced costs and objective from `costs` (by column id).
   void install_costs(const std::vector<double>& costs);
   // Runs pivots until optimal/unbounded/limit; returns final status w.r.t.
@@ -66,21 +84,24 @@ class Tableau {
   std::size_t first_artificial_ = 0;  // structural + slack columns
   std::size_t total_cols_ = 0;        // including artificials
   std::vector<VarMap> var_map_;
+  std::vector<double> range_;         // by column id; +inf unless boxed
+  std::vector<char> reflected_;       // by column id; stored as range − u
 
-  std::size_t m_ = 0;                   // rows
+  std::size_t m_ = 0;                   // rows, one per model constraint
   std::size_t nn_ = 0;                  // stored (nonbasic) columns
   std::vector<double> a_;               // m_ × nn_, row-major
   std::vector<std::size_t> nonbasic_;   // nonbasic_[p] = column at position p
-  std::vector<double> rhs_;             // length m, kept ≥ 0 by invariant
+  std::vector<double> rhs_;             // basic values, in [0, range]
   std::vector<std::size_t> basis_;      // basis_[i] = column basic in row i
   std::vector<double> phase2_costs_;    // by column id (0 on artificials)
 
   std::vector<double> d_;   // reduced costs of the stored columns
   double obj_ = 0.0;        // current objective (minimization form)
   std::size_t iterations_ = 0;
+  std::size_t flips_ = 0;
 
   // Cooperative budget: the calling trial's ambient deadline, polled every
-  // kWatchdogStride pivots.
+  // kWatchdogStride pivots and flips.
   const robust::Watchdog* deadline_ = robust::ScopedTrialDeadline::current();
 };
 
@@ -89,26 +110,17 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
       opt_(opt) {
   const std::size_t n = model.num_variables();
 
-  // 1. Assign structural columns (with shifts / splits for bounds) and
-  //    collect upper-bound rows.
+  // 1. Assign structural columns, with shifts / splits for bounds.
   var_map_.resize(n);
   std::size_t col = 0;
-  struct BoundRow {
-    std::size_t var;
-    double range;  // upper - lower
-  };
-  std::vector<BoundRow> bound_rows;
   for (std::size_t j = 0; j < n; ++j) {
     const Variable& v = model.variable(j);
     VarMap& m = var_map_[j];
-    const bool lo_fin = std::isfinite(v.lower);
-    const bool hi_fin = std::isfinite(v.upper);
-    if (lo_fin) {
+    if (v.lower != -kInfinity) {
       m.col = col++;
       m.shift = v.lower;
       m.sign = 1.0;
-      if (hi_fin) bound_rows.push_back({j, v.upper - v.lower});
-    } else if (hi_fin) {
+    } else if (v.upper != kInfinity) {
       // x = upper - u, u >= 0.
       m.col = col++;
       m.shift = v.upper;
@@ -123,23 +135,18 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
 
   // 2. Each row's rhs after the bound shifts and its sense after making
   //    the rhs ≥ 0 (a negated row flips ≤ and ≥).
-  const std::size_t num_rows = model.num_constraints();
-  m_ = num_rows + bound_rows.size();
+  m_ = model.num_constraints();
   rhs_.assign(m_, 0.0);
   std::vector<RowType> types(m_, RowType::kLessEqual);
   std::vector<bool> negated(m_, false);
   std::size_t num_slacks = 0, num_surplus = 0, num_artificials = 0;
   for (std::size_t i = 0; i < m_; ++i) {
-    if (i < num_rows) {
-      const Constraint& c = model.constraint(i);
-      types[i] = c.type;
-      rhs_[i] = c.rhs;
-      for (const Term& t : c.terms) {
-        const VarMap& m = var_map_[t.var];
-        if (!m.split) rhs_[i] -= t.coeff * m.shift;
-      }
-    } else {
-      rhs_[i] = bound_rows[i - num_rows].range;
+    const Constraint& c = model.constraint(i);
+    types[i] = c.type;
+    rhs_[i] = c.rhs;
+    for (const Term& t : c.terms) {
+      const VarMap& m = var_map_[t.var];
+      if (!m.split) rhs_[i] -= t.coeff * m.shift;
     }
     if (rhs_[i] < 0.0) {
       negated[i] = true;
@@ -166,10 +173,17 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
 
   first_artificial_ = structural_cols + num_slacks;
   total_cols_ = first_artificial_ + num_artificials;
+  range_.assign(total_cols_, kInfinity);
+  reflected_.assign(total_cols_, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const Variable& v = model.variable(j);
+    if (!var_map_[j].split && v.lower != -kInfinity && v.upper != kInfinity)
+      range_[var_map_[j].col] = v.upper - v.lower;
+  }
 
   // 3. The starting basis is the slack of every ≤ row and the artificial of
   //    every ≥ and = row, so the stored columns are the structurals followed
-  //    by the surpluses.
+  //    by the surpluses, all at 0.
   nn_ = structural_cols + num_surplus;
   a_.assign(m_ * nn_, 0.0);
   nonbasic_.resize(nn_);
@@ -180,18 +194,14 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
   std::size_t art_col = first_artificial_;
   for (std::size_t i = 0; i < m_; ++i) {
     double* r = row(i);
-    if (i < num_rows) {
-      for (const Term& t : model.constraint(i).terms) {
-        const VarMap& m = var_map_[t.var];
-        if (m.split) {
-          r[m.col] += t.coeff;
-          r[m.col_minus] -= t.coeff;
-        } else {
-          r[m.col] += t.coeff * m.sign;
-        }
+    for (const Term& t : model.constraint(i).terms) {
+      const VarMap& m = var_map_[t.var];
+      if (m.split) {
+        r[m.col] += t.coeff;
+        r[m.col_minus] -= t.coeff;
+      } else {
+        r[m.col] += t.coeff * m.sign;
       }
-    } else {
-      r[var_map_[bound_rows[i - num_rows].var].col] = 1.0;
     }
     if (negated[i])
       for (std::size_t p = 0; p < structural_cols; ++p) r[p] = -r[p];
@@ -232,10 +242,13 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
 
 void Tableau::install_costs(const std::vector<double>& costs) {
   d_.resize(nn_);
-  for (std::size_t p = 0; p < nn_; ++p) d_[p] = costs[nonbasic_[p]];
+  for (std::size_t p = 0; p < nn_; ++p) d_[p] = oriented(costs, nonbasic_[p]);
+  // A reflected column adds its cost × range to the objective.
   obj_ = 0.0;
+  for (std::size_t j = 0; j < total_cols_; ++j)
+    if (reflected_[j]) obj_ += costs[j] * range_[j];
   for (std::size_t i = 0; i < m_; ++i) {
-    const double cb = costs[basis_[i]];
+    const double cb = oriented(costs, basis_[i]);
     if (cb == 0.0) continue;
     obj_ += cb * rhs_[i];
     const double* r = row(i);
@@ -243,7 +256,8 @@ void Tableau::install_costs(const std::vector<double>& costs) {
   }
 }
 
-void Tableau::pivot(std::size_t row_index, std::size_t q) {
+void Tableau::pivot(std::size_t row_index, std::size_t q,
+                    bool leave_at_upper) {
   // A local, not nn_ reloaded per row from the stack-resident Tableau: that
   // reload made the pivot ~40% slower under one stack layout.
   const std::size_t nn = nn_;
@@ -251,13 +265,19 @@ void Tableau::pivot(std::size_t row_index, std::size_t q) {
   const double piv = pr[q];
   assert(std::abs(piv) > 0.0);
   const double inv = 1.0 / piv;
+  // The entering column's step from 0: the one that takes the leaving
+  // basic value to the bound it leaves at.
+  const double leave_value = leave_at_upper ? range_[basis_[row_index]] : 0.0;
+  const double delta = (rhs_[row_index] - leave_value) * inv;
   // Position q changes hands: the entering column turns into an implicit
   // unit vector, and the leaving one, a unit vector until now, is stored
   // there. Seeding q with the leaving column's entries (1 in the pivot row,
-  // 0 elsewhere) lets the one update below compute its new ones.
+  // 0 elsewhere) lets the one update below compute its new ones; a column
+  // that leaves at its range is then stored reflected.
   pr[q] = 1.0;
   for (std::size_t p = 0; p < nn; ++p) pr[p] *= inv;
-  rhs_[row_index] *= inv;
+  if (leave_at_upper) pr[q] = -pr[q];
+  rhs_[row_index] = delta;
 
   for (std::size_t i = 0; i < m_; ++i) {
     if (i == row_index) continue;
@@ -266,25 +286,41 @@ void Tableau::pivot(std::size_t row_index, std::size_t q) {
     if (f == 0.0) continue;
     ri[q] = 0.0;
     for (std::size_t p = 0; p < nn; ++p) ri[p] -= f * pr[p];
-    rhs_[i] -= f * rhs_[row_index];
+    rhs_[i] -= f * delta;
     if (rhs_[i] < 0.0 && rhs_[i] > -kPivotTol) rhs_[i] = 0.0;
   }
   const double fd = d_[q];
   if (fd != 0.0) {
     d_[q] = 0.0;
     for (std::size_t p = 0; p < nn; ++p) d_[p] -= fd * pr[p];
-    // Δobj = reduced cost × step length (rhs_[row_index] is already the
-    // normalized ratio θ at this point).
-    obj_ += fd * rhs_[row_index];
+    obj_ += fd * delta;  // Δobj = reduced cost × step
   }
   std::swap(basis_[row_index], nonbasic_[q]);
+  if (leave_at_upper) reflected_[nonbasic_[q]] ^= 1;
   ++iterations_;
 }
 
+void Tableau::flip(std::size_t q) {
+  // The column moves by its whole range and is then stored reflected, so it
+  // sits at 0 again.
+  const double step = range_[nonbasic_[q]];
+  for (std::size_t i = 0; i < m_; ++i) {
+    double& a = a_[i * nn_ + q];
+    rhs_[i] -= a * step;
+    if (rhs_[i] < 0.0 && rhs_[i] > -kPivotTol) rhs_[i] = 0.0;
+    a = -a;
+  }
+  obj_ += d_[q] * step;
+  d_[q] = -d_[q];
+  reflected_[nonbasic_[q]] ^= 1;
+  ++flips_;
+}
+
 Tableau::StepResult Tableau::step(bool bland) {
-  // Entering column: negative reduced cost. Bland takes the smallest column
-  // id, Dantzig the most negative cost with ties to the smallest id — the
-  // columns a scan in id order picks.
+  // Entering column: negative reduced cost in its stored orientation (so a
+  // column at its range enters on a positive cost of its own). Bland takes
+  // the smallest column id, Dantzig the most negative cost with ties to the
+  // smallest id — the columns a scan in id order picks.
   std::size_t enter = nn_;
   std::size_t enter_id = total_cols_;
   double best = -kCostTol;
@@ -301,23 +337,35 @@ Tableau::StepResult Tableau::step(bool bland) {
   }
   if (enter == nn_) return StepResult::kOptimal;
 
-  // Ratio test; Bland tie-break on the leaving basis index.
+  // Ratio test. The entering column blocks itself at its range (a bound
+  // flip, leave == m_), and keeps that block on a tie; a basic column
+  // blocks at 0 or at its own range. Bland tie-break on the leaving basis
+  // index.
   std::size_t leave = m_;
-  double best_ratio = std::numeric_limits<double>::infinity();
+  bool leave_at_upper = false;
+  double best_ratio = range_[enter_id];
   for (std::size_t i = 0; i < m_; ++i) {
     const double a = a_[i * nn_ + enter];
-    if (a <= kPivotTol) continue;
-    const double ratio = rhs_[i] / a;
+    const bool at_upper = a < -kPivotTol;
+    if (!at_upper && a <= kPivotTol) continue;
+    // A basic column without a range gets +inf here: it never blocks.
+    const double ratio =
+        at_upper ? (range_[basis_[i]] - rhs_[i]) / -a : rhs_[i] / a;
     if (ratio < best_ratio - kPivotTol ||
-        (ratio < best_ratio + kPivotTol &&
-         (leave == m_ || basis_[i] < basis_[leave]))) {
+        (ratio < best_ratio + kPivotTol && leave != m_ &&
+         basis_[i] < basis_[leave])) {
       best_ratio = ratio;
       leave = i;
+      leave_at_upper = at_upper;
     }
   }
-  if (leave == m_) return StepResult::kUnbounded;
-  pivot(leave, enter);
-  return StepResult::kPivoted;
+  if (leave == m_) {
+    if (best_ratio == kInfinity) return StepResult::kUnbounded;
+    flip(enter);
+  } else {
+    pivot(leave, enter, leave_at_upper);
+  }
+  return StepResult::kMoved;
 }
 
 SolveStatus Tableau::optimize() {
@@ -326,15 +374,15 @@ SolveStatus Tableau::optimize() {
   double last_obj = obj_;
   bool bland = false;
   while (iterations_ < opt_.max_iterations) {
-    if (iterations_ % kWatchdogStride == 0 && deadline_ != nullptr &&
-        deadline_->expired())
+    if ((iterations_ + flips_) % kWatchdogStride == 0 &&
+        deadline_ != nullptr && deadline_->expired())
       return SolveStatus::kTimeLimit;
     switch (step(bland)) {
       case StepResult::kOptimal:
         return SolveStatus::kOptimal;
       case StepResult::kUnbounded:
         return SolveStatus::kUnbounded;
-      case StepResult::kPivoted:
+      case StepResult::kMoved:
         break;
     }
     if (obj_ < last_obj - 1e-12) {
@@ -364,7 +412,7 @@ void Tableau::drive_out_artificials() {
       }
     }
     if (q != nn_) {
-      pivot(i, q);
+      pivot(i, q, false);
     } else {
       std::fill(r, r + nn_, 0.0);
       rhs_[i] = 0.0;
@@ -392,6 +440,8 @@ void Tableau::drop_artificial_columns() {
 std::vector<double> Tableau::extract_model_solution() const {
   std::vector<double> u(total_cols_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) u[basis_[i]] = rhs_[i];
+  for (std::size_t j = 0; j < total_cols_; ++j)
+    if (reflected_[j]) u[j] = range_[j] - u[j];
 
   std::vector<double> x(model_.num_variables(), 0.0);
   for (std::size_t j = 0; j < model_.num_variables(); ++j) {
@@ -476,10 +526,11 @@ std::string to_string(SolveStatus status) {
 
 namespace {
 
-// Estimate of the full tableau's footprint in cells: rows = constraints
-// plus one bound row per doubly-bounded variable; columns = structurals plus
-// up to a slack and an artificial per row. The condensed tableau stores
-// fewer columns; the estimate is kept so every model stays on its solver.
+// Estimate of a full tableau's footprint in cells: rows = constraints plus
+// one bound row per doubly-bounded variable; columns = structurals plus up
+// to a slack and an artificial per row. The bounded-variable tableau has
+// neither the bound rows nor the basic columns; the estimate is kept so
+// every model stays on its solver.
 std::size_t estimated_tableau_cells(const Model& model) {
   std::size_t bound_rows = 0;
   for (std::size_t j = 0; j < model.num_variables(); ++j) {
@@ -507,6 +558,13 @@ Solution solve_tableau(const Model& model, const SimplexOptions& options) {
   if (model.well_formed()) {
     Tableau tableau(model, options);
     sol = tableau.run();
+    obs::count("lp.simplex.bound_flips", tableau.flips());
+    // An optimal basis is only as good as the point it gives: one that
+    // roundoff has pushed off the model is refused, not returned.
+    if (sol.optimal() && model.max_violation(sol.x) > kFeasTol) {
+      obs::count("lp.simplex.residual_refusals");
+      sol.status = SolveStatus::kIterationLimit;
+    }
   } else {
     sol.status = SolveStatus::kInfeasible;
   }

@@ -1,17 +1,30 @@
-// Two-phase primal simplex over a condensed (Tucker) tableau.
+// Two-phase primal simplex over a condensed (Tucker) bounded-variable
+// tableau.
 //
 // Problem sizes in this library (attack LPs on ~100-node topologies) are a
 // few hundred variables by a few hundred rows, which a tableau handles
 // comfortably and — more importantly for a reproduction — transparently:
 // every pivot is observable and the phase-1 infeasibility certificate is the
 // exact quantity Theorems 1-2 reason about ("does a feasible manipulation
-// vector exist?"). The tableau stores only its nonbasic columns, in one flat
-// row-major buffer: a basic column is a unit vector, so it is implied by the
-// basis. Pricing breaks ties by column id, so the pivots are those of the
-// full tableau.
+// vector exist?").
+//
+// The tableau has one row per model constraint. A doubly-bounded variable,
+// such as a manipulation 0 ≤ mᵢ ≤ cap, keeps its lower-bound shift and gets
+// a range u = upper − lower instead of a row of its own. Each nonbasic
+// column sits at 0 or at its range; a column at 0 may enter when its reduced
+// cost is below −kCostTol, one at its range when it is above +kCostTol. The
+// ratio test lets a basic column block at 0 or at its range, and the
+// entering column block at its own range: that is a bound flip, which moves
+// the column to its other bound in O(rows) with no basis change. Flips are
+// counted as lp.simplex.bound_flips, not in Solution::iterations. Only the
+// nonbasic columns are stored, in one flat row-major buffer: a basic column
+// is a unit vector, so it is implied by the basis. Pricing breaks ties by
+// column id.
 //
 // Degeneracy is handled by switching from Dantzig to Bland's rule after a
-// stall, which guarantees termination.
+// stall, which guarantees termination. An optimal point that violates the
+// model by more than kFeasTol is refused (kIterationLimit, counted as
+// lp.simplex.residual_refusals) rather than returned as kOptimal.
 //
 // lp::solve is the entry point: it runs the tableau here (solve_tableau)
 // until the estimated full tableau would reach kRevisedCellThreshold cells,
@@ -36,6 +49,8 @@ enum class SolveStatus {
   kOptimal,
   kInfeasible,
   kUnbounded,
+  // The pivot budget ran out, or (tableau) the post-solve residual check
+  // refused an optimal point. The Solution carries the exit basis and point.
   kIterationLimit,
   // The ambient robust::ScopedTrialDeadline expired mid-solve. Like
   // kIterationLimit, the Solution carries the exit basis and basic point as
@@ -50,9 +65,10 @@ inline std::ostream& operator<<(std::ostream& os, SolveStatus status) {
 }
 
 // lp::solve's switchover point, in estimated full-tableau cells: rows
-// including per-variable bound rows × columns including slacks and
-// artificials (the condensed tableau stores fewer; the rule is kept as is). Small LPs keep the transparent tableau, large attack LPs get
-// the factorized basis.
+// including one bound row per doubly-bounded variable × columns including
+// slacks and artificials. The bounded-variable tableau stores far fewer;
+// the size rule is kept as is so every model keeps its solver. Small LPs
+// keep the transparent tableau, large attack LPs get the factorized basis.
 inline constexpr std::size_t kRevisedCellThreshold = std::size_t{1} << 18;
 
 struct Solution {
@@ -60,10 +76,11 @@ struct Solution {
   double objective = 0.0;        // in the model's original sense
   std::vector<double> x;         // values of the model's variables
   std::size_t iterations = 0;    // total pivots over both phases
-  // Tableau basis at exit (basis[i] = column basic in row i) — on
-  // kIterationLimit this is the certificate of where the solver stopped:
-  // together with x (the basic point, feasible only if phase 1 finished) a
-  // caller can audit or warm-start instead of facing an empty result.
+  // Basis at exit, one column per model row (basis[i] = column basic in
+  // row i) — on kIterationLimit this is the certificate of where the solver
+  // stopped: together with x (the basic point, feasible only if phase 1
+  // finished) a caller can audit or warm-start instead of facing an empty
+  // result.
   std::vector<std::size_t> basis;
 
   bool optimal() const { return status == SolveStatus::kOptimal; }

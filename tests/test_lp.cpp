@@ -7,6 +7,8 @@
 #include "lp/model.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/random.hpp"
 
 namespace scapegoat::lp {
@@ -282,12 +284,132 @@ TEST(MalformedModel, NonFiniteRhsIsRefused) {
   }
 }
 
+TEST(MalformedModel, NanBoundIsRefused) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Model lower = two_variable_model();
+  lower.add_variable(nan, 1.0, 1.0);
+  expect_refused(lower);
+  Model upper = two_variable_model();
+  upper.add_variable(0.0, nan, 1.0);
+  expect_refused(upper);
+}
+
+TEST(MalformedModel, InfiniteLowerBoundAtPlusInfinityIsRefused) {
+  Model m = two_variable_model();
+  m.add_variable(kInfinity, kInfinity, 1.0);
+  expect_refused(m);
+}
+
+TEST(MalformedModel, UpperBoundAtMinusInfinityIsRefused) {
+  Model m = two_variable_model();
+  m.add_variable(-kInfinity, -kInfinity, 1.0);
+  expect_refused(m);
+}
+
+TEST(MalformedModel, LowerAboveUpperIsRefused) {
+  Model m = two_variable_model();
+  m.add_variable(2.0, 1.0, 1.0);
+  expect_refused(m);
+}
+
 TEST(MalformedModel, WellFormedModelStillSolves) {
   const Model m = two_variable_model();
   EXPECT_TRUE(m.well_formed());
   const Solution s = solve_tableau(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 5.0, 1e-9);
+}
+
+// ---- Bounded-variable tableau ---------------------------------------------
+//
+// A doubly-bounded variable has no row of its own: it sits at either bound
+// while nonbasic, and reaching its own upper bound first is a bound flip,
+// counted apart from the pivots.
+
+struct CountedSolve {
+  Solution solution;
+  std::uint64_t flips = 0;
+};
+
+CountedSolve solve_counting_flips(const Model& m) {
+  obs::MetricsRegistry registry;
+  CountedSolve out;
+  {
+    obs::ScopedInstrumentation inst(registry);
+    out.solution = solve_tableau(m);
+  }
+  out.flips = registry.snapshot().counter_value("lp.simplex.bound_flips");
+  return out;
+}
+
+TEST(BoundedTableau, EnteringColumnFlipsToItsUpperBound) {
+  // max x0 + x1 s.t. x0 + x1 ≤ 5, x0, x1 ∈ [0, 3]: x0 reaches 3 before the
+  // row binds, so it flips; x1 then enters and stops at 2.
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, 3.0, 1.0);
+  m.add_variable(0.0, 3.0, 1.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, RowType::kLessEqual, 5.0);
+  const CountedSolve c = solve_counting_flips(m);
+  ASSERT_EQ(c.solution.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(c.solution.objective, 5.0, 1e-12);
+  EXPECT_GE(c.flips, 1u);
+  EXPECT_LE(m.max_violation(c.solution.x), 1e-12);
+}
+
+TEST(BoundedTableau, BoxesWithoutRowsSolveByFlipsAlone) {
+  // No constraint rows: every variable ends at the bound its objective
+  // favours, reached by flips with no pivot and an empty basis.
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, 4.0, 2.0);    // → 4 (flip)
+  m.add_variable(-1.0, 3.0, -1.0);  // → -1 (stays at its lower bound)
+  m.add_variable(1.0, 2.5, 0.0);    // → 1 (no reason to move)
+  m.add_variable(-3.0, -2.0, 0.5);  // → -2 (flip)
+  const CountedSolve c = solve_counting_flips(m);
+  ASSERT_EQ(c.solution.status, SolveStatus::kOptimal);
+  EXPECT_EQ(c.solution.iterations, 0u);
+  EXPECT_TRUE(c.solution.basis.empty());
+  EXPECT_EQ(c.flips, 2u);
+  ASSERT_EQ(c.solution.x.size(), 4u);
+  EXPECT_EQ(c.solution.x[0], 4.0);
+  EXPECT_EQ(c.solution.x[1], -1.0);
+  EXPECT_EQ(c.solution.x[2], 1.0);
+  EXPECT_EQ(c.solution.x[3], -2.0);
+  EXPECT_EQ(c.solution.objective, 8.0);
+}
+
+TEST(BoundedTableau, BasisHasOneColumnPerModelRow) {
+  Rng rng(31);
+  Model m(Sense::kMaximize);
+  for (std::size_t j = 0; j < 8; ++j)
+    m.add_variable(0.0, rng.uniform(1.0, 3.0), rng.uniform(0.5, 2.0));
+  for (std::size_t i = 0; i < 5; ++i) {
+    std::vector<Term> terms;
+    for (std::size_t j = 0; j < 8; ++j)
+      terms.push_back({j, rng.uniform(0.1, 1.0)});
+    m.add_constraint(std::move(terms), i % 2 == 0 ? RowType::kLessEqual
+                                                  : RowType::kGreaterEqual,
+                     i % 2 == 0 ? rng.uniform(3.0, 6.0) : 0.5);
+  }
+  for (const Solution& s : {solve_tableau(m), solve_revised(m)}) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_EQ(s.basis.size(), m.num_constraints());
+    EXPECT_LE(m.max_violation(s.x), 1e-9);
+  }
+}
+
+TEST(BoundedTableau, FixedVariableStaysFixedUnderMaximization) {
+  // x1 is fixed at 2 although the objective would push it up; x0 takes what
+  // the row leaves.
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, kInfinity, 1.0);
+  m.add_variable(2.0, 2.0, 5.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, RowType::kLessEqual, 10.0);
+  EXPECT_TRUE(m.well_formed());
+  const Solution s = solve_tableau(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_EQ(s.x[1], 2.0);
+  EXPECT_NEAR(s.x[0], 8.0, 1e-12);
+  EXPECT_NEAR(s.objective, 18.0, 1e-12);
 }
 
 }  // namespace
