@@ -1,23 +1,16 @@
-// Sparse-backend crossover bench: the PR-6 acceptance gate.
+// LP crossover bench: the condensed tableau simplex against the factorized
+// revised simplex.
 //
-// Generates attack-sized synthetic tomography workloads — a routing matrix
-// over `size` links (one direct-probe row per link plus size/5 random
-// multi-hop paths, so the column rank is full by construction) and an
-// attack-shaped LP over the same links (box-bounded manipulation variables,
-// path-sum rows) — and times both numeric backends on each:
-//
-//   least squares   dense Householder QR  vs  CGLS over CSR storage
-//   linear program  dense tableau simplex vs  factorized revised simplex
-//
-// The dense tableau pays one explicit bound row per box-bounded variable,
-// which is exactly what the revised solver's bounded-variable ratio test
-// avoids — the LP crossover is therefore structural, not a constant factor.
+// Generates an attack-shaped LP over `size` links (box-bounded manipulation
+// variables, path-sum rows) and times both solvers on it. The tableau
+// keeps no row per box-bounded variable (bounds are flips), so what is
+// left to measure is the per-pivot cost: condensed tableau row updates
+// against factorized FTRAN/BTRAN.
 //
 // Acceptance bar: at the largest size (≥5000 links in the default run) the
-// sparse backend must beat dense by ≥5× on BOTH problems, with the answers
-// in agreement (least-squares solutions elementwise, LP objectives to
-// relative 1e-6). Exit code 1 on a miss. --quick runs reduced sizes below
-// the 5k gate for smoke-testing and only enforces agreement.
+// revised simplex must beat the tableau by ≥5×, with the objectives in
+// agreement to relative 1e-6. Exit code 1 on a miss. --quick runs reduced
+// sizes below the 5k gate for smoke-testing and only enforces agreement.
 //
 //   bench_sparse [--quick] [--repeats N] [--out PATH]
 //
@@ -32,10 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "linalg/cgls.hpp"
-#include "linalg/least_squares.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/sparse_matrix.hpp"
 #include "lp/model.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
@@ -46,10 +35,7 @@
 
 namespace {
 
-using scapegoat::Matrix;
 using scapegoat::Rng;
-using scapegoat::SparseMatrix;
-using scapegoat::Vector;
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -66,31 +52,6 @@ double best_of(std::size_t repeats, Fn&& fn) {
     best = std::min(best, now_seconds() - start);
   }
   return best;
-}
-
-// Routing matrix over `links` links: identity block of direct probes (full
-// column rank by construction, same trick as testkit's
-// gen_full_rank_routing_matrix) plus links/5 random paths of 4..24 hops.
-SparseMatrix make_routing_matrix(std::size_t links, Rng& rng) {
-  std::vector<scapegoat::Triplet> t;
-  const std::size_t extra = links / 5;
-  t.reserve(links + extra * 24);
-  for (std::size_t j = 0; j < links; ++j)
-    t.push_back({j, j, 1.0});
-  std::vector<char> used(links, 0);
-  for (std::size_t i = 0; i < extra; ++i) {
-    const std::size_t hops = 4 + rng.index(21);
-    std::vector<std::size_t> picked;
-    for (std::size_t h = 0; h < hops; ++h) {
-      const std::size_t l = rng.index(links);
-      if (used[l]) continue;  // a path crosses a link at most once
-      used[l] = 1;
-      picked.push_back(l);
-      t.push_back({links + i, l, 1.0});
-    }
-    for (std::size_t l : picked) used[l] = 0;
-  }
-  return SparseMatrix::from_triplets(links + extra, links, t);
 }
 
 // Attack-shaped LP: maximize total manipulation over box-bounded per-link
@@ -123,12 +84,8 @@ scapegoat::lp::Model make_attack_lp(std::size_t links, Rng& rng) {
 
 struct SizeResult {
   std::size_t links = 0;
-  double dense_ls_s = 0.0, sparse_ls_s = 0.0;
   double tableau_lp_s = 0.0, revised_lp_s = 0.0;
   bool agree = false;
-  double ls_speedup() const {
-    return sparse_ls_s > 0.0 ? dense_ls_s / sparse_ls_s : 0.0;
-  }
   double lp_speedup() const {
     return revised_lp_s > 0.0 ? tableau_lp_s / revised_lp_s : 0.0;
   }
@@ -139,30 +96,6 @@ SizeResult run_size(std::size_t links, std::size_t repeats) {
   SizeResult out;
   out.links = links;
 
-  // ---- least squares: dense QR vs CGLS over CSR -------------------------
-  const SparseMatrix rs = make_routing_matrix(links, rng);
-  const Matrix rd = rs.to_dense();
-  Vector x_true(links);
-  for (std::size_t j = 0; j < links; ++j) x_true[j] = rng.uniform(0.1, 1.0);
-  const Vector b = rs * x_true;
-
-  // Dense QR is O(m·n²): one timed repeat at large sizes keeps the bench
-  // tractable; best-of elsewhere shaves scheduler noise.
-  const std::size_t dense_repeats = links >= 2000 ? 1 : repeats;
-  std::optional<Vector> x_qr;
-  out.dense_ls_s = best_of(dense_repeats, [&] {
-    x_qr = scapegoat::least_squares(rd, b, scapegoat::LeastSquaresMethod::kQr);
-  });
-  scapegoat::CglsResult cg;
-  out.sparse_ls_s = best_of(repeats, [&] { cg = scapegoat::cgls_solve(rs, b); });
-
-  bool ls_agree = x_qr.has_value() && cg.converged;
-  if (ls_agree) {
-    for (std::size_t j = 0; j < links; ++j)
-      if (std::abs((*x_qr)[j] - cg.x[j]) > 1e-6) ls_agree = false;
-  }
-
-  // ---- LP: dense tableau vs revised simplex -----------------------------
   const scapegoat::lp::Model lp = make_attack_lp(links, rng);
   const std::size_t lp_repeats = links >= 2000 ? 1 : repeats;
   scapegoat::lp::Solution st, sr;
@@ -171,14 +104,11 @@ SizeResult run_size(std::size_t links, std::size_t repeats) {
   out.revised_lp_s =
       best_of(repeats, [&] { sr = scapegoat::lp::solve_revised(lp); });
 
-  const bool lp_agree =
-      st.status == scapegoat::lp::SolveStatus::kOptimal &&
-      sr.status == scapegoat::lp::SolveStatus::kOptimal &&
-      std::abs(st.objective - sr.objective) <=
-          1e-6 * (1.0 + std::abs(st.objective)) &&
-      lp.max_violation(sr.x) <= 1e-6;
-
-  out.agree = ls_agree && lp_agree;
+  out.agree = st.status == scapegoat::lp::SolveStatus::kOptimal &&
+              sr.status == scapegoat::lp::SolveStatus::kOptimal &&
+              std::abs(st.objective - sr.objective) <=
+                  1e-6 * (1.0 + std::abs(st.objective)) &&
+              lp.max_violation(sr.x) <= 1e-6;
   return out;
 }
 
@@ -200,23 +130,19 @@ int main(int argc, char** argv) {
   run_size(sizes.front(), 1);  // warm-up, untimed
 
   std::vector<SizeResult> results;
-  scapegoat::Table table({"links", "dense_ls_ms", "sparse_ls_ms", "ls_speedup",
-                          "tableau_lp_ms", "revised_lp_ms", "lp_speedup",
-                          "agree"});
+  scapegoat::Table table(
+      {"links", "tableau_lp_ms", "revised_lp_ms", "lp_speedup", "agree"});
   for (std::size_t links : sizes) {
     const SizeResult r = run_size(links, repeats);
     results.push_back(r);
     table.add_row({std::to_string(r.links),
-                   scapegoat::Table::num(r.dense_ls_s * 1e3, 2),
-                   scapegoat::Table::num(r.sparse_ls_s * 1e3, 2),
-                   scapegoat::Table::num(r.ls_speedup(), 1),
                    scapegoat::Table::num(r.tableau_lp_s * 1e3, 2),
                    scapegoat::Table::num(r.revised_lp_s * 1e3, 2),
                    scapegoat::Table::num(r.lp_speedup(), 1),
                    r.agree ? "yes" : "NO"});
     std::cerr << "done: " << r.links << " links\n";
   }
-  std::cout << "dense vs sparse backend crossover, best of " << repeats
+  std::cout << "tableau vs revised simplex crossover, best of " << repeats
             << (quick ? " (quick sizes, 5x gate not enforced)" : "") << '\n';
   table.print(std::cout);
 
@@ -224,29 +150,25 @@ int main(int argc, char** argv) {
   bool all_agree = true;
   for (const SizeResult& r : results) all_agree = all_agree && r.agree;
   const bool gate_met =
-      quick || (top.links >= 5000 && top.ls_speedup() >= 5.0 &&
-                top.lp_speedup() >= 5.0);
-  std::cout << "gate at " << top.links << " links: least-squares "
-            << scapegoat::Table::num(top.ls_speedup(), 1) << "x, lp "
+      quick || (top.links >= 5000 && top.lp_speedup() >= 5.0);
+  std::cout << "gate at " << top.links << " links: lp "
             << scapegoat::Table::num(top.lp_speedup(), 1) << "x — "
             << (gate_met && all_agree ? "PASS" : "FAIL") << '\n';
 
   if (!out_path.empty()) {
     std::string json = "{\n  \"bench\": \"bench_sparse\",\n";
-    json += "  \"workload\": \"synthetic_routing_attack\",\n";
+    json += "  \"workload\": \"synthetic_attack_lp\",\n";
     json += "  \"repeats\": " + std::to_string(repeats) + ",\n";
     json += "  \"quick\": " + std::string(quick ? "true" : "false") + ",\n";
     json += "  \"sizes\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const SizeResult& r = results[i];
-      char buf[384];
+      char buf[256];
       std::snprintf(buf, sizeof buf,
-                    "    {\"links\": %zu, \"dense_ls_seconds\": %.6f, "
-                    "\"sparse_ls_seconds\": %.6f, \"ls_speedup\": %.2f, "
-                    "\"tableau_lp_seconds\": %.6f, \"revised_lp_seconds\": "
-                    "%.6f, \"lp_speedup\": %.2f, \"agree\": %s}%s\n",
-                    r.links, r.dense_ls_s, r.sparse_ls_s, r.ls_speedup(),
-                    r.tableau_lp_s, r.revised_lp_s, r.lp_speedup(),
+                    "    {\"links\": %zu, \"tableau_lp_seconds\": %.6f, "
+                    "\"revised_lp_seconds\": %.6f, \"lp_speedup\": %.2f, "
+                    "\"agree\": %s}%s\n",
+                    r.links, r.tableau_lp_s, r.revised_lp_s, r.lp_speedup(),
                     r.agree ? "true" : "false",
                     i + 1 < results.size() ? "," : "");
       json += buf;
@@ -255,10 +177,9 @@ int main(int argc, char** argv) {
     json += "  \"gate_links\": " + std::to_string(top.links) + ",\n";
     char gate[160];
     std::snprintf(gate, sizeof gate,
-                  "  \"gate_ls_speedup\": %.2f,\n"
                   "  \"gate_lp_speedup\": %.2f,\n"
                   "  \"gate_met\": %s,\n  \"all_agree\": %s\n}\n",
-                  top.ls_speedup(), top.lp_speedup(),
+                  top.lp_speedup(),
                   gate_met ? "true" : "false", all_agree ? "true" : "false");
     json += gate;
     if (!scapegoat::write_file_atomic(out_path, json).ok()) {

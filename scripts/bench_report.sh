@@ -10,10 +10,9 @@
 #                   vs full replay, with the <2% journal-overhead bar and the
 #                   cross-mode series fingerprint (EXPERIMENTS.md
 #                   "Crash-safe runs")
-#   BENCH_pr6.json  bench_sparse — dense-vs-sparse crossover table (QR vs
-#                   CGLS, tableau vs revised simplex) up to 5k+ links, with
-#                   the ≥5× speedup gate at the top size (EXPERIMENTS.md
-#                   "Sparse backend")
+#   BENCH_pr6.json  bench_sparse — LP crossover table (tableau vs revised
+#                   simplex) up to 5k+ links, with the ≥5× speedup gate at
+#                   the top size (EXPERIMENTS.md "Sparse backend")
 #   BENCH_pr7.json  bench_streaming — open-loop overload soak of the
 #                   probe-ingest service: bounded queue depth, exact batch
 #                   accounting, zero crashes, shard-count-independent pinned
@@ -28,8 +27,8 @@
 #                   rate and solve latency vs probe budget and depth, with
 #                   the brute-force-likelihood agreement gate
 #                   (EXPERIMENTS.md "Multicast MLE")
-# Re-run after touching the obs layer, the checkpoint journal, the sparse
-# numerics, the LP solvers, the service layer, or any instrumented hot path.
+# Re-run after touching the obs layer, the checkpoint journal, the LP
+# solvers, the service layer, or any instrumented hot path.
 #
 #   scripts/bench_report.sh [--quick] [-j N] [--obs-out PATH] [--ckpt-out PATH]
 #                           [--sparse-out PATH] [--service-out PATH]

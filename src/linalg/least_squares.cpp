@@ -5,40 +5,23 @@
 #include <string>
 #include <utility>
 
-#include "linalg/cgls.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/sparse_matrix.hpp"
 #include "obs/obs.hpp"
 
 namespace scapegoat {
 
-std::optional<Vector> least_squares(const Matrix& a, const Vector& b,
-                                    LeastSquaresMethod method) {
+std::optional<Vector> least_squares(const Matrix& a, const Vector& b) {
   assert(a.rows() == b.size());
   if (a.cols() == 0 || a.rows() < a.cols()) return std::nullopt;
   obs::ScopedTimer timer("linalg.lstsq.solve_us");
   obs::count("linalg.lstsq.solves");
-  switch (method) {
-    case LeastSquaresMethod::kNormalEquations:
-      return solve_normal_equations(a, b);
-    case LeastSquaresMethod::kQr: {
-      QrDecomposition qr(a, QrDecomposition::Pivoting::kColumn);
-      if (!qr.full_column_rank()) return std::nullopt;
-      return qr.solve(b);
-    }
-    case LeastSquaresMethod::kCgls: {
-      // Trusts the caller on column rank (CGLS cannot detect deficiency —
-      // see cgls.hpp); only non-convergence is reported as failure.
-      CglsResult r = cgls_solve(SparseMatrix::from_dense(a), b);
-      if (!r.converged) return std::nullopt;
-      return r.x;
-    }
-  }
-  return std::nullopt;
+  QrDecomposition qr(a, QrDecomposition::Pivoting::kColumn);
+  if (!qr.full_column_rank()) return std::nullopt;
+  return qr.solve(b);
 }
 
-robust::Expected<Vector> try_least_squares(const Matrix& a, const Vector& b,
-                                           LeastSquaresMethod method) {
+robust::Expected<Vector> try_least_squares(const Matrix& a,
+                                           const Vector& b) {
   if (a.rows() != b.size()) {
     return robust::Error{robust::ErrorCode::kDimensionMismatch,
                          std::to_string(b.size()) + " measurements for " +
@@ -54,7 +37,7 @@ robust::Expected<Vector> try_least_squares(const Matrix& a, const Vector& b,
                              " rows for " + std::to_string(a.cols()) +
                              " unknowns"};
   }
-  auto x = least_squares(a, b, method);
+  auto x = least_squares(a, b);
   if (!x) {
     return robust::Error{robust::ErrorCode::kRankDeficient,
                          "matrix is numerically rank deficient"};

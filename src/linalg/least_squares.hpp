@@ -1,9 +1,9 @@
 // Least-squares solving and incremental rank tracking.
 //
-// `least_squares` solves a dense system: QR by default, the literal Eq. 2
-// normal-equations path as a cross-check, or CGLS over a CSR copy. The
-// tomography estimator does not go through it (it keeps its own QR of R);
-// tests use it as the reference kernel. `RidgeSolver` is the one Tikhonov
+// `least_squares` solves a dense system by column-pivoted QR; the literal
+// Eq. 2 normal-equations solve is `solve_normal_equations` (cholesky.hpp).
+// The tomography estimator does not go through it (it keeps its own QR of
+// R); tests use it as the reference kernel. `RidgeSolver` is the one Tikhonov
 // kernel: the regularized defender of bench_ablation_regularization and
 // the degraded-path fallback (`ridge_least_squares`) both solve through it.
 // `RankTracker` supports the greedy measurement-path selector: paths are
@@ -21,26 +21,16 @@
 
 namespace scapegoat {
 
-enum class LeastSquaresMethod {
-  kQr,               // Householder QR (default; better conditioned)
-  kNormalEquations,  // (AᵀA)⁻¹Aᵀb via Cholesky — the paper's Eq. 2 verbatim
-  kCgls,             // iterative CGLS over CSR storage (linalg/cgls.hpp);
-                     // tolerance-equal to QR, cannot detect rank deficiency
-};
-
 // Solves min ‖a x − b‖₂. Returns nullopt if `a` lacks full column rank
 // (the system is not identifiable).
-std::optional<Vector> least_squares(
-    const Matrix& a, const Vector& b,
-    LeastSquaresMethod method = LeastSquaresMethod::kQr);
+std::optional<Vector> least_squares(const Matrix& a, const Vector& b);
 
 // Checked variant: names the failure instead of nullopt/assert —
 //   kDimensionMismatch  |b| ≠ rows(a),
 //   kEmptyInput         a has no rows or no columns,
 //   kRankDeficient      under-determined or numerically rank deficient.
-robust::Expected<Vector> try_least_squares(
-    const Matrix& a, const Vector& b,
-    LeastSquaresMethod method = LeastSquaresMethod::kQr);
+robust::Expected<Vector> try_least_squares(const Matrix& a,
+                                           const Vector& b);
 
 // Tikhonov-regularized least squares with the factor kept:
 //     x = argmin ‖a x − b‖₂² + λ‖x − prior‖₂²

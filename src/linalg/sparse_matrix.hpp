@@ -13,9 +13,7 @@
 // product never changes a running sum that starts at +0.0, so for any
 // matrix whose zeros are exact — every routing matrix — SpMV equals the
 // dense `Matrix * Vector` BIT FOR BIT. The golden-figure suite pins this
-// through whole experiment pipelines; the sparse least-squares *solver*
-// (cgls.hpp) carries only a tolerance contract and is thresholded
-// separately.
+// through whole experiment pipelines.
 
 #pragma once
 

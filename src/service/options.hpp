@@ -71,10 +71,15 @@ struct ShardFaultPlan {
   std::uint64_t stall_on_batch = kNoBatch;  // busy-stall until abort/budget
 };
 
+// Most shards one service runs. Each shard is a thread with its own queue,
+// so ProbeIngestService::start refuses more with kInvalidInput before it
+// allocates either.
+inline constexpr std::size_t kMaxShards = 64;
+
 struct ServiceOptions {
   // Sharding and queueing. Each shard owns the topologies with
   // `topology % shards == shard_index` and one bounded ingest queue.
-  std::size_t shards = 1;
+  std::size_t shards = 1;  // ≤ kMaxShards
   std::size_t queue_capacity = 1024;  // hard per-queue bound
   std::size_t high_water = 768;       // backpressure threshold
   double retry_after_base_ms = 5.0;   // rejection hint at the high-water mark

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -103,6 +104,12 @@ void produce(std::size_t producer, std::size_t producers,
 
 robust::Expected<SessionReport> run_service_session(
     const SessionWorkload& workload, const ServiceOptions& opt) {
+  if (workload.topologies > kMaxSessionTopologies) {
+    return robust::Error{robust::ErrorCode::kInvalidInput,
+                         std::to_string(workload.topologies) +
+                             " topologies (at most " +
+                             std::to_string(kMaxSessionTopologies) + ")"};
+  }
   const std::vector<Scenario> catalog = make_session_catalog(
       workload.kind, workload.topologies, workload.scenario_seed);
   if (catalog.size() != workload.topologies)

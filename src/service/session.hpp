@@ -36,9 +36,13 @@
 
 namespace scapegoat::service {
 
+// Most topologies one session serves; run_service_session refuses more
+// with kInvalidInput before it draws a scenario.
+inline constexpr std::size_t kMaxSessionTopologies = 1024;
+
 struct SessionWorkload {
   TopologyKind kind = TopologyKind::kWireline;
-  std::size_t topologies = 2;
+  std::size_t topologies = 2;  // ≤ kMaxSessionTopologies
   std::uint64_t scenario_seed = 7;
   simnet::LoadGenOptions load;
   std::size_t producers = 1;
@@ -60,14 +64,16 @@ struct SessionReport {
 
 // Builds the scenario catalog for a workload: topology t is drawn from
 // Rng(derive_seed(scenario_seed, t)). Exposed so tests and the bench can
-// construct the same catalog the session uses.
+// construct the same catalog the session uses. Requires topologies ≤
+// kMaxSessionTopologies.
 std::vector<Scenario> make_session_catalog(TopologyKind kind,
                                            std::size_t topologies,
                                            std::uint64_t scenario_seed);
 
 // Runs one full session against a fresh service built from `opt`.
-// kInvalidInput when no identifiable scenario could be drawn; journal
-// errors propagate from ProbeIngestService::start.
+// kInvalidInput for more than kMaxSessionTopologies topologies or when no
+// identifiable scenario could be drawn; the shard cap and journal errors
+// propagate from ProbeIngestService::start.
 robust::Expected<SessionReport> run_service_session(
     const SessionWorkload& workload, const ServiceOptions& opt);
 

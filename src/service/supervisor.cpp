@@ -1,6 +1,7 @@
 #include "service/supervisor.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -22,6 +23,11 @@ ProbeIngestService::~ProbeIngestService() { drain(); }
 
 robust::Status ProbeIngestService::start() {
   if (started_.load(std::memory_order_acquire)) return robust::ok_status();
+  if (opt_.shards > kMaxShards) {
+    return robust::Error{robust::ErrorCode::kInvalidInput,
+                         std::to_string(opt_.shards) + " shards (at most " +
+                             std::to_string(kMaxShards) + ")"};
+  }
 
   IngestQueueOptions qopt;
   qopt.capacity = opt_.queue_capacity;

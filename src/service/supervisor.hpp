@@ -83,7 +83,8 @@ class ProbeIngestService {
   ProbeIngestService(const ProbeIngestService&) = delete;
   ProbeIngestService& operator=(const ProbeIngestService&) = delete;
 
-  // Starts shards and the supervisor thread. kIoError if a journal cannot
+  // Starts shards and the supervisor thread. kInvalidInput for more than
+  // kMaxShards shards (nothing is allocated); kIoError if a journal cannot
   // be opened.
   robust::Status start();
 

@@ -18,8 +18,6 @@
 #include "core/scenario.hpp"
 #include "detect/detector.hpp"
 #include "graph/paths.hpp"
-#include "linalg/cgls.hpp"
-#include "linalg/conditioning.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -142,13 +140,12 @@ bool prop_lp_revised_simplex_matches_tableau(Source& src) {
 
 // ---- linalg properties ----------------------------------------------------
 
-// ---- linalg_sparse_matches_dense_least_squares ----------------------------
+// ---- linalg_sparse_matches_dense -------------------------------------------
 
-bool prop_sparse_matches_dense_least_squares(Source& src) {
+bool prop_sparse_matches_dense(Source& src) {
   const std::size_t links = 2 + src.index(8);
   const std::size_t extra = src.index(8);
   const Matrix a = gen_full_rank_routing_matrix(src, links, extra);
-  const Vector b = gen_vector(src, a.rows());
 
   // CSR round-trip must be lossless on this draw…
   const SparseMatrix s = SparseMatrix::from_dense(a);
@@ -169,42 +166,6 @@ bool prop_sparse_matches_dense_least_squares(Source& src) {
       src.note(os.str());
       return false;
     }
-  }
-
-  const auto x_qr = least_squares(a, b, LeastSquaresMethod::kQr);
-  const CglsResult cg = cgls_solve(s, b);
-  if (!x_qr.has_value() || !cg.converged) {
-    src.note("solver refused a full-rank routing system: qr=" +
-             std::to_string(x_qr.has_value()) +
-             " cgls_converged=" + std::to_string(cg.converged) +
-             " rel_resid=" + std::to_string(cg.relative_residual));
-    return false;
-  }
-  // CGLS error scales with κ² (normal equations); the identity block keeps
-  // κ modest, but scale the tolerance by the measured conditioning anyway.
-  const auto cond = estimate_condition(a);
-  const double kappa =
-      cond.has_value() ? std::max(1.0, cond->condition()) : 1e3;
-  double scale = 1.0;
-  for (const double v : *x_qr) scale = std::max(scale, std::abs(v));
-  const double tol = 1e-9 * kappa * kappa * scale;
-  for (std::size_t j = 0; j < links; ++j) {
-    if (std::abs((*x_qr)[j] - cg.x[j]) > tol) {
-      std::ostringstream os;
-      os << a.rows() << "x" << links << " kappa " << kappa << ": x[" << j
-         << "] qr=" << (*x_qr)[j] << " cgls=" << cg.x[j] << " tol=" << tol;
-      src.note(os.str());
-      return false;
-    }
-  }
-  // Both must fit the data equally well (optimal LS values coincide even
-  // when the matrix is ill-conditioned enough to spread the iterates).
-  const double fit_qr = (b - a * (*x_qr)).norm2();
-  const double fit_cg = (b - s * cg.x).norm2();
-  if (std::abs(fit_qr - fit_cg) > 1e-7 * (1.0 + fit_qr)) {
-    src.note("LS optimum differs: qr fit " + std::to_string(fit_qr) +
-             " vs cgls fit " + std::to_string(fit_cg));
-    return false;
   }
   return true;
 }
@@ -319,8 +280,8 @@ bool prop_qr_matches_normal_equations(Source& src) {
   const Matrix a = gen_matrix_with_rank(src, rows, cols, cols, decades);
   const Vector b = gen_vector(src, rows);
 
-  const auto x_qr = least_squares(a, b, LeastSquaresMethod::kQr);
-  const auto x_ne = least_squares(a, b, LeastSquaresMethod::kNormalEquations);
+  const auto x_qr = least_squares(a, b);
+  const auto x_ne = solve_normal_equations(a, b);
   const std::vector<double> x_ref = ref_normal_equations(a, b);
   if (!x_qr.has_value() || !x_ne.has_value() || x_ref.empty()) {
     src.note("a full-column-rank solve refused: qr=" +
@@ -571,7 +532,7 @@ bool prop_detector_residual_matches_eq23(Source& src) {
 // The least-squares estimator answers from the one QR factorization of R it
 // keeps, rather than factoring per call. Differential oracle: every answer
 // must be bitwise equal to the stateless kernels that factor R afresh —
-// least_squares(R, y, kQr) for estimate/try_estimate/residual and
+// least_squares(R, y) for estimate/try_estimate/residual and
 // pseudo_inverse(R) for G — on the constructed path set and again after
 // try_append_path (against an estimator built on the grown path set).
 // Under an installed registry, repeated calls and clone() must factor 0
@@ -587,7 +548,7 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
   auto matches_fresh = [&](const Estimator& est, const Vector& y,
                            const std::string& when) {
     const Matrix r = est.sparse_r().to_dense();
-    const auto fresh_x = least_squares(r, y, LeastSquaresMethod::kQr);
+    const auto fresh_x = least_squares(r, y);
     if (!fresh_x.has_value()) {
       src.note(when + ": fresh QR refused an identifiable system");
       return false;
@@ -937,8 +898,7 @@ const std::map<std::string, NamedProperty>& property_registry() {
        {prop_lp_simplex_matches_reference, 200, 1}},
       {"lp_revised_simplex_matches_tableau",
        {prop_lp_revised_simplex_matches_tableau, 200, 1}},
-      {"linalg_sparse_matches_dense_least_squares",
-       {prop_sparse_matches_dense_least_squares, 200, 1}},
+      {"linalg_sparse_matches_dense", {prop_sparse_matches_dense, 200, 1}},
       {"linalg_sparse_row_append_matches_rebuild",
        {prop_sparse_row_append_matches_rebuild, 200, 1}},
       {"linalg_qr_matches_normal_equations",

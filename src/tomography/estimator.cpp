@@ -3,7 +3,6 @@
 #include <cassert>
 #include <string>
 
-#include "linalg/cgls.hpp"
 #include "obs/obs.hpp"
 
 namespace scapegoat {
@@ -12,16 +11,7 @@ TomographyEstimator::TomographyEstimator(const Graph& g,
                                          std::vector<Path> paths)
     : Estimator(g, std::move(paths)) {}
 
-robust::Expected<Vector> TomographyEstimator::solve(const Vector& y) const {
-  if (cgls_preferred(sparse_r())) {
-    CglsResult cg = cgls_solve(sparse_r(), y);
-    if (cg.converged) {
-      obs::count("tomography.estimate.sparse");
-      return std::move(cg.x);
-    }
-    // Rare: stalled CGLS (extreme conditioning). QR is always available.
-    obs::count("tomography.estimate.cgls_fallback");
-  }
+Vector TomographyEstimator::solve(const Vector& y) const {
   obs::count("tomography.estimate.dense");
   return factorization().solve(y);
 }
@@ -29,9 +19,7 @@ robust::Expected<Vector> TomographyEstimator::solve(const Vector& y) const {
 Vector TomographyEstimator::estimate(const Vector& y) const {
   assert(ok());
   assert(y.size() == num_paths());
-  robust::Expected<Vector> x = solve(y);
-  assert(x.ok());  // guaranteed by ok()
-  return std::move(*x);
+  return solve(y);
 }
 
 robust::Expected<Vector> TomographyEstimator::try_estimate(

@@ -10,12 +10,6 @@
 //   * residual(y)        — y − R x̂(y), the quantity the detector thresholds.
 // Construction fails (ok() == false) when R lacks full column rank, i.e.
 // the link metrics are not identifiable from the chosen paths.
-//
-// Solver choice (DESIGN.md §12): R's size alone picks the kernel. The solve
-// runs iterative CGLS over R's CSR form when R meets the size rule beside
-// cgls_solve (linalg/cgls.hpp), and the kept QR otherwise or when CGLS fails
-// to converge. Identifiability is always established by that QR — CGLS
-// cannot detect rank deficiency.
 
 #pragma once
 
@@ -53,10 +47,8 @@ class TomographyEstimator : public Estimator {
   std::unique_ptr<Estimator> clone() const override;
 
  private:
-  // The CGLS solution when the solver choice above picks CGLS and it
-  // converges; otherwise the kept QR's solve. Callers check the
-  // preconditions (ok(), |y|) first.
-  robust::Expected<Vector> solve(const Vector& y) const;
+  // The kept QR's solve. Callers check the preconditions (ok(), |y|) first.
+  Vector solve(const Vector& y) const;
 };
 
 }  // namespace scapegoat

@@ -3,7 +3,7 @@
 // against. Concrete families:
 //
 //   * EstimatorKind::kLeastSquares   — TomographyEstimator (estimator.hpp),
-//     x̂ = R⁺y via QR/CGLS; the paper's Eq. 2 defender.
+//     x̂ = R⁺y via the kept QR; the paper's Eq. 2 defender.
 //   * EstimatorKind::kSparseRecovery — SparseRecoveryEstimator
 //     (sparse_recovery.hpp), min ‖x − x_prior‖₁ s.t. ‖Rx − y‖∞ ≤ ε, x ⪰ 0
 //     as a bounded-variable LP; the FRANTIC-style compressive-sensing

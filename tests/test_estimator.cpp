@@ -1,5 +1,4 @@
-// Tests for the tomography estimator (Eq. 2) on the Fig. 1 network, plus a
-// tall chain R past the CGLS size rule for the CGLS route.
+// Tests for the tomography estimator (Eq. 2) on the Fig. 1 network.
 
 #include "tomography/estimator.hpp"
 
@@ -7,11 +6,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
-#include "linalg/cgls.hpp"
-#include "linalg/least_squares.hpp"
+#include "linalg/cholesky.hpp"
 #include "obs/obs.hpp"
 #include "tomography/routing_matrix.hpp"
 #include "topology/example_networks.hpp"
@@ -42,8 +39,7 @@ TEST(Estimator, QrMatchesLiteralNormalEquations) {
   Rng rng(18);
   Vector y(net.paths.size());
   for (auto& yi : y) yi = rng.uniform(0.0, 100.0);
-  const auto ne = least_squares(qr.sparse_r().to_dense(), y,
-                                LeastSquaresMethod::kNormalEquations);
+  const auto ne = solve_normal_equations(qr.sparse_r().to_dense(), y);
   ASSERT_TRUE(ne.has_value());
   EXPECT_TRUE(approx_equal(qr.estimate(y), *ne, 1e-7));
 }
@@ -81,98 +77,32 @@ TEST(Estimator, InconsistentMeasurementsHaveNonzeroResidual) {
   }
 }
 
-// Noisy measurements for `est`'s path set: not in R's range, so the
-// least-squares fit is non-trivial.
-Vector noisy_measurements(const Estimator& est, std::uint64_t seed) {
-  Rng rng(seed);
-  Vector y(est.num_paths());
-  for (auto& yi : y) yi = rng.uniform(0.0, 100.0);
-  return y;
-}
-
-void expect_relative_near(const Vector& a, const Vector& b, double tol) {
-  ASSERT_EQ(a.size(), b.size());
-  double scale = 0.0;
-  for (std::size_t i = 0; i < b.size(); ++i)
-    scale = std::max(scale, std::abs(b[i]));
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_LE(std::abs(a[i] - b[i]), tol * scale) << "link " << i;
-}
-
-// A tall R that meets the CGLS size rule: 8192 paths (2^20 cells) over a
-// 128-link chain, each path a run of 1-8 consecutive links. The first 128
-// paths are the one-hop ones, so R has full column rank; with
-// `skip_last_link` no path uses link 127 and R is rank deficient.
-struct TallChain {
-  Graph graph;
-  std::vector<Path> paths;
-};
-
-TallChain tall_chain(bool skip_last_link) {
-  constexpr std::size_t kLinks = 128;
-  constexpr std::size_t kPaths = 8192;
-  TallChain out{Graph(kLinks + 1), {}};
-  for (NodeId u = 0; u < kLinks; ++u) out.graph.add_link(u, u + 1);
-  const std::size_t usable = skip_last_link ? kLinks - 1 : kLinks;
-  auto run = [&](std::size_t first, std::size_t length) {
-    Path p;
-    for (std::size_t l = first; l < std::min(first + length, usable); ++l) {
-      p.nodes.push_back(l);
-      p.links.push_back(l);
-    }
-    p.nodes.push_back(p.links.back() + 1);
-    return p;
-  };
-  for (std::size_t l = 0; l < usable; ++l) out.paths.push_back(run(l, 1));
-  Rng rng(24);
-  while (out.paths.size() < kPaths)
-    out.paths.push_back(run(rng.index(usable), 1 + rng.index(8)));
-  return out;
-}
-
-TEST(Estimator, CglsMatchesQr) {
-  const TallChain chain = tall_chain(false);
-  TomographyEstimator est(chain.graph, chain.paths);
-  ASSERT_TRUE(est.ok());
-  ASSERT_TRUE(cgls_preferred(est.sparse_r()));
-  const Vector y = noisy_measurements(est, 21);
-  const auto x_qr =
-      least_squares(est.sparse_r().to_dense(), y, LeastSquaresMethod::kQr);
-  ASSERT_TRUE(x_qr.has_value());
+TEST(Estimator, TryEstimateRefusesBadInputWithoutSolving) {
+  // Fig. 1 without the paths through link 10: column 9 of R is zero, so R
+  // is rank deficient and the kept QR says so.
+  ExampleNetwork net = fig1_network();
+  std::vector<Path> blind;
+  for (const Path& p : net.paths) {
+    if (std::find(p.links.begin(), p.links.end(), LinkId{9}) == p.links.end())
+      blind.push_back(p);
+  }
+  ASSERT_LT(blind.size(), net.paths.size());
 
   obs::MetricsRegistry reg;
   obs::ScopedInstrumentation scope(reg);
-  expect_relative_near(est.estimate(y), *x_qr, 1e-9);
-  const robust::Expected<Vector> checked = est.try_estimate(y);
-  ASSERT_TRUE(checked.ok()) << checked.error_message();
-  expect_relative_near(*checked, *x_qr, 1e-9);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("tomography.estimate.sparse"), 2u);
-  EXPECT_EQ(snap.counter_value("tomography.estimate.dense"), 0u);
-  EXPECT_EQ(snap.counter_value("linalg.cgls.solves"), 2u);
-}
-
-TEST(Estimator, CglsRefusesBadInputWithoutSolving) {
-  const TallChain chain = tall_chain(true);
-  obs::MetricsRegistry reg;
-  obs::ScopedInstrumentation scope(reg);
-
-  // Unidentifiable: CGLS would converge to some answer without complaint,
-  // so the rank check must refuse first.
-  TomographyEstimator under(chain.graph, chain.paths);
+  TomographyEstimator under(net.graph, blind);
   ASSERT_FALSE(under.ok());
-  ASSERT_TRUE(cgls_preferred(under.sparse_r()));
-  const auto rank = under.try_estimate(Vector(chain.paths.size(), 1.0));
+  const auto rank = under.try_estimate(Vector(blind.size(), 1.0));
   ASSERT_FALSE(rank.ok());
   EXPECT_EQ(rank.error().code, robust::ErrorCode::kRankDeficient);
 
-  const auto dims = under.try_estimate(Vector(chain.paths.size() - 1, 1.0));
+  TomographyEstimator full(net.graph, net.paths);
+  ASSERT_TRUE(full.ok());
+  const auto dims = full.try_estimate(Vector(net.paths.size() - 1, 1.0));
   ASSERT_FALSE(dims.ok());
   EXPECT_EQ(dims.error().code, robust::ErrorCode::kDimensionMismatch);
 
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("linalg.cgls.solves"), 0u);
-  EXPECT_EQ(snap.counter_value("tomography.estimate.sparse"), 0u);
+  EXPECT_EQ(reg.snapshot().counter_value("tomography.estimate.dense"), 0u);
 }
 
 TEST(Estimator, PseudoInverseIsLeftInverse) {

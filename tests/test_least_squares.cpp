@@ -23,8 +23,8 @@ TEST(LeastSquares, QrAndNormalEquationsAgree) {
   Vector b(15);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.uniform(-5, 5);
 
-  auto x_qr = least_squares(a, b, LeastSquaresMethod::kQr);
-  auto x_ne = least_squares(a, b, LeastSquaresMethod::kNormalEquations);
+  auto x_qr = least_squares(a, b);
+  auto x_ne = solve_normal_equations(a, b);
   ASSERT_TRUE(x_qr.has_value());
   ASSERT_TRUE(x_ne.has_value());
   EXPECT_TRUE(approx_equal(*x_qr, *x_ne, 1e-7));
@@ -43,9 +43,7 @@ TEST(LeastSquares, RejectsRankDeficientColumns) {
     a(r, 1) = 2.0 * static_cast<double>(r + 1);
   }
   EXPECT_FALSE(least_squares(a, Vector(4, 1.0)).has_value());
-  EXPECT_FALSE(
-      least_squares(a, Vector(4, 1.0), LeastSquaresMethod::kNormalEquations)
-          .has_value());
+  EXPECT_FALSE(solve_normal_equations(a, Vector(4, 1.0)).has_value());
 }
 
 TEST(LeastSquares, ResidualOrthogonalToColumns) {

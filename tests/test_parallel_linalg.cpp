@@ -137,9 +137,9 @@ TEST(ParallelQr, SolveAgreesWithSerialToTolerance) {
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
 
   ThreadPool::set_global_threads(1);
-  const auto serial = least_squares(a, b, LeastSquaresMethod::kQr);
+  const auto serial = least_squares(a, b);
   ThreadPool::set_global_threads(8);
-  const auto parallel = least_squares(a, b, LeastSquaresMethod::kQr);
+  const auto parallel = least_squares(a, b);
   ASSERT_TRUE(serial.has_value());
   ASSERT_TRUE(parallel.has_value());
   EXPECT_TRUE(approx_equal(*parallel, *serial, 0.0));

@@ -24,8 +24,8 @@ TEST(PropLinalg, RankDetectsDeficiency) {
   SCAPEGOAT_RUN_PROPERTY("linalg_rank_detects_deficiency");
 }
 
-TEST(PropLinalg, SparseMatchesDenseLeastSquares) {
-  SCAPEGOAT_RUN_PROPERTY("linalg_sparse_matches_dense_least_squares");
+TEST(PropLinalg, SparseMatchesDense) {
+  SCAPEGOAT_RUN_PROPERTY("linalg_sparse_matches_dense");
 }
 
 TEST(PropLinalg, SparseRowAppendMatchesRebuild) {

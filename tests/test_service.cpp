@@ -3,9 +3,9 @@
 // end-to-end closed-loop sessions (honest vs attacked streams through the
 // online Eq. 23 detector), shard-count invariance of the pinned shed set and
 // of the window decisions, crash/wedge restart supervision, over-budget
-// quarantine, journal resume with at-least-once redelivery, and — the
-// satellite-3 contract — a SIGKILL'd service whose clean resume reproduces
-// the uninterrupted window series bitwise.
+// quarantine, the refusal of shard and topology counts past their caps,
+// journal resume with at-least-once redelivery, and a SIGKILL'd service
+// whose clean resume reproduces the uninterrupted window series bitwise.
 
 #include "service/supervisor.hpp"
 
@@ -294,6 +294,30 @@ TEST(ServiceSession, HonestStreamDrainsExactlyAndStaysQuiet) {
   }
   EXPECT_EQ(s.windows, 8u);
   EXPECT_EQ(s.alarms, 0u);
+}
+
+TEST(ServiceSession, RefusesOversizedCountsBeforeAllocating) {
+  // A count past its cap is refused before any queue, shard thread or
+  // scenario exists; SIZE_MAX is what a CLI's -1 cast would have asked for.
+  const std::vector<const Scenario*> no_catalog;
+  ServiceOptions opt = small_options();
+  for (const std::size_t shards : {kMaxShards + 1, SIZE_MAX}) {
+    opt.shards = shards;
+    ProbeIngestService service(no_catalog, opt);
+    const robust::Status started = service.start();
+    ASSERT_FALSE(started.ok());
+    EXPECT_EQ(started.code(), robust::ErrorCode::kInvalidInput);
+    EXPECT_EQ(service.num_shards(), 0u);
+    EXPECT_EQ(service.submit(make_batch(0, 0, 0)).outcome, Admission::kClosed);
+  }
+
+  SessionWorkload w = small_workload();
+  for (const std::size_t topologies : {kMaxSessionTopologies + 1, SIZE_MAX}) {
+    w.topologies = topologies;
+    const auto report = run_service_session(w, small_options());
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.code(), robust::ErrorCode::kInvalidInput);
+  }
 }
 
 TEST(ServiceSession, AttackedStreamRaisesWindowAlarms) {

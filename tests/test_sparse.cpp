@@ -1,17 +1,15 @@
 // CSR SparseMatrix unit suite: construction edge cases (empty matrix,
 // all-zero rows, single entry, duplicate-coordinate rejection), round-trips,
-// slicing, SpMV vs the dense product (bitwise — the DESIGN.md §12 contract),
-// CGLS against dense QR, and the size rule that sends the least-squares
-// estimator to CGLS.
+// slicing, and SpMV vs the dense product (bitwise — the DESIGN.md §12
+// contract).
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "graph/graph.hpp"
-#include "linalg/cgls.hpp"
-#include "linalg/least_squares.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "tomography/routing_matrix.hpp"
 #include "util/random.hpp"
@@ -252,72 +250,6 @@ TEST(SparseRoutingMatrix, MatchesDenseConstruction) {
   const SparseMatrix sparse = routing_matrix(g, paths);
   EXPECT_TRUE(approx_equal(sparse, dense, 0.0));
   EXPECT_EQ(sparse.nnz(), 5u);
-}
-
-TEST(Cgls, MatchesQrOnFullRankSystem) {
-  Rng rng(123);
-  Matrix a(12, 5);
-  for (std::size_t j = 0; j < 5; ++j) a(j, j) = 1.0;  // identity block
-  for (std::size_t i = 5; i < 12; ++i)
-    for (std::size_t j = 0; j < 5; ++j)
-      a(i, j) = rng.uniform(0.0, 1.0) < 0.5 ? 1.0 : 0.0;
-  Vector b(12);
-  for (std::size_t i = 0; i < 12; ++i) b[i] = rng.uniform(-5.0, 5.0);
-
-  const auto x_qr = least_squares(a, b, LeastSquaresMethod::kQr);
-  ASSERT_TRUE(x_qr.has_value());
-  const CglsResult cg = cgls_solve(SparseMatrix::from_dense(a), b);
-  ASSERT_TRUE(cg.converged);
-  EXPECT_LE(cg.relative_residual, 1e-12);
-  for (std::size_t j = 0; j < 5; ++j)
-    EXPECT_NEAR(cg.x[j], (*x_qr)[j], 1e-8);
-}
-
-TEST(Cgls, ZeroRhsConvergesToZeroImmediately) {
-  const SparseMatrix s = SparseMatrix::from_triplets(2, 2, {{0, 0, 1.0},
-                                                           {1, 1, 1.0}});
-  const CglsResult cg = cgls_solve(s, Vector(2));
-  EXPECT_TRUE(cg.converged);
-  EXPECT_EQ(cg.iterations, 0u);
-  EXPECT_EQ(cg.x[0], 0.0);
-  EXPECT_EQ(cg.x[1], 0.0);
-}
-
-TEST(Cgls, LeastSquaresMethodRoutesThroughCgls) {
-  Matrix a(3, 2);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  a(2, 0) = 1.0;
-  a(2, 1) = 1.0;
-  const Vector b{1.0, 2.0, 3.0};
-  const auto x_qr = least_squares(a, b, LeastSquaresMethod::kQr);
-  const auto x_cg = least_squares(a, b, LeastSquaresMethod::kCgls);
-  ASSERT_TRUE(x_qr.has_value());
-  ASSERT_TRUE(x_cg.has_value());
-  EXPECT_NEAR((*x_cg)[0], (*x_qr)[0], 1e-10);
-  EXPECT_NEAR((*x_cg)[1], (*x_qr)[1], 1e-10);
-}
-
-// A rows×cols matrix with `nnz` ones spread over distinct cells.
-SparseMatrix spread(std::size_t rows, std::size_t cols, std::size_t nnz) {
-  std::vector<Triplet> entries;
-  for (std::size_t k = 0; k < nnz; ++k)
-    entries.push_back({k % rows, (k / rows) % cols, 1.0});
-  return SparseMatrix::from_triplets(rows, cols, entries);
-}
-
-TEST(Cgls, SizeRuleThresholdsOnCellsAndDensity) {
-  // Small matrix: dense QR regardless of density.
-  EXPECT_FALSE(cgls_preferred(spread(10, 10, 5)));
-  EXPECT_FALSE(cgls_preferred(spread(512, 512, 2048)));
-  EXPECT_FALSE(cgls_preferred(SparseMatrix()));
-  // Large and sparse: CGLS, from exactly kCglsMinCells cells.
-  EXPECT_TRUE(cgls_preferred(spread(2048, 1024, 8192)));
-  EXPECT_TRUE(cgls_preferred(spread(1024, 1024, 4096)));
-  EXPECT_FALSE(cgls_preferred(spread(1024, 1023, 4096)));
-  // Large but denser than kCglsMaxDensity: stays on QR.
-  EXPECT_TRUE(cgls_preferred(spread(1024, 1024, 1024 * 256)));
-  EXPECT_FALSE(cgls_preferred(spread(1024, 1024, 1024 * 256 + 1)));
 }
 
 }  // namespace

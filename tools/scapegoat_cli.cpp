@@ -613,6 +613,18 @@ int cmd_ablate_loss(ArgParser& args) {
   return 0;
 }
 
+// A count flag of `serve`. A negative value is refused rather than cast:
+// -1 would become SIZE_MAX topologies or shards.
+std::optional<std::size_t> get_count(ArgParser& args, const std::string& flag,
+                                     long fallback) {
+  const long value = args.get_int(flag, fallback);
+  if (value < 0) {
+    std::cerr << "error: --" << flag << " expects a non-negative count\n";
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(value);
+}
+
 // Streaming probe-ingest session: the service face of DESIGN.md §13.
 // SIGTERM/SIGINT drain gracefully — the supervisor closes admissions, the
 // shards finish the queued backlog with journals flushed, and the session
@@ -622,10 +634,14 @@ int cmd_serve(ArgParser& args) {
   const std::string topo = args.get_string("topology", "wireline");
   workload.kind =
       topo == "wireless" ? TopologyKind::kWireless : TopologyKind::kWireline;
-  workload.topologies =
-      static_cast<std::size_t>(args.get_int("topologies", 2));
+  const std::optional<std::size_t> topologies =
+      get_count(args, "topologies", 2);
+  const std::optional<std::size_t> producers = get_count(args, "producers", 2);
+  const std::optional<std::size_t> shards = get_count(args, "shards", 2);
+  if (!topologies || !producers || !shards) return 2;
+  workload.topologies = *topologies;
   workload.scenario_seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  workload.producers = static_cast<std::size_t>(args.get_int("producers", 2));
+  workload.producers = *producers;
   workload.closed_loop = !args.get_bool("open-loop");
   workload.load.seed = derive_seed(workload.scenario_seed, 0x10adull);
   workload.load.batches_per_topology =
@@ -638,7 +654,7 @@ int cmd_serve(ArgParser& args) {
       static_cast<std::size_t>(args.get_int("grow-every", 0));
 
   service::ServiceOptions opt;
-  opt.shards = static_cast<std::size_t>(args.get_int("shards", 2));
+  opt.shards = *shards;
   opt.queue_capacity =
       static_cast<std::size_t>(args.get_int("capacity", 1024));
   opt.high_water = static_cast<std::size_t>(
