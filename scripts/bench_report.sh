@@ -10,9 +10,6 @@
 #                   vs full replay, with the <2% journal-overhead bar and the
 #                   cross-mode series fingerprint (EXPERIMENTS.md
 #                   "Crash-safe runs")
-#   BENCH_pr6.json  bench_sparse — LP crossover table (tableau vs revised
-#                   simplex) up to 5k+ links, with the ≥5× speedup gate at
-#                   the top size (EXPERIMENTS.md "Sparse backend")
 #   BENCH_pr7.json  bench_streaming — open-loop overload soak of the
 #                   probe-ingest service: bounded queue depth, exact batch
 #                   accounting, zero crashes, shard-count-independent pinned
@@ -28,11 +25,11 @@
 #                   the brute-force-likelihood agreement gate
 #                   (EXPERIMENTS.md "Multicast MLE")
 # Re-run after touching the obs layer, the checkpoint journal, the LP
-# solvers, the service layer, or any instrumented hot path.
+# solver, the service layer, or any instrumented hot path.
 #
 #   scripts/bench_report.sh [--quick] [-j N] [--obs-out PATH] [--ckpt-out PATH]
-#                           [--sparse-out PATH] [--service-out PATH]
-#                           [--sparse-recovery-out PATH] [--multicast-out PATH]
+#                           [--service-out PATH] [--sparse-recovery-out PATH]
+#                           [--multicast-out PATH]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,7 +37,6 @@ cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 obs_out=BENCH_pr3.json
 ckpt_out=BENCH_pr4.json
-sparse_out=BENCH_pr6.json
 service_out=BENCH_pr7.json
 sparse_recovery_out=BENCH_pr8.json
 multicast_out=BENCH_pr10.json
@@ -50,12 +46,11 @@ while [ $# -gt 0 ]; do
     --quick) quick="--quick" ;;
     --obs-out) obs_out=$2; shift ;;
     --ckpt-out) ckpt_out=$2; shift ;;
-    --sparse-out) sparse_out=$2; shift ;;
     --service-out) service_out=$2; shift ;;
     --sparse-recovery-out) sparse_recovery_out=$2; shift ;;
     --multicast-out) multicast_out=$2; shift ;;
     -j) jobs=$2; shift ;;
-    *) echo "usage: $0 [--quick] [-j N] [--obs-out PATH] [--ckpt-out PATH] [--sparse-out PATH] [--service-out PATH] [--sparse-recovery-out PATH] [--multicast-out PATH]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--quick] [-j N] [--obs-out PATH] [--ckpt-out PATH] [--service-out PATH] [--sparse-recovery-out PATH] [--multicast-out PATH]" >&2; exit 2 ;;
   esac
   shift
 done
@@ -68,7 +63,7 @@ unset SCAPEGOAT_PROP_ITERS SCAPEGOAT_PROP_SEED SCAPEGOAT_PROP_CORPUS
 
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs" --target bench_observability \
-      bench_checkpoint_overhead bench_sparse bench_streaming \
+      bench_checkpoint_overhead bench_streaming \
       bench_sparse_recovery bench_multicast_mle
 
 build/bench/bench_observability $quick --out "$obs_out"
@@ -76,9 +71,6 @@ echo "report: $obs_out"
 
 build/bench/bench_checkpoint_overhead $quick --out "$ckpt_out"
 echo "report: $ckpt_out"
-
-build/bench/bench_sparse $quick --out "$sparse_out"
-echo "report: $sparse_out"
 
 build/bench/bench_streaming $quick --out "$service_out"
 echo "report: $service_out"

@@ -18,12 +18,13 @@
 # (test_thread_pool), the measurement-design, topology, recovery and
 # ablation suites (test_monitor_placement, test_path_selection,
 # test_secure_placement, test_topology, test_recovery,
-# test_defender_ablation), the LP suites (test_lp, test_revised_simplex,
-# and test_simplex_stress, whose pinned-output model set walks the
-# tableau's flat buffer through both phases and the phase-2 column
-# compaction), and the `prop` generative suites at a reduced iteration
-# budget (sanitizer builds are ~10x slower; override with
-# SCAPEGOAT_PROP_ITERS, and SCAPEGOAT_PROP_ITERS=0 skips them cleanly).
+# test_defender_ablation), the LP suites (test_lp, test_simplex_stress,
+# whose pinned-output model set walks the tableau's flat buffer through both
+# phases and the phase-2 column compaction, and test_sparse_recovery, whose
+# ℓ1 models run the tableau's post-solve refactor), and the `prop`
+# generative suites at a reduced iteration budget (sanitizer builds are ~10x
+# slower; override with SCAPEGOAT_PROP_ITERS, and SCAPEGOAT_PROP_ITERS=0
+# skips them cleanly).
 # Pass `--all` to run the full ctest suite instead.
 #
 #   scripts/sanitize.sh [--tsan] [--all] [-j N]
@@ -32,7 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 preset=asan-ubsan
-suites='test_robust test_fault_injection test_checkpoint test_rocketfuel test_scenario_io test_args test_lp test_simnet test_sparse test_revised_simplex test_service test_estimator test_max_damage test_obfuscation test_estimator_interface test_sparse_recovery test_sparse_aware test_multicast_mle test_multicast_probe test_loss_scapegoat test_golden_figures test_experiment test_localize test_attack_lp test_detector test_routing_matrix test_chosen_victim test_attack_properties test_attacks_fig1 test_thread_pool test_monitor_placement test_path_selection test_secure_placement test_recovery test_defender_ablation test_topology test_simplex_stress test_manipulation test_naive_attack test_least_squares'
+suites='test_robust test_fault_injection test_checkpoint test_rocketfuel test_scenario_io test_args test_lp test_simnet test_sparse test_service test_estimator test_max_damage test_obfuscation test_estimator_interface test_sparse_recovery test_sparse_aware test_multicast_mle test_multicast_probe test_loss_scapegoat test_golden_figures test_experiment test_localize test_attack_lp test_detector test_routing_matrix test_chosen_victim test_attack_properties test_attacks_fig1 test_thread_pool test_monitor_placement test_path_selection test_secure_placement test_recovery test_defender_ablation test_topology test_simplex_stress test_manipulation test_naive_attack test_least_squares'
 prop_suites='test_testkit test_prop_lp test_prop_linalg test_prop_attack test_prop_detect test_prop_checkpoint test_prop_tomography test_prop_corpus'
 export SCAPEGOAT_PROP_ITERS="${SCAPEGOAT_PROP_ITERS:-25}"
 jobs=$(nproc 2>/dev/null || echo 4)

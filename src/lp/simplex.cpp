@@ -6,7 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "lp/revised_simplex.hpp"
+#include "linalg/lu.hpp"
+#include "linalg/matrix.hpp"
 #include "obs/obs.hpp"
 #include "robust/watchdog.hpp"
 
@@ -27,6 +28,18 @@ struct VarMap {
   double shift = 0.0;
   double sign = 1.0;
   bool split = false;
+};
+
+// How a model constraint maps into a standard-form row with rhs ≥ 0: the
+// row is negated when its shifted rhs is negative (which flips ≤ and ≥), a
+// ≤ row gets a slack (+1), a ≥ row a surplus (−1) and an artificial, an =
+// row an artificial alone.
+struct RowForm {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  double sign = 1.0;
+  std::size_t slack = kNone;  // slack or surplus column
+  double slack_coeff = 1.0;
+  std::size_t artificial = kNone;
 };
 
 // Condensed (Tucker) bounded-variable tableau: min cᵀu s.t. T u = rhs,
@@ -56,6 +69,14 @@ class Tableau {
 
   double* row(std::size_t i) { return a_.data() + i * nn_; }
 
+  // The model row's rhs after the bound shifts, before any negation.
+  double shifted_rhs(std::size_t i) const;
+  // Calls f(column id, coefficient) for every term of standard-form row i,
+  // its slack and artificial included. A column may be named more than once
+  // (a model row may repeat a variable); the coefficients add up.
+  template <class F>
+  void for_each_entry(std::size_t i, F&& f) const;
+
   StepResult step(bool bland);
   // Pivots on row `row_index` and the column stored at position `q`; the
   // leaving column becomes nonbasic at its range when `leave_at_upper`,
@@ -76,6 +97,14 @@ class Tableau {
   void drive_out_artificials();
   // Removes the nonbasic artificial columns, which phase 2 never lets enter.
   void drop_artificial_columns();
+  // Recomputes the basic values, the stored columns and the phase-2 reduced
+  // costs from the model at the current basis, by an LU factorization of
+  // the basis matrix. Returns false, leaving the tableau as it was, when the
+  // basis is singular or its refreshed point is not primal feasible.
+  bool refactor();
+  // Phase 2 stopped optimal: extracts the point into `x` and decides whether
+  // it stands (see kRefreshTol and kFeasTol). Returns the final status.
+  SolveStatus accept_optimum(std::vector<double>& x);
   std::vector<double> extract_model_solution() const;
 
   const Model& model_;
@@ -84,6 +113,7 @@ class Tableau {
   std::size_t first_artificial_ = 0;  // structural + slack columns
   std::size_t total_cols_ = 0;        // including artificials
   std::vector<VarMap> var_map_;
+  std::vector<RowForm> rows_;         // by model row
   std::vector<double> range_;         // by column id; +inf unless boxed
   std::vector<char> reflected_;       // by column id; stored as range − u
 
@@ -104,6 +134,33 @@ class Tableau {
   // kWatchdogStride pivots and flips.
   const robust::Watchdog* deadline_ = robust::ScopedTrialDeadline::current();
 };
+
+double Tableau::shifted_rhs(std::size_t i) const {
+  const Constraint& c = model_.constraint(i);
+  double rhs = c.rhs;
+  for (const Term& t : c.terms) {
+    const VarMap& m = var_map_[t.var];
+    if (!m.split) rhs -= t.coeff * m.shift;
+  }
+  return rhs;
+}
+
+template <class F>
+void Tableau::for_each_entry(std::size_t i, F&& f) const {
+  const RowForm& rf = rows_[i];
+  for (const Term& t : model_.constraint(i).terms) {
+    const VarMap& m = var_map_[t.var];
+    const double coeff = rf.sign * t.coeff;
+    if (m.split) {
+      f(m.col, coeff);
+      f(m.col_minus, -coeff);
+    } else {
+      f(m.col, coeff * m.sign);
+    }
+  }
+  if (rf.slack != RowForm::kNone) f(rf.slack, rf.slack_coeff);
+  if (rf.artificial != RowForm::kNone) f(rf.artificial, 1.0);
+}
 
 Tableau::Tableau(const Model& model, const SimplexOptions& opt)
     : model_(model),
@@ -133,46 +190,38 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
   }
   const std::size_t structural_cols = col;
 
-  // 2. Each row's rhs after the bound shifts and its sense after making
-  //    the rhs ≥ 0 (a negated row flips ≤ and ≥).
+  // 2. Each row's rhs after the bound shifts, made ≥ 0 by negating the row,
+  //    and its slack, surplus and artificial columns. Slacks are numbered
+  //    after the structurals, artificials after every slack.
   m_ = model.num_constraints();
+  rows_.resize(m_);
   rhs_.assign(m_, 0.0);
   std::vector<RowType> types(m_, RowType::kLessEqual);
-  std::vector<bool> negated(m_, false);
-  std::size_t num_slacks = 0, num_surplus = 0, num_artificials = 0;
+  std::size_t num_slacks = 0, num_surplus = 0;
   for (std::size_t i = 0; i < m_; ++i) {
-    const Constraint& c = model.constraint(i);
-    types[i] = c.type;
-    rhs_[i] = c.rhs;
-    for (const Term& t : c.terms) {
-      const VarMap& m = var_map_[t.var];
-      if (!m.split) rhs_[i] -= t.coeff * m.shift;
-    }
+    types[i] = model.constraint(i).type;
+    rhs_[i] = shifted_rhs(i);
     if (rhs_[i] < 0.0) {
-      negated[i] = true;
+      rows_[i].sign = -1.0;
       rhs_[i] = -rhs_[i];
       if (types[i] == RowType::kLessEqual)
         types[i] = RowType::kGreaterEqual;
       else if (types[i] == RowType::kGreaterEqual)
         types[i] = RowType::kLessEqual;
     }
-    switch (types[i]) {
-      case RowType::kLessEqual:
-        ++num_slacks;  // slack enters the basis directly
-        break;
-      case RowType::kGreaterEqual:
-        ++num_slacks;  // surplus, nonbasic
-        ++num_surplus;
-        ++num_artificials;
-        break;
-      case RowType::kEqual:
-        ++num_artificials;
-        break;
-    }
+    if (types[i] != RowType::kEqual) ++num_slacks;
+    if (types[i] == RowType::kGreaterEqual) ++num_surplus;
   }
-
   first_artificial_ = structural_cols + num_slacks;
-  total_cols_ = first_artificial_ + num_artificials;
+  std::size_t slack_col = structural_cols;
+  std::size_t art_col = first_artificial_;
+  for (std::size_t i = 0; i < m_; ++i) {
+    RowForm& rf = rows_[i];
+    if (types[i] != RowType::kEqual) rf.slack = slack_col++;
+    if (types[i] == RowType::kGreaterEqual) rf.slack_coeff = -1.0;
+    if (types[i] != RowType::kLessEqual) rf.artificial = art_col++;
+  }
+  total_cols_ = art_col;
   range_.assign(total_cols_, kInfinity);
   reflected_.assign(total_cols_, 0);
   for (std::size_t j = 0; j < n; ++j) {
@@ -189,39 +238,22 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
   nonbasic_.resize(nn_);
   basis_.assign(m_, 0);
   for (std::size_t p = 0; p < structural_cols; ++p) nonbasic_[p] = p;
-  std::size_t slack_col = structural_cols;
   std::size_t surplus_pos = structural_cols;
-  std::size_t art_col = first_artificial_;
   for (std::size_t i = 0; i < m_; ++i) {
+    const RowForm& rf = rows_[i];
+    const bool ge = types[i] == RowType::kGreaterEqual;
+    if (ge) nonbasic_[surplus_pos] = rf.slack;
+    basis_[i] = types[i] == RowType::kLessEqual ? rf.slack : rf.artificial;
     double* r = row(i);
-    for (const Term& t : model.constraint(i).terms) {
-      const VarMap& m = var_map_[t.var];
-      if (m.split) {
-        r[m.col] += t.coeff;
-        r[m.col_minus] -= t.coeff;
-      } else {
-        r[m.col] += t.coeff * m.sign;
-      }
-    }
-    if (negated[i])
-      for (std::size_t p = 0; p < structural_cols; ++p) r[p] = -r[p];
-    switch (types[i]) {
-      case RowType::kLessEqual:
-        basis_[i] = slack_col++;
-        break;
-      case RowType::kGreaterEqual:
-        r[surplus_pos] = -1.0;
-        nonbasic_[surplus_pos++] = slack_col++;
-        basis_[i] = art_col++;
-        break;
-      case RowType::kEqual:
-        basis_[i] = art_col++;
-        break;
-    }
+    for_each_entry(i, [&](std::size_t id, double coeff) {
+      if (id < structural_cols)
+        r[id] += coeff;
+      else if (ge && id == rf.slack)
+        r[surplus_pos] = coeff;
+    });
+    if (ge) ++surplus_pos;
   }
-  assert(slack_col == first_artificial_);
   assert(surplus_pos == nn_);
-  assert(art_col == total_cols_);
 
   // Phase-2 costs: minimization form of the model objective on structural
   // columns. (Shifts contribute a constant handled at extraction time; we
@@ -437,6 +469,79 @@ void Tableau::drop_artificial_columns() {
   nonbasic_.resize(nn_);
 }
 
+bool Tableau::refactor() {
+  // where[j]: the row column j is basic in (< m_), m_ + its stored position,
+  // or kNone for an artificial that phase 2 dropped.
+  std::vector<std::size_t> where(total_cols_, RowForm::kNone);
+  for (std::size_t i = 0; i < m_; ++i) where[basis_[i]] = i;
+  for (std::size_t p = 0; p < nn_; ++p) where[nonbasic_[p]] = m_ + p;
+
+  // The standard form in the stored orientation: a reflected column
+  // u = range − v enters with its entries negated and moves range × its
+  // entries to the rhs. Every stored column sits at 0, so B x_B = rhs.
+  Matrix basic(m_, m_);
+  Matrix stored(m_, nn_);
+  Vector rhs(m_);
+  for (std::size_t i = 0; i < m_; ++i) {
+    rhs[i] = rows_[i].sign * shifted_rhs(i);
+    for_each_entry(i, [&](std::size_t id, double coeff) {
+      if (reflected_[id]) {
+        rhs[i] -= coeff * range_[id];
+        coeff = -coeff;
+      }
+      const std::size_t w = where[id];
+      if (w < m_)
+        basic(i, w) += coeff;
+      else if (w != RowForm::kNone)
+        stored(i, w - m_) += coeff;
+    });
+  }
+  const LuDecomposition lu(basic);
+  if (!lu.ok()) return false;
+  const Vector values = lu.solve(rhs);
+  for (std::size_t i = 0; i < m_; ++i)
+    if (values[i] < -kFeasTol || values[i] > range_[basis_[i]] + kFeasTol)
+      return false;
+  const Matrix columns = lu.solve(stored);
+
+  for (std::size_t i = 0; i < m_; ++i) {
+    double* r = row(i);
+    if (basis_[i] >= first_artificial_) {
+      // A redundant row, zeroed by drive_out_artificials: it stays zero.
+      std::fill(r, r + nn_, 0.0);
+      rhs_[i] = 0.0;
+      continue;
+    }
+    for (std::size_t p = 0; p < nn_; ++p) r[p] = columns(i, p);
+    rhs_[i] = std::clamp(values[i], 0.0, range_[basis_[i]]);
+  }
+  install_costs(phase2_costs_);
+  return true;
+}
+
+SolveStatus Tableau::accept_optimum(std::vector<double>& x) {
+  x = extract_model_solution();
+  double violation = model_.max_violation(x);
+  if (violation > kRefreshTol && refactor()) {
+    obs::count("lp.simplex.refreshes");
+    const SolveStatus resumed = optimize();
+    if (resumed == SolveStatus::kUnbounded) {
+      x.clear();
+      return resumed;
+    }
+    x = extract_model_solution();
+    if (resumed != SolveStatus::kOptimal) return resumed;
+    violation = model_.max_violation(x);
+  }
+  // An optimal basis is only as good as the point it gives: one that
+  // roundoff has pushed off the model is refused, not returned.
+  if (violation > kFeasTol) {
+    obs::count("lp.simplex.residual_refusals");
+    return SolveStatus::kIterationLimit;
+  }
+  return SolveStatus::kOptimal;
+}
+
 std::vector<double> Tableau::extract_model_solution() const {
   std::vector<double> u(total_cols_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) u[basis_[i]] = rhs_[i];
@@ -487,22 +592,19 @@ Solution Tableau::run() {
 
   // Phase 2.
   install_costs(phase2_costs_);
-  const SolveStatus s2 = optimize();
+  SolveStatus s2 = optimize();
+  if (s2 == SolveStatus::kOptimal) {
+    s2 = accept_optimum(sol.x);
+  } else if (s2 == SolveStatus::kIterationLimit ||
+             s2 == SolveStatus::kTimeLimit) {
+    // Same certificate as phase 1, but the point is primal feasible here.
+    sol.x = extract_model_solution();
+  }
   obs::count("lp.simplex.phase2_iterations", iterations_ - phase1_iters);
   sol.iterations = iterations_;
   sol.status = s2;
   sol.basis = basis_;
-  if (s2 != SolveStatus::kOptimal) {
-    if (s2 == SolveStatus::kIterationLimit || s2 == SolveStatus::kTimeLimit) {
-      // Same certificate as phase 1, but the point is primal feasible here.
-      sol.x = extract_model_solution();
-      sol.objective = model_.objective_value(sol.x);
-    }
-    return sol;
-  }
-
-  sol.x = extract_model_solution();
-  sol.objective = model_.objective_value(sol.x);
+  if (!sol.x.empty()) sol.objective = model_.objective_value(sol.x);
   return sol;
 }
 
@@ -524,34 +626,7 @@ std::string to_string(SolveStatus status) {
   return "unknown";
 }
 
-namespace {
-
-// Estimate of a full tableau's footprint in cells: rows = constraints plus
-// one bound row per doubly-bounded variable; columns = structurals plus up
-// to a slack and an artificial per row. The bounded-variable tableau has
-// neither the bound rows nor the basic columns; the estimate is kept so
-// every model stays on its solver.
-std::size_t estimated_tableau_cells(const Model& model) {
-  std::size_t bound_rows = 0;
-  for (std::size_t j = 0; j < model.num_variables(); ++j) {
-    const Variable& v = model.variable(j);
-    if (std::isfinite(v.lower) && std::isfinite(v.upper)) ++bound_rows;
-  }
-  const std::size_t rows = model.num_constraints() + bound_rows;
-  const std::size_t cols = model.num_variables() + 2 * rows;
-  return rows * cols;
-}
-
-}  // namespace
-
 Solution solve(const Model& model, const SimplexOptions& options) {
-  if (estimated_tableau_cells(model) >= kRevisedCellThreshold) {
-    return solve_revised(model, options);
-  }
-  return solve_tableau(model, options);
-}
-
-Solution solve_tableau(const Model& model, const SimplexOptions& options) {
   obs::ScopedTimer timer("lp.simplex.solve_us");
   obs::ScopedSpan span("lp.simplex.solve");
   Solution sol;
@@ -559,12 +634,6 @@ Solution solve_tableau(const Model& model, const SimplexOptions& options) {
     Tableau tableau(model, options);
     sol = tableau.run();
     obs::count("lp.simplex.bound_flips", tableau.flips());
-    // An optimal basis is only as good as the point it gives: one that
-    // roundoff has pushed off the model is refused, not returned.
-    if (sol.optimal() && model.max_violation(sol.x) > kFeasTol) {
-      obs::count("lp.simplex.residual_refusals");
-      sol.status = SolveStatus::kIterationLimit;
-    }
   } else {
     sol.status = SolveStatus::kInfeasible;
   }

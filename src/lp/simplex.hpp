@@ -22,17 +22,21 @@
 // column id.
 //
 // Degeneracy is handled by switching from Dantzig to Bland's rule after a
-// stall, which guarantees termination. An optimal point that violates the
-// model by more than kFeasTol is refused (kIterationLimit, counted as
-// lp.simplex.residual_refusals) rather than returned as kOptimal.
+// stall, which guarantees termination.
 //
-// lp::solve is the entry point: it runs the tableau here (solve_tableau)
-// until the estimated full tableau would reach kRevisedCellThreshold cells,
-// and the factorized revised simplex (revised_simplex.hpp) from there on.
-// The choice is made from the model's size alone; callers that must pin one
-// solver — differential tests, benchmarks — call solve_tableau or
-// solve_revised directly. Both refuse a model that is not well_formed() with
-// kInfeasible, before building anything from it.
+// The tableau is never refactored while it pivots, so roundoff can move its
+// basic values. An optimal point that violates the model by more than
+// kRefreshTol is therefore refreshed once: the basic values, the stored
+// columns and the reduced costs are recomputed from the model at the final
+// basis (an LU factorization of the basis matrix, counted as
+// lp.simplex.refreshes), and the pivots resume if a reduced cost now prices
+// in. The ℓ1 sparse-recovery models need this; the attack LPs do not. A
+// point that still violates the model by more than kFeasTol is refused
+// (kIterationLimit, counted as lp.simplex.residual_refusals) rather than
+// returned as kOptimal.
+//
+// lp::solve is the one LP solver of the library. It refuses a model that is
+// not well_formed() with kInfeasible, before building anything from it.
 
 #pragma once
 
@@ -49,8 +53,8 @@ enum class SolveStatus {
   kOptimal,
   kInfeasible,
   kUnbounded,
-  // The pivot budget ran out, or (tableau) the post-solve residual check
-  // refused an optimal point. The Solution carries the exit basis and point.
+  // The pivot budget ran out, or the post-solve residual check refused an
+  // optimal point. The Solution carries the exit basis and point.
   kIterationLimit,
   // The ambient robust::ScopedTrialDeadline expired mid-solve. Like
   // kIterationLimit, the Solution carries the exit basis and basic point as
@@ -63,13 +67,6 @@ std::string to_string(SolveStatus status);
 inline std::ostream& operator<<(std::ostream& os, SolveStatus status) {
   return os << to_string(status);
 }
-
-// lp::solve's switchover point, in estimated full-tableau cells: rows
-// including one bound row per doubly-bounded variable × columns including
-// slacks and artificials. The bounded-variable tableau stores far fewer;
-// the size rule is kept as is so every model keeps its solver. Small LPs
-// keep the transparent tableau, large attack LPs get the factorized basis.
-inline constexpr std::size_t kRevisedCellThreshold = std::size_t{1} << 18;
 
 struct Solution {
   SolveStatus status = SolveStatus::kIterationLimit;
@@ -86,12 +83,15 @@ struct Solution {
   bool optimal() const { return status == SolveStatus::kOptimal; }
 };
 
-// Tolerances shared by both solvers. They decide the feasibility verdicts
-// Theorems 1-2 reason about, so they are fixed, not per-solve options.
+// Tolerances. They decide the feasibility verdicts Theorems 1-2 reason
+// about, so they are fixed, not per-solve options.
 inline constexpr double kPivotTol = 1e-9;  // entries below this can't be pivots
 inline constexpr double kCostTol = 1e-7;   // reduced-cost optimality tolerance
 // Phase-1 objective below this ⇒ feasible.
 inline constexpr double kFeasTol = 1e-6;
+// An optimal point that violates the model by more than this is refreshed
+// from the model before it is accepted or refused.
+inline constexpr double kRefreshTol = 1e-9;
 
 // The only per-solve option. Wall time is bounded by the ambient
 // robust::ScopedTrialDeadline alone (kTimeLimit; DESIGN.md §10).
@@ -100,8 +100,5 @@ struct SimplexOptions {
 };
 
 Solution solve(const Model& model, const SimplexOptions& options = {});
-
-// The tableau solver, whatever the model's size.
-Solution solve_tableau(const Model& model, const SimplexOptions& options = {});
 
 }  // namespace scapegoat::lp

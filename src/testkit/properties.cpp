@@ -21,7 +21,6 @@
 #include "linalg/least_squares.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "obs/obs.hpp"
 #include "simnet/multicast_probe.hpp"
@@ -96,42 +95,6 @@ bool prop_lp_simplex_matches_reference(Source& src) {
     src.note("objective mismatch: simplex " + std::to_string(sol.objective) +
              " vs reference " + std::to_string(ref.objective) + " over " +
              std::to_string(ref.vertices_checked) + " vertices");
-    src.note(describe_model(model));
-    return false;
-  }
-  return true;
-}
-
-// ---- lp_revised_simplex_matches_tableau -----------------------------------
-
-bool prop_lp_revised_simplex_matches_tableau(Source& src) {
-  const lp::Model model = gen_lp_model(src);
-  const lp::Solution tab = lp::solve_tableau(model);
-  const lp::Solution rev = lp::solve_revised(model);
-
-  if (tab.status != rev.status) {
-    // Borderline feasibility (the loose and tight vertex oracles disagree)
-    // is indeterminate, not a divergence — the same adjudication the
-    // simplex-vs-reference property uses.
-    const bool loose = solve_lp_by_vertex_enumeration(model, 1e-4).feasible;
-    const bool tight = solve_lp_by_vertex_enumeration(model, 1e-9).feasible;
-    if (loose != tight) return true;
-    src.note("status: tableau " + lp::to_string(tab.status) + " vs revised " +
-             lp::to_string(rev.status));
-    src.note(describe_model(model));
-    return false;
-  }
-  if (tab.status != lp::SolveStatus::kOptimal) return true;
-  if (model.max_violation(rev.x) > 1e-6) {
-    src.note("revised point violates the model by " +
-             std::to_string(model.max_violation(rev.x)));
-    src.note(describe_model(model));
-    return false;
-  }
-  const double tol = 1e-6 * (1.0 + std::abs(tab.objective));
-  if (std::abs(tab.objective - rev.objective) > tol) {
-    src.note("objective mismatch: tableau " + std::to_string(tab.objective) +
-             " vs revised " + std::to_string(rev.objective));
     src.note(describe_model(model));
     return false;
   }
@@ -896,8 +859,6 @@ const std::map<std::string, NamedProperty>& property_registry() {
   static const std::map<std::string, NamedProperty> registry = {
       {"lp_simplex_matches_reference",
        {prop_lp_simplex_matches_reference, 200, 1}},
-      {"lp_revised_simplex_matches_tableau",
-       {prop_lp_revised_simplex_matches_tableau, 200, 1}},
       {"linalg_sparse_matches_dense", {prop_sparse_matches_dense, 200, 1}},
       {"linalg_sparse_row_append_matches_rebuild",
        {prop_sparse_row_append_matches_rebuild, 200, 1}},

@@ -13,7 +13,9 @@
 // solved as a bounded-variable LP through lp::solve: the split
 // x = x_prior + u⁺ − u⁻ with u⁺ ∈ [0, ∞), u⁻ ∈ [0, x_priorⱼ] makes the
 // objective Σ(u⁺ + u⁻) linear and enforces x ⪰ 0 purely through variable
-// boxes — exactly the shape the revised simplex handles without slack rows.
+// boxes — ranges of the bounded-variable tableau, not rows of it. These
+// are the models whose optimum the tableau refreshes from the model when
+// roundoff has moved its basic values (lp/simplex.hpp, kRefreshTol).
 // Unlike least squares this needs no identifiability: with m < n paths the
 // LP still returns the ℓ1-sparsest nonnegative explanation, which is the
 // whole point of the compressive-sensing regime.

@@ -178,7 +178,6 @@ TEST_F(AttackLpTest, OutOfRangeBandIsRefusedWithoutSolving) {
   EXPECT_EQ(consistent.status, lp::SolveStatus::kInfeasible);
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter_value("lp.simplex.solves"), 0u);
-  EXPECT_EQ(snap.counter_value("lp.revised.solves"), 0u);
 }
 
 }  // namespace

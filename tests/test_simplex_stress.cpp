@@ -160,7 +160,7 @@ TEST(SimplexStress, RedundantRowsDoNotConfusePhase1) {
 
 // ---- Pinned tableau output -----------------------------------------------
 //
-// Everything solve_tableau returns — status, pivot count, exit basis and the
+// Everything solve returns — status, pivot count, exit basis and the
 // bits of x and the objective — hashed over a fixed set of models. A change
 // to the tableau's data layout must keep this value: same pivots in the same
 // order give the same bits. Only the sign of a zero is outside the contract
@@ -298,13 +298,13 @@ TEST(SimplexPinned, TableauSolutionsHashToPinnedValue) {
   {
     obs::ScopedInstrumentation inst(registry);
     for (const Model& m : models) {
-      const Solution s = solve_tableau(m);
+      const Solution s = solve(m);
       ++by_status[static_cast<std::size_t>(s.status)];
       mix_solution(hash, s);
       // The pivot-budget certificate: where a starved solve stops.
       SimplexOptions starved;
       starved.max_iterations = 3;
-      mix_solution(hash, solve_tableau(m, starved));
+      mix_solution(hash, solve(m, starved));
     }
   }
   std::uint64_t bland_switches = 0, phase_transitions = 0;
@@ -332,7 +332,7 @@ TEST(SimplexPinned, NoOptimalPointIsRefusedByTheResidualCheck) {
   {
     obs::ScopedInstrumentation inst(registry);
     for (const Model& m : models) {
-      const Solution s = solve_tableau(m);
+      const Solution s = solve(m);
       if (!s.optimal()) continue;
       ++optimal;
       EXPECT_LE(m.max_violation(s.x), kFeasTol);

@@ -13,6 +13,7 @@
 
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
+#include "obs/obs.hpp"
 #include "tomography/estimator.hpp"
 #include "topology/generators.hpp"
 #include "util/random.hpp"
@@ -81,6 +82,20 @@ TEST_F(SparseRecoveryIdentifiable, CleanMeasurementsRecoverThePrior) {
   EXPECT_TRUE(rec->support.empty());
   EXPECT_NEAR(rec->objective, 0.0, 1e-6);
   EXPECT_NEAR(sparse_->residual_statistic(y), 0.0, 1e-6);
+}
+
+TEST_F(SparseRecoveryIdentifiable, CleanMeasurementsRefreshTheTableau) {
+  ASSERT_TRUE(scenario_.has_value());
+  // The ℓ1 LP on clean measurements is the model whose tableau drifts: its
+  // optimal basis is right, but roundoff has moved the basic values, and
+  // the refresh from the model is what brings the objective back to ~0.
+  const Vector y = scenario_->clean_measurements();
+  obs::MetricsRegistry reg;
+  {
+    obs::ScopedInstrumentation scope(reg);
+    ASSERT_TRUE(sparse_->recover(y).ok());
+  }
+  EXPECT_GE(reg.snapshot().counter_value("lp.simplex.refreshes"), 1u);
 }
 
 TEST_F(SparseRecoveryIdentifiable, InfBallAbsorbsSubEpsilonNoise) {

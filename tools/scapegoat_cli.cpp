@@ -84,6 +84,18 @@ int usage(const char* reason) {
   return 2;
 }
 
+// A count flag. A negative value is refused rather than cast: -1 would
+// become SIZE_MAX topologies, trials or shards.
+std::optional<std::size_t> get_count(ArgParser& args, const std::string& flag,
+                                     long fallback) {
+  const long value = args.get_int(flag, fallback);
+  if (value < 0) {
+    std::cerr << "error: --" << flag << " expects a non-negative count\n";
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(value);
+}
+
 struct Setup {
   Scenario scenario;
   std::vector<NodeId> attackers;
@@ -92,8 +104,9 @@ struct Setup {
 std::optional<Setup> build_setup(ArgParser& args) {
   const std::string topo = args.get_string("topology", "fig1");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto redundant =
-      static_cast<std::size_t>(args.get_int("redundant", 8));
+  const std::optional<std::size_t> redundant =
+      get_count(args, "redundant", 8);
+  if (!redundant) return std::nullopt;
   Rng rng(seed);
 
   // Which defender the deployment runs (DESIGN.md §14). --load keeps the
@@ -123,10 +136,10 @@ std::optional<Setup> build_setup(ArgParser& args) {
     default_attackers = fig1_network().attackers;
   } else if (topo == "wireline") {
     scenario = make_scenario(TopologyKind::kWireline, rng, config,
-                             redundant);
+                             *redundant);
   } else if (topo == "wireless") {
     scenario = make_scenario(TopologyKind::kWireless, rng, config,
-                             redundant);
+                             *redundant);
   } else if (topo.rfind("file:", 0) == 0) {
     auto loaded = load_edge_list_file(topo.substr(5));
     if (!loaded) {
@@ -135,7 +148,7 @@ std::optional<Setup> build_setup(ArgParser& args) {
       return std::nullopt;
     }
     scenario = Scenario::from_graph(std::move(loaded->graph), rng,
-                                    config, redundant);
+                                    config, *redundant);
   } else {
     std::cerr << "error: unknown topology '" << topo << "'\n";
     return std::nullopt;
@@ -319,12 +332,16 @@ int cmd_fig(ArgParser& args) {
 // full harness with checksums).
 int cmd_faults(ArgParser& args) {
   FaultSweepOptions opt;
-  opt.topologies = static_cast<std::size_t>(args.get_int("topologies", 1));
-  opt.trials_per_topology =
-      static_cast<std::size_t>(args.get_int("trials", 20));
+  const std::optional<std::size_t> topologies =
+      get_count(args, "topologies", 1);
+  const std::optional<std::size_t> trials = get_count(args, "trials", 20);
+  const std::optional<std::size_t> retries = get_count(args, "retries", 2);
+  if (!topologies || !trials || !retries) return 2;
+  opt.topologies = *topologies;
+  opt.trials_per_topology = *trials;
   args.apply_execution(opt);
   opt.alpha = args.get_double("alpha", 200.0);
-  opt.retry.max_retries = static_cast<std::size_t>(args.get_int("retries", 2));
+  opt.retry.max_retries = *retries;
   apply_resilience_flags(args, opt.resilience);
   if (const std::vector<long> permille = args.get_int_list("rates");
       !permille.empty()) {
@@ -366,8 +383,9 @@ int cmd_faults(ArgParser& args) {
 int cmd_metrics(ArgParser& args, obs::MetricsRegistry& registry) {
   PresenceRatioOptions opt;
   opt.topologies = 1;
-  opt.trials_per_topology =
-      static_cast<std::size_t>(args.get_int("trials", 20));
+  const std::optional<std::size_t> trials = get_count(args, "trials", 20);
+  if (!trials) return 2;
+  opt.trials_per_topology = *trials;
   args.apply_execution(opt);
   apply_resilience_flags(args, opt.resilience);
   run_presence_ratio_experiment(TopologyKind::kWireline, opt);
@@ -395,10 +413,15 @@ int cmd_ablate_defender(ArgParser& args) {
   const std::string topo = args.get_string("topology", "wireline");
   opt.kind =
       topo == "wireless" ? TopologyKind::kWireless : TopologyKind::kWireline;
-  opt.topologies = static_cast<std::size_t>(args.get_int("topologies", 3));
-  opt.trials_per_cell = static_cast<std::size_t>(args.get_int("trials", 12));
-  opt.clean_trials =
-      static_cast<std::size_t>(args.get_int("clean-trials", 8));
+  const std::optional<std::size_t> topologies =
+      get_count(args, "topologies", 3);
+  const std::optional<std::size_t> trials = get_count(args, "trials", 12);
+  const std::optional<std::size_t> clean_trials =
+      get_count(args, "clean-trials", 8);
+  if (!topologies || !trials || !clean_trials) return 2;
+  opt.topologies = *topologies;
+  opt.trials_per_cell = *trials;
+  opt.clean_trials = *clean_trials;
   args.apply_execution(opt);
   apply_resilience_flags(args, opt.resilience);
   opt.alpha = args.get_double("alpha", 200.0);
@@ -515,12 +538,21 @@ int cmd_ablate_loss(ArgParser& args) {
   const std::string topo = args.get_string("topology", "wireline");
   opt.kind =
       topo == "wireless" ? TopologyKind::kWireless : TopologyKind::kWireline;
-  opt.topologies = static_cast<std::size_t>(args.get_int("topologies", 3));
-  opt.trials_per_cell = static_cast<std::size_t>(args.get_int("trials", 8));
-  opt.clean_trials =
-      static_cast<std::size_t>(args.get_int("clean-trials", 8));
-  opt.probes = static_cast<std::size_t>(args.get_int("probes", 4000));
-  opt.receivers = static_cast<std::size_t>(args.get_int("receivers", 5));
+  const std::optional<std::size_t> topologies =
+      get_count(args, "topologies", 3);
+  const std::optional<std::size_t> trials = get_count(args, "trials", 8);
+  const std::optional<std::size_t> clean_trials =
+      get_count(args, "clean-trials", 8);
+  const std::optional<std::size_t> probes = get_count(args, "probes", 4000);
+  const std::optional<std::size_t> receivers =
+      get_count(args, "receivers", 5);
+  if (!topologies || !trials || !clean_trials || !probes || !receivers)
+    return 2;
+  opt.topologies = *topologies;
+  opt.trials_per_cell = *trials;
+  opt.clean_trials = *clean_trials;
+  opt.probes = *probes;
+  opt.receivers = *receivers;
   args.apply_execution(opt);
   apply_resilience_flags(args, opt.resilience);
   opt.mle_alpha = args.get_double("mle-alpha", 0.05);
@@ -611,18 +643,6 @@ int cmd_ablate_loss(ArgParser& args) {
     std::cerr << "loss ablation series written to " << out << '\n';
   }
   return 0;
-}
-
-// A count flag of `serve`. A negative value is refused rather than cast:
-// -1 would become SIZE_MAX topologies or shards.
-std::optional<std::size_t> get_count(ArgParser& args, const std::string& flag,
-                                     long fallback) {
-  const long value = args.get_int(flag, fallback);
-  if (value < 0) {
-    std::cerr << "error: --" << flag << " expects a non-negative count\n";
-    return std::nullopt;
-  }
-  return static_cast<std::size_t>(value);
 }
 
 // Streaming probe-ingest session: the service face of DESIGN.md §13.
