@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "linalg/qr.hpp"
 #include "obs/obs.hpp"
@@ -103,41 +102,6 @@ Vector RidgeSolver::solve(const Vector& b) const {
 
 Vector residual(const Matrix& a, const Vector& x, const Vector& b) {
   return b - a * x;
-}
-
-RankTracker::RankTracker(std::size_t dimension, double tol)
-    : dim_(dimension), tol_(tol) {}
-
-std::pair<Vector, double> RankTracker::orthogonalize(const Vector& row) const {
-  assert(row.size() == dim_);
-  Vector v = row;
-  const double original_norm = v.norm2();
-  // Two MGS passes for numerical robustness (re-orthogonalization).
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const Vector& q : basis_) {
-      const double proj = q.dot(v);
-      if (proj != 0.0) v -= proj * q;
-    }
-  }
-  return {std::move(v), original_norm};
-}
-
-bool RankTracker::is_independent(const Vector& row) const {
-  if (full()) return false;
-  auto [v, norm] = orthogonalize(row);
-  if (norm == 0.0) return false;
-  return v.norm2() > tol_ * norm;
-}
-
-bool RankTracker::add(const Vector& row) {
-  if (full()) return false;
-  auto [v, norm] = orthogonalize(row);
-  if (norm == 0.0) return false;
-  const double vnorm = v.norm2();
-  if (vnorm <= tol_ * norm) return false;
-  v *= 1.0 / vnorm;
-  basis_.push_back(std::move(v));
-  return true;
 }
 
 }  // namespace scapegoat

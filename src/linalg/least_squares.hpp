@@ -1,4 +1,4 @@
-// Least-squares solving and incremental rank tracking.
+// Least-squares solving.
 //
 // `least_squares` solves a dense system by column-pivoted QR; the literal
 // Eq. 2 normal-equations solve is `solve_normal_equations` (cholesky.hpp).
@@ -6,9 +6,8 @@
 // R); tests use it as the reference kernel. `RidgeSolver` is the one Tikhonov
 // kernel: the regularized defender of bench_ablation_regularization and
 // the degraded-path fallback (`ridge_least_squares`) both solve through it.
-// `RankTracker` supports the greedy measurement-path selector: paths are
-// proposed one at a time and accepted only if their {0,1} incidence row
-// increases the rank of the routing matrix.
+// The greedy measurement-path selector decides rank exactly on incidence
+// rows (tomography/path_selection.hpp), not in floating point.
 
 #pragma once
 
@@ -71,32 +70,5 @@ robust::Expected<Vector> ridge_least_squares(const Matrix& a, const Vector& b,
 
 // Residual b − a x.
 Vector residual(const Matrix& a, const Vector& x, const Vector& b);
-
-// Incrementally tracks the rank of a growing set of row vectors using
-// modified Gram-Schmidt. Rows that are (numerically) in the span of the
-// accepted ones are rejected.
-class RankTracker {
- public:
-  explicit RankTracker(std::size_t dimension, double tol = 1e-8);
-
-  std::size_t dimension() const { return dim_; }
-  std::size_t rank() const { return basis_.size(); }
-  bool full() const { return rank() == dim_; }
-
-  // True iff `row` is independent from the accepted rows.
-  bool is_independent(const Vector& row) const;
-
-  // Adds `row` if independent; returns whether it was accepted.
-  bool add(const Vector& row);
-
- private:
-  // Returns the component of `row` orthogonal to the current basis and its
-  // original norm (for the relative independence test).
-  std::pair<Vector, double> orthogonalize(const Vector& row) const;
-
-  std::size_t dim_;
-  double tol_;
-  std::vector<Vector> basis_;  // orthonormal
-};
 
 }  // namespace scapegoat

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "attack/manipulation.hpp"
@@ -49,6 +50,34 @@ ReferenceLpResult solve_lp_by_vertex_enumeration(const lp::Model& model,
 // linalg::CholeskyDecomposition, no linalg::LuDecomposition). Empty result
 // when the local elimination meets a non-positive pivot (rank deficiency).
 std::vector<double> ref_normal_equations(const Matrix& a, const Vector& b);
+
+// Floating-point rank of a growing set of row vectors by two-pass modified
+// Gram–Schmidt: a row whose component orthogonal to the accepted ones is at
+// most `tol` times its norm is rejected as dependent. The reference that
+// the exact incidence-row rank test of path selection is diffed against.
+class RankTracker {
+ public:
+  explicit RankTracker(std::size_t dimension, double tol = 1e-8);
+
+  std::size_t dimension() const { return dim_; }
+  std::size_t rank() const { return basis_.size(); }
+  bool full() const { return rank() == dim_; }
+
+  // True iff `row` is independent from the accepted rows.
+  bool is_independent(const Vector& row) const;
+
+  // Adds `row` if independent; returns whether it was accepted.
+  bool add(const Vector& row);
+
+ private:
+  // The component of `row` orthogonal to the basis and `row`'s own norm,
+  // for the relative independence test.
+  std::pair<Vector, double> orthogonalize(const Vector& row) const;
+
+  std::size_t dim_;
+  double tol_;
+  std::vector<Vector> basis_;  // orthonormal
+};
 
 // Checks the four Moore–Penrose axioms for a candidate pseudo-inverse g of
 // a:  a·g·a = a,  g·a·g = g,  (a·g)ᵀ = a·g,  (g·a)ᵀ = g·a.

@@ -18,6 +18,7 @@
 #include "core/scenario.hpp"
 #include "detect/detector.hpp"
 #include "graph/paths.hpp"
+#include "graph/shortest_path.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -28,6 +29,7 @@
 #include "testkit/oracles.hpp"
 #include "tomography/estimator.hpp"
 #include "tomography/multicast_mle.hpp"
+#include "tomography/path_selection.hpp"
 #include "tomography/sparse_recovery.hpp"
 
 namespace scapegoat::testkit {
@@ -314,7 +316,7 @@ bool prop_rank_detects_deficiency(Source& src) {
   RankTracker tracker(cols);
   for (std::size_t i = 0; i < rows; ++i) tracker.add(a.row(i));
   if (tracker.rank() != rank) {
-    src.note("RankTracker reports " + std::to_string(tracker.rank()) +
+    src.note("MGS RankTracker reports " + std::to_string(tracker.rank()) +
              " for constructed rank " + std::to_string(rank));
     return false;
   }
@@ -599,6 +601,76 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
   return matches_fresh(*est, y, "after append");
 }
 
+// ---- tomography_incidence_rank_matches_mgs --------------------------------
+
+// Path selection decides rank exactly, over GF(2⁶¹ − 1), on a path's link
+// ids. Differential oracle: the floating-point MGS RankTracker, fed the
+// same incidence rows as dense vectors, must make the same accept/reject
+// decision at every step and report the same rank, and the final rank must
+// equal the pivoted-QR rank of every row offered. The rows are paths of a
+// generated connected graph (shortest, waypoint-sampled and random simple
+// ones), with repeats of earlier link sets mixed in.
+bool prop_incidence_rank_matches_mgs(Source& src) {
+  const Graph g = gen_connected_graph(src, 2, 14);
+  const std::size_t links = g.num_links();
+  Rng rng = gen_rng(src);
+  IncidenceRankTracker exact(links);
+  RankTracker mgs(links);
+  std::vector<std::vector<LinkId>> offered;
+  const std::size_t rows = 1 + src.index(2 * links + 4);
+  for (std::size_t k = 0; k < rows; ++k) {
+    std::vector<LinkId> set;
+    if (!offered.empty() && src.maybe(0.15)) {
+      set = offered[src.index(offered.size())];
+    } else {
+      const auto ends = src.distinct_indices(g.num_nodes(), 2);
+      Path p;
+      switch (src.index(3)) {
+        case 0:
+          p = shortest_path(g, ends[0], ends[1]).value_or(Path{});
+          break;
+        case 1:
+          p = sample_waypoint_path(g, ends[0], ends[1],
+                                   kMaxSampledPathLength, rng);
+          break;
+        default:
+          p = sample_simple_path(g, ends[0], ends[1], 8, rng);
+          break;
+      }
+      set = std::move(p.links);
+      std::sort(set.begin(), set.end());
+    }
+    Vector row(links);
+    for (LinkId l : set) row[l] = 1.0;
+    const bool exact_free = exact.is_independent(set);
+    const bool mgs_free = mgs.is_independent(row);
+    const bool exact_added = exact.add(set);
+    const bool mgs_added = mgs.add(row);
+    if (exact_free != mgs_free || exact_added != mgs_added ||
+        exact_added != exact_free || exact.rank() != mgs.rank()) {
+      std::ostringstream os;
+      os << "row " << k << " of " << links << " links {";
+      for (LinkId l : set) os << ' ' << l;
+      os << " }: exact independent/added " << exact_free << '/'
+         << exact_added << " rank " << exact.rank() << ", MGS "
+         << mgs_free << '/' << mgs_added << " rank " << mgs.rank();
+      src.note(os.str());
+      return false;
+    }
+    offered.push_back(std::move(set));
+  }
+  Matrix all(offered.size(), links);
+  for (std::size_t i = 0; i < offered.size(); ++i)
+    for (LinkId l : offered[i]) all(i, l) = 1.0;
+  if (matrix_rank(all) != exact.rank()) {
+    src.note("exact rank " + std::to_string(exact.rank()) +
+             " but pivoted QR finds " + std::to_string(matrix_rank(all)) +
+             " over " + std::to_string(offered.size()) + " rows");
+    return false;
+  }
+  return true;
+}
+
 // ---- tomography_sparse_matches_least_squares ------------------------------
 
 // Differential oracle for the sparse-recovery family on identifiable
@@ -876,6 +948,8 @@ const std::map<std::string, NamedProperty>& property_registry() {
        {prop_detector_residual_matches_eq23, 60, 4}},
       {"tomography_cached_factorization_matches_fresh_qr",
        {prop_cached_factorization_matches_fresh_qr, 60, 4}},
+      {"tomography_incidence_rank_matches_mgs",
+       {prop_incidence_rank_matches_mgs, 200, 1}},
       {"tomography_sparse_matches_least_squares",
        {prop_sparse_recovery_matches_least_squares, 60, 4}},
       {"tomography_mle_matches_closed_form",

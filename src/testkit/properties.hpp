@@ -26,6 +26,10 @@
 //                                      fresh least_squares / pseudo_inverse
 //                                      of R, bitwise, before and after path
 //                                      appends; construction factors once
+//   tomography_incidence_rank_matches_mgs  path selection's exact rank test
+//                                      on incidence rows vs floating-point
+//                                      MGS, decision by decision, on paths
+//                                      of generated graphs
 //   tomography_sparse_matches_least_squares  equality-mode ℓ1 recovery vs
 //                                      least squares on identifiable systems
 //                                      with a planted k-sparse anomaly (the

@@ -1,15 +1,15 @@
 #include "tomography/monitor_placement.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace scapegoat {
 
 MonitorPlacementResult place_monitors(const Graph& g,
                                       const MonitorPlacementOptions& opt,
                                       Rng& rng) {
-  assert(g.num_nodes() >= 2 && g.num_links() >= 1);
   MonitorPlacementResult result;
+  // No path without two nodes, and nothing to identify without a link.
+  if (g.num_nodes() < 2 || g.num_links() == 0) return result;
 
   std::vector<bool> is_monitor(g.num_nodes(), false);
   // Structural necessity: interior nodes of degree ≤ 2 must be monitors. A

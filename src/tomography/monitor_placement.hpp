@@ -36,7 +36,8 @@ struct MonitorPlacementResult {
 };
 
 // Places monitors and selects measurement paths until the link metrics are
-// identifiable. Requires a connected graph with ≥ 2 nodes and ≥ 1 link.
+// identifiable. Requires a connected graph; one with fewer than 2 nodes or
+// no link comes back not identifiable, with no monitors and no paths.
 MonitorPlacementResult place_monitors(const Graph& g,
                                       const MonitorPlacementOptions& opt,
                                       Rng& rng);

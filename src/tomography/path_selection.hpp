@@ -14,21 +14,62 @@
 // `IncrementalPathSelector` keeps the accepted paths and the rank basis
 // alive across monitor-set changes, so the monitor-growth loop never pays
 // for re-discovering rank it already has; `select_paths` is the one-shot
-// convenience wrapper.
+// convenience wrapper. Rank is decided exactly on the incidence rows by
+// `IncidenceRankTracker`, which works on a path's link ids and never forms
+// a dense row.
 
 #pragma once
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "linalg/least_squares.hpp"
 #include "util/random.hpp"
 
 namespace scapegoat {
 
 // Hop cap on waypoint-sampled paths (here and in secure_placement).
 inline constexpr std::size_t kMaxSampledPathLength = 12;
+
+// Exact rank of a growing set of {0,1} incidence rows, each given by the
+// link ids it crosses. The accepted rows are kept in reduced row-echelon
+// form over GF(p), p = 2⁶¹ − 1: each has a pivot column (a link) where it
+// is 1 and every other accepted row is 0. A candidate subtracts the pivot
+// rows of its own pivot links and is then independent iff something is
+// left on the free (non-pivot) columns, so a test costs
+// O(|links| · (|L| − rank)) additions and never forms a dense row.
+//
+// Exactness: a row dependent over ℚ is dependent mod p, so the tracker
+// never accepts a row that does not raise the rank of R. The converse can
+// fail only if p divides a nonzero minor of the 0/1 matrix of accepted rows
+// plus the candidate; the tracker then rejects an independent row (a rank
+// it reports is never too high).
+class IncidenceRankTracker {
+ public:
+  explicit IncidenceRankTracker(std::size_t num_links);
+
+  std::size_t dimension() const { return dim_; }
+  std::size_t rank() const { return rank_; }
+  bool full() const { return rank_ == dim_; }
+
+  // `links` is strictly increasing and every id is < dimension() (a
+  // path's sorted link set). True iff its incidence row is independent of
+  // the accepted rows; an empty set never is.
+  bool is_independent(const std::vector<LinkId>& links) const;
+
+  // Accepts the row if it is independent; returns whether it was.
+  bool add(const std::vector<LinkId>& links);
+
+ private:
+  std::size_t dim_;
+  std::size_t rank_ = 0;
+  std::vector<std::uint64_t> rows_;       // rank_ × dim_, row-major
+  std::vector<std::size_t> pivot_row_;    // by link; kFree if not a pivot
+  std::vector<LinkId> free_;              // non-pivot links, ascending
+  // The last candidate's reduced row, by link, valid on free_ only.
+  mutable std::vector<std::uint64_t> residual_;
+};
 
 struct PathSelectionOptions {
   std::size_t redundant_paths = 0;     // extra paths beyond rank |L|
@@ -62,7 +103,7 @@ class IncrementalPathSelector {
 
   const Graph& g_;
   PathSelectionOptions opt_;
-  RankTracker tracker_;
+  IncidenceRankTracker tracker_;
   std::vector<Path> paths_;
   std::set<std::vector<LinkId>> seen_;           // dedup on sorted link sets
   std::set<std::pair<NodeId, NodeId>> bfs_done_; // pairs already pass-1'd

@@ -61,7 +61,7 @@ PathSelectionResult secure_select_paths(const Graph& g,
   assert(monitors.size() >= 2);
   constexpr std::size_t kCandidatesPerStep = 8;  // draws compared per step
   PathSelectionResult result;
-  RankTracker tracker(g.num_links());
+  IncidenceRankTracker tracker(g.num_links());
   Exposure exposure(g.num_nodes());
   std::set<std::vector<LinkId>> seen;
 
@@ -71,13 +71,10 @@ PathSelectionResult secure_select_paths(const Graph& g,
     return key;
   };
   auto accept = [&](Path p) {
-    tracker.add(Vector{[&] {
-      std::vector<double> row(g.num_links(), 0.0);
-      for (LinkId l : p.links) row[l] = 1.0;
-      return row;
-    }()});
+    std::vector<LinkId> key = key_of(p);
+    tracker.add(key);
     exposure.add(p);
-    seen.insert(key_of(p));
+    seen.insert(std::move(key));
     result.paths.push_back(std::move(p));
   };
 
@@ -103,13 +100,12 @@ PathSelectionResult secure_select_paths(const Graph& g,
                    ? shortest_path(g, s, t).value_or(Path{})
                    : sample_waypoint_path(g, s, t, kMaxSampledPathLength,
                                           rng);
-      if (p.empty() || seen.contains(key_of(p))) {
+      if (p.empty()) {
         ++stall;
         continue;
       }
-      std::vector<double> row(g.num_links(), 0.0);
-      for (LinkId l : p.links) row[l] = 1.0;
-      if (!tracker.is_independent(Vector{std::move(row)})) {
+      const std::vector<LinkId> key = key_of(p);
+      if (seen.contains(key) || !tracker.is_independent(key)) {
         ++stall;
         continue;
       }

@@ -70,7 +70,8 @@ std::optional<LoadedTopology> load_edge_list(std::istream& in) {
     const NodeId nv = ids.get(v);
     topo.graph.add_link(nu, nv);
   }
-  if (topo.graph.num_nodes() == 0) return std::nullopt;
+  // Only self-loops (or nothing) parsed: no link to measure.
+  if (topo.graph.num_links() == 0) return std::nullopt;
   return topo;
 }
 

@@ -33,7 +33,8 @@ struct LoadedTopology {
 };
 
 // Parses an edge list. Malformed lines are skipped with a diagnostic;
-// returns nullopt only when nothing usable was found in the stream.
+// returns nullopt only when the stream yields no link (self-loops "u u"
+// are dropped, so a list of them alone is refused too).
 std::optional<LoadedTopology> load_edge_list(std::istream& in);
 
 // Parses the Rocketfuel .cch router-level format. Unknown tokens are

@@ -1,5 +1,4 @@
-// Tests for the least-squares entry point, the Tikhonov RidgeSolver and the
-// incremental RankTracker.
+// Tests for the least-squares entry point and the Tikhonov RidgeSolver.
 
 #include "linalg/least_squares.hpp"
 
@@ -126,58 +125,6 @@ TEST_F(RegularizedTest, HonestBiasGrowsWithLambda) {
     EXPECT_GE(err + 1e-9, prev_err);  // bias is monotone in λ
     prev_err = err;
   }
-}
-
-TEST(RankTracker, AcceptsOnlyIndependentRows) {
-  RankTracker t(3);
-  EXPECT_TRUE(t.add(Vector{1.0, 0.0, 0.0}));
-  EXPECT_TRUE(t.add(Vector{1.0, 1.0, 0.0}));
-  EXPECT_FALSE(t.add(Vector{2.0, 1.0, 0.0}));  // in the span
-  EXPECT_EQ(t.rank(), 2u);
-  EXPECT_FALSE(t.full());
-  EXPECT_TRUE(t.add(Vector{0.0, 0.0, 5.0}));
-  EXPECT_TRUE(t.full());
-  // Once full, nothing is independent.
-  EXPECT_FALSE(t.add(Vector{1.0, 2.0, 3.0}));
-}
-
-TEST(RankTracker, RejectsZeroRow) {
-  RankTracker t(4);
-  EXPECT_FALSE(t.add(Vector(4, 0.0)));
-  EXPECT_EQ(t.rank(), 0u);
-}
-
-TEST(RankTracker, IsIndependentDoesNotMutate) {
-  RankTracker t(2);
-  EXPECT_TRUE(t.is_independent(Vector{1.0, 0.0}));
-  EXPECT_EQ(t.rank(), 0u);
-  t.add(Vector{1.0, 0.0});
-  EXPECT_FALSE(t.is_independent(Vector{2.0, 0.0}));
-  EXPECT_TRUE(t.is_independent(Vector{0.0, 1.0}));
-}
-
-TEST(RankTracker, NumericallyNearDependentRowRejected) {
-  RankTracker t(2, 1e-6);
-  t.add(Vector{1.0, 0.0});
-  // Angle ~1e-9 off the span: should be treated as dependent.
-  EXPECT_FALSE(t.add(Vector{1.0, 1e-9}));
-  // A clearly independent direction is accepted.
-  EXPECT_TRUE(t.add(Vector{1.0, 0.5}));
-}
-
-TEST(RankTracker, MatchesQrRankOnRandomRows) {
-  Rng rng(33);
-  const std::size_t dim = 8;
-  Matrix rows(20, dim);
-  RankTracker t(dim);
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    Vector row(dim);
-    // Low-entropy rows: entries in {0, 1} give frequent dependencies.
-    for (std::size_t c = 0; c < dim; ++c) row[c] = rng.bernoulli(0.4) ? 1 : 0;
-    rows.set_row(r, row);
-    t.add(row);
-  }
-  EXPECT_EQ(t.rank(), matrix_rank(rows));
 }
 
 }  // namespace

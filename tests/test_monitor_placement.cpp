@@ -36,6 +36,21 @@ TEST(MonitorPlacement, CompleteGraph) {
   expect_identifiable_placement(complete(8), 1);
 }
 
+TEST(MonitorPlacement, SingleNodeGraphIsNotIdentifiable) {
+  // No link to identify (a self-loop-only edge list once loaded as this):
+  // placement returns not identifiable instead of looping on redundant
+  // draws between one monitor and itself.
+  MonitorPlacementOptions opt;
+  opt.path_options.redundant_paths = 4;
+  for (std::size_t nodes : {1, 2}) {
+    Rng rng(9);
+    const MonitorPlacementResult res = place_monitors(Graph(nodes), opt, rng);
+    EXPECT_FALSE(res.identifiable) << nodes << " nodes";
+    EXPECT_TRUE(res.paths.empty());
+    EXPECT_EQ(res.rank, 0u);
+  }
+}
+
 TEST(MonitorPlacement, Grid) { expect_identifiable_placement(grid(4, 4), 2); }
 
 TEST(MonitorPlacement, Ring) { expect_identifiable_placement(ring(8), 3); }

@@ -1,9 +1,10 @@
 // Differential property suite for the estimator family: the least-squares
 // estimator's kept factorization vs fresh QR solves, equality-mode
 // sparse recovery vs least squares on identifiable systems, the multicast
-// MLE vs its textbook/brute-force oracles (the registry properties the
-// tests/corpus seeds replay), plus hand-computed instances keeping the LP
-// encoding and the oracles themselves honest.
+// MLE vs its textbook/brute-force oracles, path selection's exact rank test
+// vs the MGS RankTracker (the registry properties the tests/corpus seeds
+// replay), plus hand-computed instances keeping the LP encoding and the
+// oracles themselves honest.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +12,11 @@
 
 #include "prop_gtest.hpp"
 #include "graph/graph.hpp"
+#include "linalg/qr.hpp"
 #include "testkit/oracles.hpp"
 #include "tomography/multicast_mle.hpp"
 #include "tomography/sparse_recovery.hpp"
+#include "util/random.hpp"
 
 namespace scapegoat {
 namespace {
@@ -22,12 +25,69 @@ TEST(PropTomography, CachedFactorizationMatchesFreshQr) {
   SCAPEGOAT_RUN_PROPERTY("tomography_cached_factorization_matches_fresh_qr");
 }
 
+TEST(PropTomography, IncidenceRankMatchesMgs) {
+  SCAPEGOAT_RUN_PROPERTY("tomography_incidence_rank_matches_mgs");
+}
+
 TEST(PropTomography, SparseRecoveryMatchesLeastSquares) {
   SCAPEGOAT_RUN_PROPERTY("tomography_sparse_matches_least_squares");
 }
 
 TEST(PropTomography, MulticastMleMatchesClosedForm) {
   SCAPEGOAT_RUN_PROPERTY("tomography_mle_matches_closed_form");
+}
+
+// The MGS reference itself, on rows whose rank is known.
+TEST(RankTracker, AcceptsOnlyIndependentRows) {
+  testkit::RankTracker t(3);
+  EXPECT_TRUE(t.add(Vector{1.0, 0.0, 0.0}));
+  EXPECT_TRUE(t.add(Vector{1.0, 1.0, 0.0}));
+  EXPECT_FALSE(t.add(Vector{2.0, 1.0, 0.0}));  // in the span
+  EXPECT_EQ(t.rank(), 2u);
+  EXPECT_FALSE(t.full());
+  EXPECT_TRUE(t.add(Vector{0.0, 0.0, 5.0}));
+  EXPECT_TRUE(t.full());
+  // Once full, nothing is independent.
+  EXPECT_FALSE(t.add(Vector{1.0, 2.0, 3.0}));
+}
+
+TEST(RankTracker, RejectsZeroRow) {
+  testkit::RankTracker t(4);
+  EXPECT_FALSE(t.add(Vector(4, 0.0)));
+  EXPECT_EQ(t.rank(), 0u);
+}
+
+TEST(RankTracker, IsIndependentDoesNotMutate) {
+  testkit::RankTracker t(2);
+  EXPECT_TRUE(t.is_independent(Vector{1.0, 0.0}));
+  EXPECT_EQ(t.rank(), 0u);
+  t.add(Vector{1.0, 0.0});
+  EXPECT_FALSE(t.is_independent(Vector{2.0, 0.0}));
+  EXPECT_TRUE(t.is_independent(Vector{0.0, 1.0}));
+}
+
+TEST(RankTracker, NumericallyNearDependentRowRejected) {
+  testkit::RankTracker t(2, 1e-6);
+  t.add(Vector{1.0, 0.0});
+  // Angle ~1e-9 off the span: should be treated as dependent.
+  EXPECT_FALSE(t.add(Vector{1.0, 1e-9}));
+  // A clearly independent direction is accepted.
+  EXPECT_TRUE(t.add(Vector{1.0, 0.5}));
+}
+
+TEST(RankTracker, MatchesQrRankOnRandomRows) {
+  Rng rng(33);
+  const std::size_t dim = 8;
+  Matrix rows(20, dim);
+  testkit::RankTracker t(dim);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    Vector row(dim);
+    // Low-entropy rows: entries in {0, 1} give frequent dependencies.
+    for (std::size_t c = 0; c < dim; ++c) row[c] = rng.bernoulli(0.4) ? 1 : 0;
+    rows.set_row(r, row);
+    t.add(row);
+  }
+  EXPECT_EQ(t.rank(), matrix_rank(rows));
 }
 
 TEST(MulticastMleOracle, TwoLeafClosedFormByHand) {

@@ -39,6 +39,18 @@ TEST(EdgeList, RejectsMalformedLines) {
   EXPECT_FALSE(load_edge_list(empty).has_value());
 }
 
+TEST(EdgeList, RejectsListWithNoLinks) {
+  // Self-loops are dropped, so "0 0" alone names a node but no link.
+  std::istringstream loop("0 0\n");
+  EXPECT_FALSE(load_edge_list(loop).has_value());
+  std::istringstream loops("3 3\n# comment\n4 4\n");
+  EXPECT_FALSE(load_edge_list(loops).has_value());
+  std::istringstream one("0 0\n0 1\n");
+  const auto topo = load_edge_list(one);
+  ASSERT_TRUE(topo.has_value());
+  EXPECT_EQ(topo->graph.num_links(), 1u);
+}
+
 TEST(RocketfuelCch, ParsesRouterLines) {
   // Shape of real .cch lines: uid @loc [bb] (n) -> <nuid> ... =name rn
   std::istringstream in(
