@@ -28,6 +28,16 @@ robust::Status ProbeIngestService::start() {
                          std::to_string(opt_.shards) + " shards (at most " +
                              std::to_string(kMaxShards) + ")"};
   }
+  // An empty window has no mean to threshold (Eq. 23 could never fire) and
+  // no residuals to journal; a queue of capacity 0 admits nothing.
+  if (opt_.window == 0) {
+    return robust::Error{robust::ErrorCode::kInvalidInput,
+                         "a detection window of 0 batches"};
+  }
+  if (opt_.queue_capacity == 0) {
+    return robust::Error{robust::ErrorCode::kInvalidInput,
+                         "a queue capacity of 0 batches"};
+  }
 
   IngestQueueOptions qopt;
   qopt.capacity = opt_.queue_capacity;

@@ -84,8 +84,8 @@ class ProbeIngestService {
   ProbeIngestService& operator=(const ProbeIngestService&) = delete;
 
   // Starts shards and the supervisor thread. kInvalidInput for more than
-  // kMaxShards shards (nothing is allocated); kIoError if a journal cannot
-  // be opened.
+  // kMaxShards shards, a window of 0 or a queue capacity of 0 (nothing is
+  // allocated); kIoError if a journal cannot be opened.
   robust::Status start();
 
   // Thread-safe admission; see the header comment for the pinned-shed

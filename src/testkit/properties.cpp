@@ -498,8 +498,10 @@ bool prop_detector_residual_matches_eq23(Source& src) {
 // keeps, rather than factoring per call. Differential oracle: every answer
 // must be bitwise equal to the stateless kernels that factor R afresh —
 // least_squares(R, y) for estimate/try_estimate/residual and
-// pseudo_inverse(R) for G — on the constructed path set and again after
-// try_append_path (against an estimator built on the grown path set).
+// pseudo_inverse(R) for G — on the constructed path set and its clone, and
+// again (estimates only) after try_append_path, against fresh QR and an
+// estimator built on the grown path set. G after an append is an update,
+// not a re-form: tomography_row_append_update_matches_fresh_qr covers it.
 // Under an installed registry, repeated calls and clone() must factor 0
 // more times than construction did.
 bool prop_cached_factorization_matches_fresh_qr(Source& src) {
@@ -511,7 +513,7 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
   // Compares one estimator's answers on y against fresh factorizations of
   // its current R.
   auto matches_fresh = [&](const Estimator& est, const Vector& y,
-                           const std::string& when) {
+                           const std::string& when, bool check_g) {
     const Matrix r = est.sparse_r().to_dense();
     const auto fresh_x = least_squares(r, y);
     if (!fresh_x.has_value()) {
@@ -526,7 +528,8 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
       differs = "try_estimate";
     } else if (!same_bits(est.residual(y), residual(r, *fresh_x, y))) {
       differs = "residual";
-    } else if (!same_bits(est.pseudo_inverse(), pseudo_inverse(r))) {
+    } else if (check_g &&
+               !same_bits(est.pseudo_inverse(), pseudo_inverse(r))) {
       differs = "pseudo_inverse";
     }
     if (differs == nullptr) return true;
@@ -567,8 +570,8 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
              " more");
     return false;
   }
-  if (!matches_fresh(*est, y, "constructed") ||
-      !matches_fresh(*copy, y, "clone")) {
+  if (!matches_fresh(*est, y, "constructed", true) ||
+      !matches_fresh(*copy, y, "clone", true)) {
     return false;
   }
 
@@ -589,16 +592,116 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
     paths.push_back(std::move(extra));
   }
   y = gen_vector(src, paths.size());
-  // pseudo_inverse() first: the order a service shard calls in.
   const TomographyEstimator rebuilt(g, paths);
-  if (!same_bits(est->pseudo_inverse(), rebuilt.pseudo_inverse()) ||
-      !same_bits(est->estimate(y), rebuilt.estimate(y))) {
+  if (!same_bits(est->estimate(y), rebuilt.estimate(y))) {
     src.note("after " + std::to_string(appends) +
-             " appends: not bitwise equal to an estimator built on the grown "
-             "path set");
+             " appends: estimate not bitwise equal to an estimator built on "
+             "the grown path set");
     return false;
   }
-  return matches_fresh(*est, y, "after append");
+  return matches_fresh(*est, y, "after append", false);
+}
+
+// ---- tomography_row_append_update_matches_fresh_qr ------------------------
+
+// try_append_path carries G = R⁺ along by Greville's row-append update
+// instead of re-forming it. Differential oracle, after 1–16 appends of
+// repeated and freshly sampled paths:
+//   * G is within kRowAppendTol · appends · max|G₀| of pseudo_inverse(R)
+//     of the grown R (a fresh QR), entry by entry, where G₀ is the
+//     constructed estimator's G;
+//   * G·R = I to the same tolerance;
+//   * G is bitwise the same whether or not G was cached before the
+//     appends and whether or not reads were interleaved between them (the
+//     determinism a restarted service shard relies on);
+//   * appends on a cached G factor nothing and re-form nothing.
+// The tolerance is roundoff-level: the update is exact in exact arithmetic.
+constexpr double kRowAppendTol = 1e-12;
+
+bool prop_row_append_update_matches_fresh_qr(Source& src) {
+  auto sc = gen_er_scenario(src, 10 + src.index(8), 0.3);
+  if (!sc.has_value()) return true;  // unidentifiable draw: vacuous
+  const Graph& g = sc->graph();
+  const std::vector<Path>& base = sc->estimator().paths();
+
+  Rng rng = gen_rng(src);
+  const std::size_t appends = 1 + src.index(16);
+  std::vector<Path> extra;
+  for (std::size_t k = 0; k < appends; ++k) {
+    Path p = base[src.index(base.size())];
+    if (src.maybe(0.5)) {
+      const auto ends = src.distinct_indices(g.num_nodes(), 2);
+      Path sampled = sample_simple_path(g, ends[0], ends[1], 8, rng);
+      if (!sampled.empty()) p = std::move(sampled);
+    }
+    extra.push_back(std::move(p));
+  }
+  const bool interleave = src.maybe(0.5);
+
+  // `warm`: G cached before the first append, reads (maybe) between
+  // appends. `cold`: a clone of the constructed estimator with no G cached
+  // and no reads, as a restarted shard appends.
+  TomographyEstimator warm(g, base);
+  if (!warm.ok()) {
+    src.note("estimator refused the scenario's identifiable path set");
+    return false;
+  }
+  const std::unique_ptr<Estimator> cold = warm.clone();
+  const double tol = kRowAppendTol * static_cast<double>(appends) *
+                     std::max(1.0, warm.pseudo_inverse().max_abs());
+
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedInstrumentation scope(registry);
+    for (const Path& p : extra) {
+      if (!warm.try_append_path(p).ok()) {
+        src.note("try_append_path refused a simple path of the graph");
+        return false;
+      }
+      if (interleave) {
+        (void)warm.pseudo_inverse();
+        (void)warm.streaming_estimate(Vector(warm.num_paths(), 1.0));
+      }
+    }
+  }
+  const obs::MetricsSnapshot counted = registry.snapshot();
+  const std::uint64_t refactored =
+      counted.counter_value("linalg.qr.factorizations") +
+      counted.counter_value("linalg.pinv.computes");
+  if (refactored != 0 ||
+      counted.counter_value("tomography.pinv.row_updates") != appends) {
+    src.note(std::to_string(appends) + " appends on a cached G factored or " +
+             "re-formed " + std::to_string(refactored) + " times");
+    return false;
+  }
+  for (const Path& p : extra) {
+    if (!cold->try_append_path(p).ok()) {
+      src.note("try_append_path refused a path on the clone");
+      return false;
+    }
+  }
+
+  const Matrix& updated = warm.pseudo_inverse();
+  if (!same_bits(updated, cold->pseudo_inverse())) {
+    src.note(std::string("G after ") + std::to_string(appends) +
+             " appends depends on whether G was cached" +
+             (interleave ? " and on interleaved reads" : ""));
+    return false;
+  }
+  const Matrix r = warm.sparse_r().to_dense();
+  const Matrix fresh = pseudo_inverse(r);
+  const Matrix identity_gap = updated * r - Matrix::identity(r.cols());
+  const double g_gap = (updated - fresh).max_abs();
+  const double i_gap = identity_gap.max_abs();
+  if (g_gap > tol || i_gap > tol) {
+    std::ostringstream os;
+    os << "after " << appends << " appends on a " << r.rows() << "x"
+       << r.cols() << " system: max|G - pinv(R)| = " << g_gap
+       << ", max|G R - I| = " << i_gap << ", tol " << tol;
+    src.note(os.str());
+    return false;
+  }
+  return true;
 }
 
 // ---- tomography_incidence_rank_matches_mgs --------------------------------
@@ -950,6 +1053,8 @@ const std::map<std::string, NamedProperty>& property_registry() {
        {prop_cached_factorization_matches_fresh_qr, 60, 4}},
       {"tomography_incidence_rank_matches_mgs",
        {prop_incidence_rank_matches_mgs, 200, 1}},
+      {"tomography_row_append_update_matches_fresh_qr",
+       {prop_row_append_update_matches_fresh_qr, 60, 4}},
       {"tomography_sparse_matches_least_squares",
        {prop_sparse_recovery_matches_least_squares, 60, 4}},
       {"tomography_mle_matches_closed_form",

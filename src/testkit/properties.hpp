@@ -24,8 +24,14 @@
 //   tomography_cached_factorization_matches_fresh_qr  the least-squares
 //                                      estimator's kept QR factorization vs
 //                                      fresh least_squares / pseudo_inverse
-//                                      of R, bitwise, before and after path
-//                                      appends; construction factors once
+//                                      of R, bitwise (G before path appends
+//                                      only); construction factors once
+//   tomography_row_append_update_matches_fresh_qr  G = R⁺ carried along
+//                                      path appends by the row-append update
+//                                      vs a fresh pseudo_inverse of the
+//                                      grown R, within a stated tolerance;
+//                                      bitwise independent of caching and
+//                                      interleaved reads
 //   tomography_incidence_rank_matches_mgs  path selection's exact rank test
 //                                      on incidence rows vs floating-point
 //                                      MGS, decision by decision, on paths

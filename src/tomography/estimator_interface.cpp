@@ -3,6 +3,7 @@
 #include <cassert>
 #include <ostream>
 
+#include "obs/obs.hpp"
 #include "tomography/estimator.hpp"
 #include "tomography/multicast_mle.hpp"
 #include "tomography/routing_matrix.hpp"
@@ -41,16 +42,50 @@ Estimator::Estimator(const Graph& g, std::vector<Path> paths)
   ok_ = qr_->rank() == r_.cols();  // full column rank: identifiable
 }
 
+namespace {
+
+// Greville's row-append update of G = R⁺ for a full-column-rank R gaining
+// the 0/1 incidence row aᵀ of `links`, in O(mn) instead of a fresh O(mn²)
+// QR: with w = Gᵀa and u = G·w = (RᵀR)⁻¹a, s = 1 + aᵀu ≥ 1 and
+// G_new = [G − (u/s)·wᵀ | u/s].
+Matrix append_row_to_pseudo_inverse(const Matrix& g,
+                                    const std::vector<std::size_t>& links) {
+  const std::size_t n = g.rows(), m = g.cols();
+  std::vector<double> w(m, 0.0);
+  for (const std::size_t l : links)
+    for (std::size_t j = 0; j < m; ++j) w[j] += g(l, j);
+  std::vector<double> u(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < m; ++j) u[i] += g(i, j) * w[j];
+  double s = 1.0;
+  for (const std::size_t l : links) s += u[l];
+  Matrix grown(n, m + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double c = u[i] / s;
+    for (std::size_t j = 0; j < m; ++j) grown(i, j) = g(i, j) - c * w[j];
+    grown(i, m) = c;
+  }
+  return grown;
+}
+
+}  // namespace
+
 robust::Status Estimator::try_append_path(const Path& path) {
   std::vector<std::size_t> cols(path.links.begin(), path.links.end());
   std::vector<double> ones(cols.size(), 1.0);
+  // G of the current R first (from the kept QR if nothing cached it yet),
+  // so G after k appends depends only on the path set and append order.
+  if (ok_) (void)pseudo_inverse();
   if (robust::Status st = r_.try_append_row(cols, ones); !st.ok()) {
     return st;
   }
   paths_.push_back(path);
-  // R changed shape: both caches are recomputed on next use.
+  if (ok_) {
+    pinv_ = append_row_to_pseudo_inverse(*pinv_, cols);
+    obs::count("tomography.pinv.row_updates");
+  }
+  // The kept QR no longer matches R; the next estimate re-factors.
   qr_.reset();
-  pinv_.reset();
   return robust::ok_status();
 }
 
@@ -64,10 +99,7 @@ const QrDecomposition& Estimator::factorization() const {
 
 const Matrix& Estimator::pseudo_inverse() const {
   assert(ok_);
-  if (!pinv_) {
-    pinv_ = qr_ ? scapegoat::pseudo_inverse(*qr_)
-                : scapegoat::pseudo_inverse(r_.to_dense());
-  }
+  if (!pinv_) pinv_ = scapegoat::pseudo_inverse(factorization());
   return *pinv_;
 }
 

@@ -17,7 +17,8 @@
 // than of the solve strategy: the routing matrix (stored once, in CSR form),
 // the column-pivoted QR factorization of R,
 // identifiability (read off that factorization's rank), the lazily-cached
-// pseudo-inverse and the incremental path append. R is factored once, at
+// pseudo-inverse and the incremental path append, which updates that
+// pseudo-inverse in place of re-forming it. R is factored once, at
 // construction, from a dense copy that lives only for that factorization:
 // least-squares estimates and G = R⁺ reuse that one factorization, and
 // clones share it rather than copy it. Virtuals cover the solve itself plus
@@ -109,25 +110,30 @@ class Estimator {
   // Absorbs one more measurement path as a new row of R — the streaming
   // shape, where monitors announce additional (possibly repeated, i.e.
   // redundancy-adding) probe routes mid-run. R grows via the incremental
-  // SparseMatrix::try_append_row (no from-scratch triplet rebuild), and the
-  // kept factorization and cached pseudo-inverse are dropped. The next
-  // pseudo_inverse() factors the grown R into a temporary it does not keep
-  // (a service shard then holds only G); the next least-squares estimate()
-  // re-factors and keeps the result. A row append can never lose column
-  // rank, so ok() is preserved. kInvalidInput when the path's links don't
-  // fit R's width or repeat a link.
+  // SparseMatrix::try_append_row (no rebuild from triplets). On an
+  // ok() estimator G = R⁺ follows R by Greville's row-append update in
+  // O(mn): G of the current R is formed first from the kept QR if nothing
+  // cached it yet, so G after k appends is a pure function of the
+  // constructed path set and the append order, whatever reads came between.
+  // The kept QR is dropped; the next least-squares estimate() re-factors
+  // the grown R and keeps the result, so estimates stay bitwise equal to a
+  // fresh QR while G agrees with one to roundoff. A row append can never
+  // lose column rank, so ok() is preserved. kInvalidInput when the path's
+  // links don't fit R's width or repeat a link.
   //
   // Thread safety: a constructed estimator's estimates only read the kept
   // factorization, so concurrent callers may share one. pseudo_inverse()
   // fills its cache on first call: make that call before sharing, as the
-  // experiment drivers do before they fan out. Const calls refill the
-  // caches an append empties, so after an append the estimator has a
-  // single owner until pseudo_inverse() and an estimate have run again.
+  // experiment runners do before they fan out. An append is a write, and
+  // the next estimate() re-fills the QR cache, so after an append the
+  // estimator has a single owner until an estimate has run again.
   robust::Status try_append_path(const Path& path);
 
-  // Cached Moore-Penrose pseudo-inverse G = R⁺ (requires ok()), solved from
-  // the kept factorization. A property of R alone, so it lives here: the
-  // attack LPs are linear in G whichever family the defender runs.
+  // Cached Moore-Penrose pseudo-inverse G = R⁺ (requires ok()): solved from
+  // the kept factorization on first use, then carried along each
+  // try_append_path by the row-append update. A property of R alone, so it
+  // lives here: the attack LPs are linear in G whichever family the
+  // defender runs.
   const Matrix& pseudo_inverse() const;
 
   // y − R·estimate(y): zero (to numerical precision) iff y is consistent
@@ -157,7 +163,8 @@ class Estimator {
   // Immutable once made, so copies share it; null after an append until
   // factorization() refills it.
   mutable std::shared_ptr<const QrDecomposition> qr_;
-  mutable std::optional<Matrix> pinv_;  // lazily computed
+  // Lazily computed; once cached, updated (not dropped) by each append.
+  mutable std::optional<Matrix> pinv_;
 };
 
 // Factory configuration. Only the fields relevant to the requested kind are

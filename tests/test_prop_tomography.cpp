@@ -1,5 +1,6 @@
 // Differential property suite for the estimator family: the least-squares
-// estimator's kept factorization vs fresh QR solves, equality-mode
+// estimator's kept factorization vs fresh QR solves, its row-append update
+// of G = R⁺ vs a fresh pseudo-inverse of the grown R, equality-mode
 // sparse recovery vs least squares on identifiable systems, the multicast
 // MLE vs its textbook/brute-force oracles, path selection's exact rank test
 // vs the MGS RankTracker (the registry properties the tests/corpus seeds
@@ -23,6 +24,10 @@ namespace {
 
 TEST(PropTomography, CachedFactorizationMatchesFreshQr) {
   SCAPEGOAT_RUN_PROPERTY("tomography_cached_factorization_matches_fresh_qr");
+}
+
+TEST(PropTomography, RowAppendUpdateMatchesFreshQr) {
+  SCAPEGOAT_RUN_PROPERTY("tomography_row_append_update_matches_fresh_qr");
 }
 
 TEST(PropTomography, IncidenceRankMatchesMgs) {

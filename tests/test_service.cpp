@@ -2,10 +2,12 @@
 // predicate, the bounded-queue admission ladder, the window-payload codec,
 // end-to-end closed-loop sessions (honest vs attacked streams through the
 // online Eq. 23 detector), shard-count invariance of the pinned shed set and
-// of the window decisions, crash/wedge restart supervision, over-budget
-// quarantine, the refusal of shard and topology counts past their caps,
-// journal resume with at-least-once redelivery, and a SIGKILL'd service
-// whose clean resume reproduces the uninterrupted window series bitwise.
+// of the window decisions (with mid-stream path growth too), crash/wedge
+// restart supervision, over-budget quarantine, the refusal of shard and
+// topology counts past their caps and of an empty window, journal resume
+// with at-least-once redelivery, and crashed or SIGKILL'd services whose
+// resume reproduces the uninterrupted window series bitwise, with and
+// without path growth.
 
 #include "service/supervisor.hpp"
 
@@ -94,6 +96,24 @@ ServiceOptions small_options() {
   opt.seed = 7;
   opt.shed.seed = 7;
   opt.shed.mode = ShedPolicy::Mode::kOff;
+  return opt;
+}
+
+// small_workload() with mid-stream path growth: one repeated route every 3
+// batches, up to 4 per topology, so growth points straddle the tumbling
+// window boundaries and a resume at a window cursor appends several paths
+// at once.
+SessionWorkload growth_workload(std::uint64_t batches) {
+  SessionWorkload w = small_workload();
+  w.load.batches_per_topology = batches;
+  w.load.growth.every = 3;
+  w.load.growth.max_extra = 4;
+  return w;
+}
+
+ServiceOptions growth_options(const SessionWorkload& w) {
+  ServiceOptions opt = small_options();
+  opt.growth = w.load.growth;
   return opt;
 }
 
@@ -348,6 +368,44 @@ TEST(ServiceSession, MidStreamPathGrowthKeepsWidthsConsistent) {
   EXPECT_EQ(s.lost_in_flight(), 0u);
 }
 
+TEST(ServiceSession, PathGrowthDecisionsAreShardCountInvariant) {
+  // Each shard's estimator clone grows its G = R⁺ by row-append updates;
+  // which shard owns a topology must not move a single bit.
+  const SessionWorkload w = growth_workload(24);
+  std::vector<SessionReport> reports;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    ServiceOptions opt = growth_options(w);
+    opt.shards = shards;
+    auto report = run_service_session(w, opt);
+    ASSERT_TRUE(report.ok()) << report.error_message();
+    EXPECT_EQ(report.value().stats.malformed, 0u);
+    ASSERT_EQ(report.value().windows_by_topology[0].size(), 6u);
+    reports.push_back(std::move(report.value()));
+  }
+  for (std::size_t t = 0; t < w.topologies; ++t)
+    expect_same_decisions(reports[0].windows_by_topology[t],
+                          reports[1].windows_by_topology[t]);
+}
+
+TEST(ServiceSession, RefusesZeroWindow) {
+  // An empty window has no mean: Eq. 23 could never fire, and the journal
+  // codec refuses an empty residual list, so such a run could not resume.
+  const std::vector<const Scenario*> no_catalog;
+  ServiceOptions opt = small_options();
+  opt.window = 0;
+  opt.stride = 0;
+  ProbeIngestService service(no_catalog, opt);
+  const robust::Status started = service.start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_EQ(started.code(), robust::ErrorCode::kInvalidInput);
+  EXPECT_EQ(service.num_shards(), 0u);
+  EXPECT_EQ(service.submit(make_batch(0, 0, 0)).outcome, Admission::kClosed);
+
+  const auto report = run_service_session(small_workload(), opt);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.code(), robust::ErrorCode::kInvalidInput);
+}
+
 TEST(ServiceSession, PinnedShedSetIsShardCountInvariant) {
   SessionWorkload w = small_workload();
   ServiceOptions opt = small_options();
@@ -411,6 +469,47 @@ TEST(ServiceSupervision, CrashedShardRestartsFromItsJournal) {
   EXPECT_EQ(s.lost_in_flight(), 1u);
   EXPECT_GT(s.windows, 0u);
   EXPECT_EQ(s.offered, s.admitted + s.rejected + s.shed + s.closed);
+  remove_shard_journals(path, 1);
+}
+
+TEST(ServiceSupervision, CrashedShardWithPathGrowthResumesToIdenticalWindows) {
+  const SessionWorkload full = growth_workload(24);
+  const ServiceOptions opt = growth_options(full);
+  const auto baseline = run_service_session(full, opt);
+  ASSERT_TRUE(baseline.ok()) << baseline.error_message();
+  ASSERT_EQ(baseline.value().windows_by_topology[0].size(), 6u);
+
+  const std::string path = tmp_journal("crash_growth.ckpt");
+  remove_shard_journals(path, 1);
+  ServiceOptions journaled = opt;
+  journaled.journal_path = path;
+  journaled.supervise_interval_ms = 1.0;
+
+  // Crash on topology 0's last batch, seq 11, past the growth points at seq
+  // 3, 6 and 9; its last journaled window covers seq 4–7. The restarted
+  // shard clones the constructed estimators, restores its journal and has
+  // at most topology 1's seq 11 left, too few batches for a window.
+  SessionWorkload crashed = full;
+  crashed.load.batches_per_topology = 12;
+  ServiceOptions crashing = journaled;
+  crashing.fault_plan.crash_on_batch =
+      interleaved_batch_id(0, 11, full.topologies);
+  const auto first = run_service_session(crashed, crashing);
+  ASSERT_TRUE(first.ok()) << first.error_message();
+  EXPECT_GE(first.value().stats.restarts, 1u);
+  EXPECT_EQ(first.value().stats.lost_in_flight(), 1u);
+
+  // The resumed run redelivers from each journal cursor; its fresh shard
+  // appends the grown paths in one burst, with no G cached, at the first
+  // redelivered batch. Its windows must equal the uninterrupted run's.
+  ServiceOptions resume = journaled;
+  resume.resume = true;
+  const auto resumed = run_service_session(full, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.error_message();
+  EXPECT_EQ(resumed.value().stats.malformed, 0u);
+  for (std::size_t t = 0; t < full.topologies; ++t)
+    expect_same_decisions(baseline.value().windows_by_topology[t],
+                          resumed.value().windows_by_topology[t]);
   remove_shard_journals(path, 1);
 }
 
@@ -518,25 +617,28 @@ TEST(ServiceSupervision, ResumedSessionRestoresWindowsAndExtendsThem) {
 }
 
 #if !defined(SCAPEGOAT_NO_FORK_TESTS)
-TEST(ServiceSupervision, SigkilledServiceResumesToIdenticalWindows) {
-  SessionWorkload w = small_workload();
-  w.load.batches_per_topology = 48;
-  ServiceOptions opt = small_options();
-
+// SIGKILLs whole service processes running the first `child_batches`
+// batches of `w` at staggered points, each later child resuming whatever
+// journal state (possibly a torn tail) the previous one left behind, then
+// checks that one clean resume of all of `w` reproduces the uninterrupted
+// window series bitwise.
+void expect_sigkilled_resume_matches(const SessionWorkload& w,
+                                     const ServiceOptions& opt,
+                                     const std::string& journal,
+                                     std::uint64_t child_batches) {
   // Uninterrupted reference run, no journal involved.
   const auto baseline = run_service_session(w, opt);
   ASSERT_TRUE(baseline.ok()) << baseline.error_message();
   ASSERT_EQ(baseline.value().windows_by_topology[0].size(), 12u);
 
-  const std::string path = tmp_journal("sigkill.ckpt");
+  const std::string path = tmp_journal(journal);
   remove_shard_journals(path, 1);
   ServiceOptions killed = opt;
   killed.journal_path = path;
   killed.resume = true;
+  SessionWorkload child = w;
+  child.load.batches_per_topology = child_batches;
 
-  // SIGKILL whole service processes at staggered points; each later child
-  // resumes whatever journal state (possibly a torn tail) the previous one
-  // left behind.
   const useconds_t kill_after_us[] = {10'000, 30'000, 80'000};
   for (const useconds_t delay : kill_after_us) {
     const pid_t pid = fork();
@@ -545,7 +647,7 @@ TEST(ServiceSupervision, SigkilledServiceResumesToIdenticalWindows) {
       // Child: run the journaled session; _exit skips all cleanup so even a
       // child that finished looks like a crash to the parent. Its report is
       // discarded: the parent reads only the journal the child leaves.
-      (void)run_service_session(w, killed);
+      (void)run_service_session(child, killed);
       _exit(0);
     }
     ::usleep(delay);
@@ -566,6 +668,23 @@ TEST(ServiceSupervision, SigkilledServiceResumesToIdenticalWindows) {
     expect_same_decisions(baseline.value().windows_by_topology[t],
                           resumed.value().windows_by_topology[t]);
   remove_shard_journals(path, 1);
+}
+
+TEST(ServiceSupervision, SigkilledServiceResumesToIdenticalWindows) {
+  SessionWorkload w = small_workload();
+  w.load.batches_per_topology = 48;
+  expect_sigkilled_resume_matches(w, small_options(), "sigkill.ckpt", 48);
+}
+
+TEST(ServiceSupervision, SigkilledServiceWithPathGrowthResumesToIdenticalWindows) {
+  // A resumed process appends every path grown before its cursor at once,
+  // on a fresh clone with no G cached; G must still come out bitwise. The
+  // children send only the first 30 batches per topology, so even when no
+  // kill lands the clean resume redelivers past several growth points.
+  SessionWorkload w = growth_workload(48);
+  w.load.growth.max_extra = 12;
+  expect_sigkilled_resume_matches(w, growth_options(w), "sigkill_growth.ckpt",
+                                  30);
 }
 #endif  // !SCAPEGOAT_NO_FORK_TESTS
 

@@ -658,28 +658,40 @@ int cmd_serve(ArgParser& args) {
       get_count(args, "topologies", 2);
   const std::optional<std::size_t> producers = get_count(args, "producers", 2);
   const std::optional<std::size_t> shards = get_count(args, "shards", 2);
-  if (!topologies || !producers || !shards) return 2;
+  const std::optional<std::size_t> batches = get_count(args, "batches", 256);
+  const std::optional<std::size_t> attack_every =
+      get_count(args, "attack-every", 0);
+  const std::optional<std::size_t> grow_every =
+      get_count(args, "grow-every", 0);
+  const std::optional<std::size_t> capacity =
+      get_count(args, "capacity", 1024);
+  const std::optional<std::size_t> permille =
+      get_count(args, "shed-permille", 125);
+  const std::optional<std::size_t> window = get_count(args, "window", 8);
+  if (!topologies || !producers || !shards || !batches || !attack_every ||
+      !grow_every || !capacity || !permille || !window)
+    return 2;
+  // Their defaults follow --capacity and --window.
+  const std::optional<std::size_t> high_water =
+      get_count(args, "high-water", static_cast<long>(*capacity * 3 / 4));
+  const std::optional<std::size_t> stride =
+      get_count(args, "stride", static_cast<long>(*window));
+  if (!high_water || !stride) return 2;
   workload.topologies = *topologies;
   workload.scenario_seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   workload.producers = *producers;
   workload.closed_loop = !args.get_bool("open-loop");
   workload.load.seed = derive_seed(workload.scenario_seed, 0x10adull);
-  workload.load.batches_per_topology =
-      static_cast<std::uint64_t>(args.get_int("batches", 256));
+  workload.load.batches_per_topology = *batches;
   workload.load.noise_ms = args.get_double("noise", 1.0);
-  workload.load.attack_every =
-      static_cast<std::uint64_t>(args.get_int("attack-every", 0));
+  workload.load.attack_every = *attack_every;
   workload.load.attack_delay_ms = args.get_double("attack-delay", 500.0);
-  workload.load.growth.every =
-      static_cast<std::size_t>(args.get_int("grow-every", 0));
+  workload.load.growth.every = *grow_every;
 
   service::ServiceOptions opt;
   opt.shards = *shards;
-  opt.queue_capacity =
-      static_cast<std::size_t>(args.get_int("capacity", 1024));
-  opt.high_water = static_cast<std::size_t>(
-      args.get_int("high-water",
-                   static_cast<long>(opt.queue_capacity * 3 / 4)));
+  opt.queue_capacity = *capacity;
+  opt.high_water = *high_water;
   const std::string shed = args.get_string("shed", "auto");
   if (shed == "off") {
     opt.shed.mode = service::ShedPolicy::Mode::kOff;
@@ -692,12 +704,11 @@ int cmd_serve(ArgParser& args) {
     return 2;
   }
   opt.shed.seed = workload.scenario_seed;
+  // 1000 and above all shed alike; clamping keeps a huge value from wrapping.
   opt.shed.permille =
-      static_cast<std::uint32_t>(args.get_int("shed-permille", 125));
-  opt.window = static_cast<std::size_t>(args.get_int("window", 8));
-  opt.stride =
-      static_cast<std::size_t>(args.get_int("stride",
-                                            static_cast<long>(opt.window)));
+      static_cast<std::uint32_t>(std::min<std::size_t>(*permille, 1000));
+  opt.window = *window;
+  opt.stride = *stride;
   opt.alpha_ms = args.get_double("alpha", 200.0);
   opt.batch_budget_ms = args.get_double("batch-budget-ms", 0.0);
   opt.journal_path = args.get_string("journal");
