@@ -214,11 +214,14 @@ void print_fig7(const PresenceRatioSeries& wireline,
              "ci95_halfwidth"});
     for (const PresenceRatioBin& b : s.bins) {
       if (b.trials == 0) continue;
-      const std::string label =
-          b.ratio_low == b.ratio_high
-              ? "= 100%"
-              : "(" + Table::num(100 * b.ratio_low, 0) + "%, " +
-                    Table::num(100 * b.ratio_high, 0) + "%]";
+      std::string label = "= 100%";
+      if (b.ratio_low != b.ratio_high) {
+        label = "(";
+        label.append(Table::num(100 * b.ratio_low, 0));
+        label.append("%, ");
+        label.append(Table::num(100 * b.ratio_high, 0));
+        label.append("%]");
+      }
       t.add_row({label, std::to_string(b.trials),
                  std::to_string(b.successes), Table::num(b.probability(), 3),
                  Table::num(wilson_halfwidth(b.successes, b.trials), 3)});

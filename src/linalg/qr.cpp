@@ -120,18 +120,27 @@ std::size_t QrDecomposition::rank(double tol) const {
   return r;
 }
 
+void QrDecomposition::apply_reflector(std::size_t k, Vector& y) const {
+  if (betas_[k] == 0.0) return;
+  double dot = y[k];
+  for (std::size_t r = k + 1; r < m_; ++r) dot += qr_(r, k) * y[r];
+  dot *= betas_[k];
+  y[k] -= dot;
+  for (std::size_t r = k + 1; r < m_; ++r) y[r] -= dot * qr_(r, k);
+}
+
 Vector QrDecomposition::qt_times(const Vector& b) const {
   assert(b.size() == m_);
   Vector y = b;
   const std::size_t steps = std::min(m_, n_);
-  for (std::size_t k = 0; k < steps; ++k) {
-    if (betas_[k] == 0.0) continue;
-    double dot = y[k];
-    for (std::size_t r = k + 1; r < m_; ++r) dot += qr_(r, k) * y[r];
-    dot *= betas_[k];
-    y[k] -= dot;
-    for (std::size_t r = k + 1; r < m_; ++r) y[r] -= dot * qr_(r, k);
-  }
+  for (std::size_t k = 0; k < steps; ++k) apply_reflector(k, y);
+  return y;
+}
+
+Vector QrDecomposition::q_times(const Vector& b) const {
+  assert(b.size() == m_);
+  Vector y = b;
+  for (std::size_t k = std::min(m_, n_); k-- > 0;) apply_reflector(k, y);
   return y;
 }
 

@@ -39,6 +39,10 @@ class QrDecomposition {
   // Applies Qᵀ to a copy of b (length m).
   Vector qt_times(const Vector& b) const;
 
+  // Applies Q to a copy of b (length m): the reflectors in reverse order.
+  // Q·e_j is the j-th column of the full m×m factor.
+  Vector q_times(const Vector& b) const;
+
   // The upper-triangular factor (n×n leading block).
   Matrix r() const;
 
@@ -46,6 +50,9 @@ class QrDecomposition {
   const std::vector<std::size_t>& permutation() const { return perm_; }
 
  private:
+  // y ← H_k·y for the k-th Householder reflector H_k = I − β_k v_k v_kᵀ.
+  void apply_reflector(std::size_t k, Vector& y) const;
+
   std::size_t m_ = 0, n_ = 0;
   // Packed factorization: upper triangle holds R, lower triangle the
   // Householder vectors (v[k]=1 implicit), betas_ the scalar coefficients.

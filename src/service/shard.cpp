@@ -30,7 +30,9 @@ constexpr std::uint64_t kQuarantineStreamTag = 0x7175617261ull;  // "quara"
 }  // namespace
 
 std::string window_family(std::uint32_t topology) {
-  return "w" + std::to_string(topology);
+  std::string family = "w";
+  family.append(std::to_string(topology));
+  return family;
 }
 
 std::uint64_t window_record_seed(std::uint64_t base, std::uint32_t topology,
@@ -296,13 +298,10 @@ robust::Status Shard::process_batch(TopologyState& st,
   double residual_norm = 0.0;
   {
     obs::ScopedTimer timer("service.batch.solve_us");
-    // Streaming hot path: x̂ via the family's streaming solve (least
-    // squares: the cached pseudo-inverse, no per-batch factorization),
-    // residual through the CSR product (bitwise equal to the dense one,
-    // sparse_matrix.hpp).
-    const Vector x_hat = st.estimator->streaming_estimate(batch.y);
-    const Vector r_hat = st.estimator->sparse_r() * x_hat;
-    residual_norm = (batch.y - r_hat).norm1();
+    // Streaming hot path: the family's streaming residual (least squares:
+    // N·(Nᵀy) through the cached left-null-space basis, no x̂ and no
+    // per-batch factorization).
+    residual_norm = st.estimator->streaming_residual(batch.y).norm1();
   }
   if (dog.armed() && dog.expired())
     return robust::Error{robust::ErrorCode::kIterationLimit,
@@ -372,7 +371,8 @@ void Shard::quarantine_batch(TopologyState& st, const ProbeBatch& batch,
   obs::count("service.batch.quarantined");
   if (journal_) {
     robust::QuarantineRecord rec;
-    rec.family = "q" + std::to_string(st.topology);
+    rec.family = "q";
+    rec.family.append(std::to_string(st.topology));
     rec.index = batch.seq;
     rec.seed = derive_seed(
         topology_stream_seed(opt_.seed, st.topology, kQuarantineStreamTag),

@@ -14,13 +14,15 @@
 //   2. growth — if the GrowthPlan says batch `seq` carries more paths than
 //      the estimator currently has, the estimator absorbs duplicate routes
 //      via Estimator::try_append_path: an incremental CSR append plus the
-//      O(mn) row-append update of the cached G = R⁺. G after k appends
-//      depends only on the path set and order, so a restarted shard that
-//      appends them all at once gets the same bits,
-//   3. solve — x̂ via Estimator::streaming_estimate (for least squares the
-//      cached pseudo-inverse G·y: the streaming hot path never
-//      re-factorizes, growth included), residual r = y − R·x̂ via the CSR
-//      product, ‖r‖₁ pushed into the topology's sliding window,
+//      O(mn) row-append update of the cached G = R⁺ and the O(m) one of
+//      the cached left-null-space basis N. Both after k appends depend only
+//      on the path set and order, so a restarted shard that appends them
+//      all at once gets the same bits,
+//   3. solve — residual r = y − R·x̂ via Estimator::streaming_residual (for
+//      least squares N·(Nᵀy) through the cached N, whose m − n columns are
+//      far fewer than G's n rows: no x̂ is formed, and the streaming hot
+//      path never re-factorizes, growth included), ‖r‖₁ pushed into the
+//      topology's sliding window,
 //   4. emit — once `window` residuals are buffered and `stride` new batches
 //      arrived since the last emission, the window mean is thresholded
 //      against alpha_ms and the WindowDecision is journaled + flushed.

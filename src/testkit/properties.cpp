@@ -602,6 +602,24 @@ bool prop_cached_factorization_matches_fresh_qr(Source& src) {
   return matches_fresh(*est, y, "after append", false);
 }
 
+// `count` paths to append to an estimator on `base`: each a repeat of a
+// base route or, half the time, a freshly sampled simple path of `g`.
+std::vector<Path> gen_appended_paths(Source& src, const Graph& g,
+                                     const std::vector<Path>& base,
+                                     std::size_t count, Rng& rng) {
+  std::vector<Path> extra;
+  for (std::size_t k = 0; k < count; ++k) {
+    Path p = base[src.index(base.size())];
+    if (src.maybe(0.5)) {
+      const auto ends = src.distinct_indices(g.num_nodes(), 2);
+      Path sampled = sample_simple_path(g, ends[0], ends[1], 8, rng);
+      if (!sampled.empty()) p = std::move(sampled);
+    }
+    extra.push_back(std::move(p));
+  }
+  return extra;
+}
+
 // ---- tomography_row_append_update_matches_fresh_qr ------------------------
 
 // try_append_path carries G = R⁺ along by Greville's row-append update
@@ -626,16 +644,8 @@ bool prop_row_append_update_matches_fresh_qr(Source& src) {
 
   Rng rng = gen_rng(src);
   const std::size_t appends = 1 + src.index(16);
-  std::vector<Path> extra;
-  for (std::size_t k = 0; k < appends; ++k) {
-    Path p = base[src.index(base.size())];
-    if (src.maybe(0.5)) {
-      const auto ends = src.distinct_indices(g.num_nodes(), 2);
-      Path sampled = sample_simple_path(g, ends[0], ends[1], 8, rng);
-      if (!sampled.empty()) p = std::move(sampled);
-    }
-    extra.push_back(std::move(p));
-  }
+  const std::vector<Path> extra =
+      gen_appended_paths(src, g, base, appends, rng);
   const bool interleave = src.maybe(0.5);
 
   // `warm`: G cached before the first append, reads (maybe) between
@@ -660,7 +670,7 @@ bool prop_row_append_update_matches_fresh_qr(Source& src) {
       }
       if (interleave) {
         (void)warm.pseudo_inverse();
-        (void)warm.streaming_estimate(Vector(warm.num_paths(), 1.0));
+        (void)warm.streaming_residual(Vector(warm.num_paths(), 1.0));
       }
     }
   }
@@ -698,6 +708,119 @@ bool prop_row_append_update_matches_fresh_qr(Source& src) {
     os << "after " << appends << " appends on a " << r.rows() << "x"
        << r.cols() << " system: max|G - pinv(R)| = " << g_gap
        << ", max|G R - I| = " << i_gap << ", tol " << tol;
+    src.note(os.str());
+    return false;
+  }
+  return true;
+}
+
+// ---- tomography_left_null_basis_matches_fresh_qr --------------------------
+
+// The least-squares streaming residual is N·(Nᵀy): Nᵀ is formed from the
+// kept QR and gains one row per try_append_path, in O(m), from the same
+// w = Gᵀa as G's update. Differential oracle, after 0–16 appends of
+// repeated and freshly sampled paths, with tol = kLeftNullTol ·
+// (1 + appends) · max(1, max|G₀|) (G₀ the constructed estimator's G):
+//   * Nᵀ has m − n rows, max|NᵀN − I| ≤ tol and max|NᵀR| ≤ tol;
+//   * streaming_residual(y) is within tol · max(1, max|y|) of
+//     y − R·estimate(y), the fresh-QR residual, entry by entry;
+//   * Nᵀ is bitwise the same whether or not N and G were cached before
+//     the appends and whether or not reads were interleaved between them;
+//   * the appends factor nothing (G and N of the constructed R come from
+//     the kept QR).
+// Like G's update, the column append is exact in exact arithmetic.
+constexpr double kLeftNullTol = 1e-12;
+
+bool prop_left_null_basis_matches_fresh_qr(Source& src) {
+  auto sc = gen_er_scenario(src, 10 + src.index(8), 0.3);
+  if (!sc.has_value()) return true;  // unidentifiable draw: vacuous
+  const Graph& g = sc->graph();
+  const std::vector<Path>& base = sc->estimator().paths();
+
+  Rng rng = gen_rng(src);
+  const std::size_t appends = src.index(17);
+  const std::vector<Path> extra =
+      gen_appended_paths(src, g, base, appends, rng);
+  const bool warm_g = src.maybe(0.5);
+  const bool warm_n = src.maybe(0.5);
+  const bool interleave = src.maybe(0.5);
+
+  // `est`: G and N maybe cached before the first append, reads maybe
+  // between appends. `cold`: a clone of the constructed estimator with
+  // nothing cached and no reads, as a restarted shard appends.
+  TomographyEstimator est(g, base);
+  if (!est.ok()) {
+    src.note("estimator refused the scenario's identifiable path set");
+    return false;
+  }
+  const std::unique_ptr<Estimator> cold = est.clone();
+  // G₀ from a fresh QR, so whether `est` caches G stays the draw's choice.
+  const double tol =
+      kLeftNullTol * static_cast<double>(1 + appends) *
+      std::max(1.0, pseudo_inverse(est.sparse_r().to_dense()).max_abs());
+  if (warm_g) (void)est.pseudo_inverse();
+  if (warm_n) (void)est.left_null_basis();
+
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedInstrumentation scope(registry);
+    for (const Path& p : extra) {
+      if (!est.try_append_path(p).ok()) {
+        src.note("try_append_path refused a simple path of the graph");
+        return false;
+      }
+      if (interleave) {
+        (void)est.left_null_basis();
+        (void)est.streaming_residual(Vector(est.num_paths(), 1.0));
+      }
+    }
+  }
+  const std::uint64_t factored =
+      registry.snapshot().counter_value("linalg.qr.factorizations");
+  if (factored != 0) {
+    src.note(std::to_string(appends) + " appends factored R " +
+             std::to_string(factored) + " times");
+    return false;
+  }
+  for (const Path& p : extra) {
+    if (!cold->try_append_path(p).ok()) {
+      src.note("try_append_path refused a path on the clone");
+      return false;
+    }
+  }
+
+  const Matrix& nt = est.left_null_basis();
+  if (!same_bits(nt, cold->left_null_basis())) {
+    src.note(std::string("N after ") + std::to_string(appends) +
+             " appends depends on whether G or N was cached" +
+             (interleave ? " and on interleaved reads" : ""));
+    return false;
+  }
+  const Matrix r = est.sparse_r().to_dense();
+  if (nt.rows() != r.rows() - r.cols() || nt.cols() != r.rows()) {
+    src.note("N is " + std::to_string(nt.cols()) + "x" +
+             std::to_string(nt.rows()) + " for a " +
+             std::to_string(r.rows()) + "x" + std::to_string(r.cols()) +
+             " system");
+    return false;
+  }
+  const double orth_gap =
+      (nt * nt.transposed() - Matrix::identity(nt.rows())).max_abs();
+  const double null_gap = (nt * r).max_abs();
+  const Vector y = gen_vector(src, r.rows());
+  const Vector streamed = est.streaming_residual(y);
+  const Vector solved = est.residual(y);
+  double residual_gap = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i)
+    residual_gap = std::max(residual_gap, std::abs(streamed[i] - solved[i]));
+  const double residual_tol = tol * std::max(1.0, y.norm_inf());
+  if (orth_gap > tol || null_gap > tol || residual_gap > residual_tol) {
+    std::ostringstream os;
+    os << "after " << appends << " appends on a " << r.rows() << "x"
+       << r.cols() << " system: max|NᵀN - I| = " << orth_gap
+       << ", max|NᵀR| = " << null_gap << " (tol " << tol
+       << "), max|N·Nᵀy - (y - R·x̂)| = " << residual_gap << " (tol "
+       << residual_tol << ")";
     src.note(os.str());
     return false;
   }
@@ -1053,6 +1176,8 @@ const std::map<std::string, NamedProperty>& property_registry() {
        {prop_cached_factorization_matches_fresh_qr, 60, 4}},
       {"tomography_incidence_rank_matches_mgs",
        {prop_incidence_rank_matches_mgs, 200, 1}},
+      {"tomography_left_null_basis_matches_fresh_qr",
+       {prop_left_null_basis_matches_fresh_qr, 60, 4}},
       {"tomography_row_append_update_matches_fresh_qr",
        {prop_row_append_update_matches_fresh_qr, 60, 4}},
       {"tomography_sparse_matches_least_squares",

@@ -32,6 +32,12 @@
 //                                      grown R, within a stated tolerance;
 //                                      bitwise independent of caching and
 //                                      interleaved reads
+//   tomography_left_null_basis_matches_fresh_qr  Nᵀ carried along path
+//                                      appends: NᵀN = I, NᵀR = 0 and the
+//                                      streaming residual N·Nᵀy vs the QR
+//                                      residual y − R·x̂, within a stated
+//                                      tolerance; bitwise independent of
+//                                      caching and interleaved reads
 //   tomography_incidence_rank_matches_mgs  path selection's exact rank test
 //                                      on incidence rows vs floating-point
 //                                      MGS, decision by decision, on paths

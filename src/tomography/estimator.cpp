@@ -36,8 +36,17 @@ robust::Expected<Vector> TomographyEstimator::try_estimate(
   return solve(y);
 }
 
-Vector TomographyEstimator::streaming_estimate(const Vector& y) const {
-  return pseudo_inverse() * y;
+Vector TomographyEstimator::streaming_residual(const Vector& y) const {
+  assert(y.size() == num_paths());
+  const Matrix& nt = left_null_basis();
+  const std::size_t m = y.size();
+  Vector r(m);
+  for (std::size_t k = 0; k < nt.rows(); ++k) {
+    double t = 0.0;
+    for (std::size_t j = 0; j < m; ++j) t += nt(k, j) * y[j];
+    for (std::size_t j = 0; j < m; ++j) r[j] += t * nt(k, j);
+  }
+  return r;
 }
 
 std::unique_ptr<Estimator> TomographyEstimator::clone() const {

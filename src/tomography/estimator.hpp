@@ -7,7 +7,9 @@
 //                          class's kept QR factorization (R is factored once
 //                          per estimator, not per call),
 //   * pseudo_inverse()   — G = R⁺, cached; the attack LPs are linear in G,
-//   * residual(y)        — y − R x̂(y), the quantity the detector thresholds.
+//   * residual(y)        — y − R x̂(y), the quantity the detector thresholds,
+//   * streaming_residual — the same residual as N·(Nᵀy) through the cached
+//                          left-null-space basis N, for the service shards.
 // Construction fails (ok() == false) when R lacks full column rank, i.e.
 // the link metrics are not identifiable from the chosen paths.
 
@@ -40,9 +42,11 @@ class TomographyEstimator : public Estimator {
   // the entry point for measurements that may be degraded or hostile.
   robust::Expected<Vector> try_estimate(const Vector& y) const override;
 
-  // Streaming fast path: x̂ = G·y through the cached pseudo-inverse — no
-  // per-batch factorization (the property the service shards rely on).
-  Vector streaming_estimate(const Vector& y) const override;
+  // Streaming fast path: y − R·R⁺y = N·(Nᵀy) through the cached Nᵀ, whose
+  // m − n rows are far fewer than G's n. No x̂, no per-batch factorization
+  // (the property the service shards rely on). Agrees with residual(y) to
+  // roundoff, not bitwise.
+  Vector streaming_residual(const Vector& y) const override;
 
   std::unique_ptr<Estimator> clone() const override;
 

@@ -17,16 +17,16 @@
 // than of the solve strategy: the routing matrix (stored once, in CSR form),
 // the column-pivoted QR factorization of R,
 // identifiability (read off that factorization's rank), the lazily-cached
-// pseudo-inverse and the incremental path append, which updates that
-// pseudo-inverse in place of re-forming it. R is factored once, at
-// construction, from a dense copy that lives only for that factorization:
-// least-squares estimates and G = R⁺ reuse that one factorization, and
-// clones share it rather than copy it. Virtuals cover the solve itself plus
-// two hooks the families genuinely differ on:
+// pseudo-inverse G = R⁺ and left-null-space basis N, and the incremental
+// path append, which updates both in place of re-forming them. R is factored
+// once, at construction, from a dense copy that lives only for that
+// factorization: least-squares estimates, G and N reuse that one
+// factorization, and clones share it rather than copy it. Virtuals cover the
+// solve itself plus two hooks the families genuinely differ on:
 //
-//   * streaming_estimate — the service shard's per-batch solve. Least
-//     squares caches G = R⁺ and never re-factorizes; sparse recovery has no
-//     factorization to cache and re-solves its LP.
+//   * streaming_residual — the service shard's per-batch Eq. 23 residual.
+//     Least squares answers N·(Nᵀy) from the cached N and never solves for
+//     x̂ or re-factorizes; the other families fit y and subtract R·x̂.
 //   * residual_statistic — the scalar the Eq. 23 detector thresholds
 //     against α. Least squares uses ‖y − Rx̂‖₁ verbatim; sparse recovery
 //     subtracts its own per-path noise allowance ε first (the discrepancy
@@ -82,10 +82,11 @@ class Estimator {
   // Deep copy preserving all cached state (Scenario / shard copies).
   virtual std::unique_ptr<Estimator> clone() const = 0;
 
-  // The per-batch streaming solve (service shards). Defaults to
-  // estimate(y); least squares overrides with the cached-G fast path.
-  virtual Vector streaming_estimate(const Vector& y) const {
-    return estimate(y);
+  // The per-batch streaming residual (service shards), whose ‖·‖₁ is the
+  // Eq. 23 statistic. Defaults to residual(y) = y − R·estimate(y); least
+  // squares overrides with N·(Nᵀy), the same vector to roundoff.
+  virtual Vector streaming_residual(const Vector& y) const {
+    return residual(y);
   }
 
   // The Eq. 23 inconsistency statistic thresholded against α. Defaults to
@@ -112,21 +113,23 @@ class Estimator {
   // redundancy-adding) probe routes mid-run. R grows via the incremental
   // SparseMatrix::try_append_row (no rebuild from triplets). On an
   // ok() estimator G = R⁺ follows R by Greville's row-append update in
-  // O(mn): G of the current R is formed first from the kept QR if nothing
-  // cached it yet, so G after k appends is a pure function of the
-  // constructed path set and the append order, whatever reads came between.
-  // The kept QR is dropped; the next least-squares estimate() re-factors
-  // the grown R and keeps the result, so estimates stay bitwise equal to a
-  // fresh QR while G agrees with one to roundoff. A row append can never
-  // lose column rank, so ok() is preserved. kInvalidInput when the path's
-  // links don't fit R's width or repeat a link.
+  // O(mn), and N gains one column in O(m) from the same w = Gᵀa: G and N of
+  // the current R are formed first from the kept QR if nothing cached them
+  // yet, so both after k appends are a pure function of the constructed path
+  // set and the append order, whatever reads came between. The kept QR is
+  // dropped; the next least-squares estimate() re-factors the grown R and
+  // keeps the result, so estimates stay bitwise equal to a fresh QR while G
+  // and N agree with one to roundoff. A row append can never lose column
+  // rank, so ok() is preserved. kInvalidInput when the path's links don't
+  // fit R's width or repeat a link.
   //
   // Thread safety: a constructed estimator's estimates only read the kept
   // factorization, so concurrent callers may share one. pseudo_inverse()
-  // fills its cache on first call: make that call before sharing, as the
-  // experiment runners do before they fan out. An append is a write, and
-  // the next estimate() re-fills the QR cache, so after an append the
-  // estimator has a single owner until an estimate has run again.
+  // and left_null_basis() fill their caches on first call: make those calls
+  // before sharing, as the experiment runners do before they fan out. An
+  // append is a write, and the next estimate() re-fills the QR cache, so
+  // after an append the estimator has a single owner until an estimate has
+  // run again.
   robust::Status try_append_path(const Path& path);
 
   // Cached Moore-Penrose pseudo-inverse G = R⁺ (requires ok()): solved from
@@ -135,6 +138,14 @@ class Estimator {
   // lives here: the attack LPs are linear in G whichever family the
   // defender runs.
   const Matrix& pseudo_inverse() const;
+
+  // Nᵀ (requires ok()): its m − n rows are an orthonormal basis of the left
+  // null space of R, so Nᵀy = 0 exactly when y ∈ range(R) (Theorem 1's
+  // consistency condition) and N·Nᵀy = y − R·R⁺y. Formed from the kept
+  // factorization on first use, never by factoring R, then extended by each
+  // try_append_path. Stored as rows so Nᵀy and N·t both stream over
+  // contiguous memory.
+  const Matrix& left_null_basis() const;
 
   // y − R·estimate(y): zero (to numerical precision) iff y is consistent
   // with the linear model as this family fits it. The product runs through
@@ -165,6 +176,7 @@ class Estimator {
   mutable std::shared_ptr<const QrDecomposition> qr_;
   // Lazily computed; once cached, updated (not dropped) by each append.
   mutable std::optional<Matrix> pinv_;
+  mutable std::optional<Matrix> null_t_;  // Nᵀ, same life cycle as pinv_
 };
 
 // Factory configuration. Only the fields relevant to the requested kind are

@@ -146,6 +146,25 @@ TEST(Qr, LeastSquaresMinimizesResidual) {
   EXPECT_NEAR(grad.norm_inf(), 0.0, 1e-10);
 }
 
+TEST(Qr, QTimesInvertsQtTimesAndSpansTheLeftNullSpace) {
+  Rng rng(17);
+  const Matrix a = random_matrix(9, 4, rng);
+  QrDecomposition qr(a, QrDecomposition::Pivoting::kColumn);
+  // Q is orthogonal: Q·(Qᵀb) = b.
+  Vector b(9);
+  for (double& v : b) v = rng.uniform(-3.0, 3.0);
+  EXPECT_TRUE(approx_equal(qr.q_times(qr.qt_times(b)), b, 1e-12));
+  // Columns 4..8 of Q are orthonormal and orthogonal to range(A).
+  Matrix nt(5, 9);
+  for (std::size_t k = 0; k < 5; ++k) {
+    Vector e(9);
+    e[4 + k] = 1.0;
+    nt.set_row(k, qr.q_times(e));
+  }
+  EXPECT_TRUE(approx_equal(nt * nt.transposed(), Matrix::identity(5), 1e-12));
+  EXPECT_TRUE(approx_equal(nt * a, Matrix(5, 4, 0.0), 1e-12));
+}
+
 TEST(PseudoInverse, LeftInverseProperty) {
   Rng rng(9);
   const Matrix a = random_matrix(12, 6, rng);

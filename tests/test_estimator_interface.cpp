@@ -83,14 +83,32 @@ TEST_F(EstimatorInterfaceTest, CloneIsDeepAndPolymorphic) {
   }
 }
 
-TEST_F(EstimatorInterfaceTest, StreamingEstimateUsesTheCachedPseudoInverse) {
+TEST_F(EstimatorInterfaceTest, StreamingResidualIsTheLeftNullSpaceProjection) {
   const Estimator& est = scenario_.estimator();
   ASSERT_EQ(est.method(), EstimatorKind::kLeastSquares);
-  const Vector y = scenario_.clean_measurements();
-  // The service fast path is literally G·y.
-  const Vector fast = est.streaming_estimate(y);
-  const Vector direct = est.pseudo_inverse() * y;
-  for (std::size_t j = 0; j < fast.size(); ++j) EXPECT_EQ(fast[j], direct[j]);
+  // The service fast path is N·(Nᵀy), with one row of Nᵀ per redundant path.
+  const Matrix& nt = est.left_null_basis();
+  ASSERT_EQ(nt.rows(), est.num_paths() - est.num_links());
+  ASSERT_EQ(nt.cols(), est.num_paths());
+  Vector y = scenario_.clean_measurements();
+  // Clean measurements lie in range(R): nothing to project.
+  EXPECT_LT(est.streaming_residual(y).norm_inf(), 1e-9);
+  // Off range(R) it is the QR residual y − R·x̂, to roundoff.
+  Rng rng(0x2e5dull);
+  for (double& v : y) v += rng.uniform(0.0, 500.0);
+  const Vector fast = est.streaming_residual(y);
+  const Vector solved = est.residual(y);
+  ASSERT_EQ(fast.size(), solved.size());
+  EXPECT_GT(solved.norm1(), 1.0);
+  for (std::size_t i = 0; i < fast.size(); ++i)
+    EXPECT_NEAR(fast[i], solved[i], 1e-9) << "path " << i;
+  // The other families keep the default: residual(y) itself.
+  const auto sparse = make_estimator(EstimatorKind::kSparseRecovery,
+                                     scenario_.graph(), est.paths());
+  const Vector base = sparse->streaming_residual(y);
+  const Vector direct = sparse->residual(y);
+  ASSERT_EQ(base.size(), direct.size());
+  for (std::size_t i = 0; i < base.size(); ++i) EXPECT_EQ(base[i], direct[i]);
 }
 
 TEST_F(EstimatorInterfaceTest, SharedFactorizationIsSafeAcrossThreads) {

@@ -304,8 +304,8 @@ TEST(MulticastMleEstimatorTest, InterfaceConformanceAcrossAllThreeKinds) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t j = 0; j < a.size(); ++j)
       EXPECT_EQ(a[j], b[j]) << to_string(kind) << " link " << j;
-    // streaming_estimate is total and dimensioned like estimate.
-    EXPECT_EQ(est->streaming_estimate(y).size(), a.size());
+    // streaming_residual is total and dimensioned like y.
+    EXPECT_EQ(est->streaming_residual(y).size(), y.size());
     // Clean measurements leave every family's residual statistic at zero.
     EXPECT_NEAR(est->residual_statistic(y), 0.0, 1e-6) << to_string(kind);
     const auto attempt = est->try_estimate(y);

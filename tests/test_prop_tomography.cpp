@@ -1,6 +1,7 @@
 // Differential property suite for the estimator family: the least-squares
 // estimator's kept factorization vs fresh QR solves, its row-append update
-// of G = R⁺ vs a fresh pseudo-inverse of the grown R, equality-mode
+// of G = R⁺ vs a fresh pseudo-inverse of the grown R, its left-null-space
+// basis N and streaming residual N·Nᵀy vs the QR residual, equality-mode
 // sparse recovery vs least squares on identifiable systems, the multicast
 // MLE vs its textbook/brute-force oracles, path selection's exact rank test
 // vs the MGS RankTracker (the registry properties the tests/corpus seeds
@@ -28,6 +29,10 @@ TEST(PropTomography, CachedFactorizationMatchesFreshQr) {
 
 TEST(PropTomography, RowAppendUpdateMatchesFreshQr) {
   SCAPEGOAT_RUN_PROPERTY("tomography_row_append_update_matches_fresh_qr");
+}
+
+TEST(PropTomography, LeftNullBasisMatchesFreshQr) {
+  SCAPEGOAT_RUN_PROPERTY("tomography_left_null_basis_matches_fresh_qr");
 }
 
 TEST(PropTomography, IncidenceRankMatchesMgs) {

@@ -671,9 +671,12 @@ void expect_sigkilled_resume_matches(const SessionWorkload& w,
 }
 
 TEST(ServiceSupervision, SigkilledServiceResumesToIdenticalWindows) {
+  // The children send only the first 30 of 48 batches per topology, so the
+  // clean resume always computes windows, even when no kill lands before a
+  // child finishes.
   SessionWorkload w = small_workload();
   w.load.batches_per_topology = 48;
-  expect_sigkilled_resume_matches(w, small_options(), "sigkill.ckpt", 48);
+  expect_sigkilled_resume_matches(w, small_options(), "sigkill.ckpt", 30);
 }
 
 TEST(ServiceSupervision, SigkilledServiceWithPathGrowthResumesToIdenticalWindows) {
