@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   if (args.get_bool("quick")) opt.trials_per_topology = 60;
 
-  std::vector<long> thread_counts = args.get_int_list("threads");
+  std::vector<std::size_t> thread_counts = args.get_thread_list();
   if (thread_counts.empty()) thread_counts = {1, 2, 4, 8};
   for (const std::string& err : args.errors())
     std::cerr << "warning: " << err << '\n';
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   std::uint64_t base_checksum = 0;
   bool deterministic = true;
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    opt.threads = static_cast<std::size_t>(thread_counts[i]);
+    opt.threads = thread_counts[i];
     const auto start = std::chrono::steady_clock::now();
     const scapegoat::PresenceRatioSeries series =
         scapegoat::run_presence_ratio_experiment(

@@ -14,7 +14,7 @@
 # test_attack_properties, test_attacks_fig1, test_naive_attack, and
 # test_manipulation, whose out-of-range attacker ids must be skipped by the
 # context's derived sets), the dense least-squares and Tikhonov kernels
-# (test_least_squares), the worker pool every parallel kernel runs on
+# (test_least_squares), the worker pool the trial engine runs on
 # (test_thread_pool), the measurement-design, topology, recovery and
 # ablation suites (test_monitor_placement, test_path_selection,
 # test_secure_placement, test_topology, test_recovery,

@@ -5,8 +5,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "util/thread_pool.hpp"
-
 namespace scapegoat {
 
 Vector& Vector::operator+=(const Vector& rhs) {
@@ -165,15 +163,13 @@ Matrix operator*(double s, Matrix m) { return m *= s; }
 
 namespace {
 
-// Multiply-accumulate for output rows [r0, r1). The k-loop is blocked for
-// cache reuse of b's rows; blocking never reorders the per-entry
-// accumulation (k stays ascending), so blocked, serial, and parallel runs
-// all produce identical bits.
+// Multiply-accumulate for every output row. The k-loop is blocked for cache
+// reuse of b's rows; blocking never reorders the per-entry accumulation (k
+// stays ascending), so it changes no bit of the result.
 constexpr std::size_t kMulKBlock = 64;
 
-void multiply_rows(const Matrix& a, const Matrix& b, Matrix& out,
-                   std::size_t r0, std::size_t r1) {
-  for (std::size_t r = r0; r < r1; ++r) {
+void multiply_rows(const Matrix& a, const Matrix& b, Matrix& out) {
+  for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t k0 = 0; k0 < a.cols(); k0 += kMulKBlock) {
       const std::size_t k1 = std::min(a.cols(), k0 + kMulKBlock);
       for (std::size_t k = k0; k < k1; ++k) {
@@ -185,36 +181,12 @@ void multiply_rows(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-// Products below this many multiply-adds are not worth a pool dispatch.
-constexpr std::size_t kMulParallelFlops = 1u << 18;
-// Target work per parallel_for chunk, in multiply-adds.
-constexpr std::size_t kMulGrainFlops = 1u << 16;
-
 }  // namespace
-
-Matrix multiply_serial(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
-  Matrix out(a.rows(), b.cols());
-  multiply_rows(a, b, out, 0, a.rows());
-  return out;
-}
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
-  const std::size_t flops = a.rows() * a.cols() * b.cols();
-  ThreadPool& pool = ThreadPool::global();
-  if (flops < kMulParallelFlops || pool.size() <= 1 ||
-      pool.on_worker_thread()) {
-    return multiply_serial(a, b);
-  }
   Matrix out(a.rows(), b.cols());
-  const std::size_t row_flops = std::max<std::size_t>(1, a.cols() * b.cols());
-  const std::size_t grain =
-      std::max<std::size_t>(1, kMulGrainFlops / row_flops);
-  pool.parallel_for(0, a.rows(), grain,
-                    [&](std::size_t lo, std::size_t hi) {
-                      multiply_rows(a, b, out, lo, hi);
-                    });
+  multiply_rows(a, b, out);
   return out;
 }
 

@@ -118,15 +118,11 @@ Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(double s, Matrix m);
 
-// Product a·b. Large products are computed by row blocks on the global
-// ThreadPool; each output row is written by exactly one task and inner-loop
-// accumulation order matches the serial kernel, so the result is bitwise
-// identical at any thread count. Small products run serially.
+// Product a·b, on the calling thread. Each entry accumulates over k in
+// ascending order (k-blocked for cache reuse, zero entries of a skipped), so
+// the result does not depend on the thread that runs it; parallelism lives
+// one level up, in the trial engine (DESIGN.md §7).
 Matrix operator*(const Matrix& a, const Matrix& b);
-
-// The serial multiply kernel (always single-threaded). Exposed so property
-// tests can pin the parallel path against it.
-Matrix multiply_serial(const Matrix& a, const Matrix& b);
 
 Vector operator*(const Matrix& a, const Vector& x);
 bool approx_equal(const Matrix& a, const Matrix& b, double tol = 1e-9);

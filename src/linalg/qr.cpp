@@ -7,22 +7,8 @@
 #include <string>
 
 #include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scapegoat {
-
-namespace {
-
-// Trailing-update work (in flops) below which a Householder step is not
-// worth a pool dispatch, and the per-chunk flop target above it. Applying
-// the reflector to one column touches ~2(m−k) entries.
-constexpr std::size_t kQrParallelFlops = 1u << 15;
-constexpr std::size_t kQrGrainFlops = 1u << 13;
-
-// Work per pseudo-inverse column solve: one Qᵀ apply plus a back-solve.
-constexpr std::size_t kPinvParallelFlops = 1u << 15;
-
-}  // namespace
 
 QrDecomposition::QrDecomposition(const Matrix& a, Pivoting pivoting)
     : m_(a.rows()), n_(a.cols()), qr_(a) {
@@ -75,34 +61,18 @@ QrDecomposition::QrDecomposition(const Matrix& a, Pivoting pivoting)
     betas_[k] = beta;
 
     qr_(k, k) = alpha;
-    // Apply the reflector to the trailing columns. Columns are independent
-    // (each reads the fixed Householder vector in column k and writes only
-    // its own column), so the update parallelizes across the pool with
-    // bitwise-identical results; the pivot-norm downdate rides along per
-    // column. Small trailing blocks stay serial.
-    auto update_columns = [&](std::size_t c0, std::size_t c1) {
-      for (std::size_t c = c0; c < c1; ++c) {
-        double dot = qr_(k, c);
-        for (std::size_t r = k + 1; r < m_; ++r) dot += qr_(r, k) * qr_(r, c);
-        dot *= beta;
-        qr_(k, c) -= dot;
-        for (std::size_t r = k + 1; r < m_; ++r) qr_(r, c) -= dot * qr_(r, k);
-        if (pivoting == Pivoting::kColumn) {
-          colnorm[c] -= qr_(k, c) * qr_(k, c);
-          if (colnorm[c] < 0.0) colnorm[c] = 0.0;
-        }
+    // Apply the reflector to the trailing columns; the pivot-norm downdate
+    // rides along per column.
+    for (std::size_t c = k + 1; c < n_; ++c) {
+      double dot = qr_(k, c);
+      for (std::size_t r = k + 1; r < m_; ++r) dot += qr_(r, k) * qr_(r, c);
+      dot *= beta;
+      qr_(k, c) -= dot;
+      for (std::size_t r = k + 1; r < m_; ++r) qr_(r, c) -= dot * qr_(r, k);
+      if (pivoting == Pivoting::kColumn) {
+        colnorm[c] -= qr_(k, c) * qr_(k, c);
+        if (colnorm[c] < 0.0) colnorm[c] = 0.0;
       }
-    };
-    const std::size_t trailing_cols = n_ - (k + 1);
-    const std::size_t col_flops = 2 * (m_ - k);
-    ThreadPool& pool = ThreadPool::global();
-    if (trailing_cols * col_flops < kQrParallelFlops || pool.size() <= 1 ||
-        pool.on_worker_thread()) {
-      update_columns(k + 1, n_);
-    } else {
-      const std::size_t grain =
-          std::max<std::size_t>(1, kQrGrainFlops / col_flops);
-      pool.parallel_for(k + 1, n_, grain, update_columns);
     }
   }
 }
@@ -207,24 +177,13 @@ Matrix pseudo_inverse(const QrDecomposition& qr) {
   // m back-solves against the shared factor: ~(2mn + n²) flops each.
   obs::count("linalg.pinv.flops", m * (2 * m * n + n * n));
   Matrix pinv(n, m);
-  // Column j of the pseudo-inverse is argmin ‖a x − e_j‖₂. The m solves
-  // share the read-only factorization and write disjoint columns, so they
-  // fan out across the pool (this is the estimator's G = R⁺ hot path).
-  auto solve_columns = [&](std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
-      Vector ej(m);
-      ej[j] = 1.0;
-      Vector xj = qr.solve(ej);
-      for (std::size_t i = 0; i < n; ++i) pinv(i, j) = xj[i];
-    }
-  };
-  const std::size_t col_flops = std::max<std::size_t>(1, 2 * m * n + n * n);
-  ThreadPool& pool = ThreadPool::global();
-  if (m * col_flops < kPinvParallelFlops || pool.size() <= 1 ||
-      pool.on_worker_thread()) {
-    solve_columns(0, m);
-  } else {
-    pool.parallel_for(0, m, 1, solve_columns);
+  // Column j of the pseudo-inverse is argmin ‖a x − e_j‖₂, solved against
+  // the shared factorization.
+  for (std::size_t j = 0; j < m; ++j) {
+    Vector ej(m);
+    ej[j] = 1.0;
+    Vector xj = qr.solve(ej);
+    for (std::size_t i = 0; i < n; ++i) pinv(i, j) = xj[i];
   }
   return pinv;
 }

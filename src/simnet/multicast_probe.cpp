@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <ostream>
 
 #include "obs/obs.hpp"
-#include "util/execution.hpp"
 #include "util/random.hpp"
 
 namespace scapegoat::simnet {
@@ -51,12 +49,6 @@ double unit(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
   return static_cast<double>(s >> 11) * 0x1.0p-53;
 }
 
-struct Accumulator {
-  std::vector<std::size_t> reach_count;
-  std::vector<std::size_t> leaf_reached;
-  std::vector<std::size_t> outcome_counts;
-};
-
 }  // namespace
 
 Vector MulticastProbeRun::leaf_loss_metrics(double floor) const {
@@ -83,114 +75,66 @@ MulticastProbeRun run_multicast_probes(const MulticastTree& tree,
          static_cast<double>(adv->rules.size()) * adv->drop_rate <= 1.0 +
              1e-12);
 
-  // One probe: top-down reachability (parents precede children), then the
-  // leaf row feeds tomography's bottom-up γ accumulation.
-  std::vector<std::size_t> leaf_index_of(n, 0);
-  for (std::size_t i = 0; i < tree.leaves.size(); ++i)
-    leaf_index_of[tree.leaves[i]] = i;
-  const auto simulate_range = [&](std::size_t lo, std::size_t hi,
-                                  Accumulator& acc) {
-    std::vector<std::uint8_t> reached(n);
-    std::vector<std::uint8_t> leaf_row(leaves);
-    for (std::size_t p = lo; p < hi; ++p) {
-      reached[0] = 1;
-      // Shared exclusive coin: interval i of one uniform draw fires rule i.
-      std::size_t exclusive_rule = static_cast<std::size_t>(-1);
-      if (adv && adv->exclusive && adv->drop_rate > 0.0) {
-        const double u = unit(opt.seed, kMcDropSalt, 0, p);
-        const std::size_t slot =
-            static_cast<std::size_t>(u / adv->drop_rate);
-        if (slot < adv->rules.size()) exclusive_rule = slot;
-      }
-      for (std::size_t k = 1; k < n; ++k) {
-        const MulticastTreeNode& node = tree.nodes[k];
-        bool ok = reached[node.parent] != 0;
-        if (ok && adv) {
-          for (std::size_t r = 0; r < adv->rules.size(); ++r) {
-            const GreyHoleRule& rule = adv->rules[r];
-            if (rule.at != node.parent || rule.victim != k) continue;
-            const bool fires =
-                adv->exclusive
-                    ? exclusive_rule == r
-                    : adv->drop_rate > 0.0 &&
-                          unit(opt.seed, kMcDropSalt, r + 1, p) <
-                              adv->drop_rate;
-            if (fires) {
-              ok = false;
-              break;
-            }
-          }
-        }
-        if (ok && !opt.link_delivery.empty()) {
-          for (LinkId l : node.chain) {
-            assert(l < opt.link_delivery.size());
-            if (unit(opt.seed, kMcLinkSalt, l, p) >= opt.link_delivery[l]) {
-              ok = false;
-              break;
-            }
-          }
-        }
-        reached[k] = ok ? 1 : 0;
-      }
-      std::size_t outcome_bits = 0;
-      for (std::size_t i = 0; i < leaves; ++i) {
-        leaf_row[i] = reached[tree.leaves[i]];
-        if (leaf_row[i]) {
-          ++acc.leaf_reached[i];
-          outcome_bits |= std::size_t{1} << i;
-        }
-      }
-      accumulate_gamma_counts(tree, leaf_row, acc.reach_count);
-      if (histogram) ++acc.outcome_counts[outcome_bits];
-    }
-  };
-
-  const auto make_acc = [&] {
-    Accumulator acc;
-    acc.reach_count.assign(n, 0);
-    acc.leaf_reached.assign(leaves, 0);
-    acc.outcome_counts.assign(histogram ? (std::size_t{1} << leaves) : 0, 0);
-    return acc;
-  };
-
-  Accumulator total = make_acc();
-  if (opt.threads <= 1) {
-    simulate_range(0, opt.probes, total);
-  } else {
-    // Fixed-size chunks keyed by probe index; per-chunk accumulators fold
-    // in chunk order. The fates are pure hashes, so the partition cannot
-    // change any count — the fold order is pinned anyway to keep the
-    // contract auditable (test_multicast_probe diffs 1/2/4/8 workers).
-    const std::size_t chunk = std::max<std::size_t>(
-        1, (opt.probes + opt.threads - 1) / opt.threads);
-    const std::size_t chunks = (opt.probes + chunk - 1) / chunk;
-    std::vector<Accumulator> partial(chunks);
-    ExecutionPolicy exec(opt.threads, /*grain=*/1, opt.seed);
-    std::unique_ptr<ThreadPool> owned;
-    ThreadPool& pool = acquire_pool(exec, owned);
-    pool.parallel_for(0, chunks, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t c = lo; c < hi; ++c) {
-        partial[c] = make_acc();
-        simulate_range(c * chunk, std::min(opt.probes, (c + 1) * chunk),
-                       partial[c]);
-      }
-    });
-    for (const Accumulator& acc : partial) {
-      for (std::size_t k = 0; k < n; ++k)
-        total.reach_count[k] += acc.reach_count[k];
-      for (std::size_t i = 0; i < leaves; ++i)
-        total.leaf_reached[i] += acc.leaf_reached[i];
-      for (std::size_t o = 0; o < total.outcome_counts.size(); ++o)
-        total.outcome_counts[o] += acc.outcome_counts[o];
-    }
-  }
-
   MulticastProbeRun run;
   run.probes_sent = opt.probes;
   run.obs.probes = opt.probes;
-  run.obs.reach_count = std::move(total.reach_count);
-  run.leaf_reached = std::move(total.leaf_reached);
-  run.outcome_counts = std::move(total.outcome_counts);
+  run.obs.reach_count.assign(n, 0);
+  run.leaf_reached.assign(leaves, 0);
+  run.outcome_counts.assign(histogram ? (std::size_t{1} << leaves) : 0, 0);
+  std::vector<std::uint8_t> reached(n);
+  std::vector<std::uint8_t> leaf_row(leaves);
+  // One probe: top-down reachability (parents precede children), then the
+  // leaf row feeds tomography's bottom-up γ accumulation.
+  for (std::size_t p = 0; p < opt.probes; ++p) {
+    reached[0] = 1;
+    // Shared exclusive coin: interval i of one uniform draw fires rule i.
+    std::size_t exclusive_rule = static_cast<std::size_t>(-1);
+    if (adv && adv->exclusive && adv->drop_rate > 0.0) {
+      const double u = unit(opt.seed, kMcDropSalt, 0, p);
+      const std::size_t slot = static_cast<std::size_t>(u / adv->drop_rate);
+      if (slot < adv->rules.size()) exclusive_rule = slot;
+    }
+    for (std::size_t k = 1; k < n; ++k) {
+      const MulticastTreeNode& node = tree.nodes[k];
+      bool ok = reached[node.parent] != 0;
+      if (ok && adv) {
+        for (std::size_t r = 0; r < adv->rules.size(); ++r) {
+          const GreyHoleRule& rule = adv->rules[r];
+          if (rule.at != node.parent || rule.victim != k) continue;
+          const bool fires =
+              adv->exclusive
+                  ? exclusive_rule == r
+                  : adv->drop_rate > 0.0 &&
+                        unit(opt.seed, kMcDropSalt, r + 1, p) <
+                            adv->drop_rate;
+          if (fires) {
+            ok = false;
+            break;
+          }
+        }
+      }
+      if (ok && !opt.link_delivery.empty()) {
+        for (LinkId l : node.chain) {
+          assert(l < opt.link_delivery.size());
+          if (unit(opt.seed, kMcLinkSalt, l, p) >= opt.link_delivery[l]) {
+            ok = false;
+            break;
+          }
+        }
+      }
+      reached[k] = ok ? 1 : 0;
+    }
+    std::size_t outcome_bits = 0;
+    for (std::size_t i = 0; i < leaves; ++i) {
+      leaf_row[i] = reached[tree.leaves[i]];
+      if (leaf_row[i]) {
+        ++run.leaf_reached[i];
+        outcome_bits |= std::size_t{1} << i;
+      }
+    }
+    accumulate_gamma_counts(tree, leaf_row, run.obs.reach_count);
+    if (histogram) ++run.outcome_counts[outcome_bits];
+  }
   obs::count("simnet.multicast.probes", opt.probes);
   return run;
 }

@@ -9,9 +9,9 @@
 // Determinism contract: every per-(link, probe) pass decision and every
 // per-(rule, probe) adversary coin is a pure hash of (seed, salt, keys) —
 // the same chained derive_seed construction as robust/faults.cpp — so the
-// schedule is independent of evaluation order and thread count. The probe
-// range is chunked across the pool and the integer OR-counts fold in chunk
-// order; test_multicast_probe pins bitwise equality at 1/2/4/8 workers.
+// schedule is independent of evaluation order. The probes run serially on
+// the calling thread; an experiment parallelizes over its trials instead
+// (core/checkpoint_runner.hpp), each trial owning its own probe run.
 //
 // ProbeMode names the measurement channel an experiment feeds its defender:
 // kMulticast delivers the joint OR-counts (the correlation evidence the MLE
@@ -65,7 +65,6 @@ struct MulticastProbeOptions {
   // every link delivers with probability 1.
   std::vector<double> link_delivery;
   const MulticastAdversary* adversary = nullptr;
-  std::size_t threads = 0;  // 0/1 = serial; >1 = dedicated pool fan-out
   // Record the full 2^leaves outcome histogram up to this many leaves (the
   // brute-force oracle's input); larger trees skip it.
   std::size_t histogram_max_leaves = 12;

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace scapegoat {
@@ -105,25 +106,56 @@ std::vector<long> ArgParser::get_int_list(const std::string& flag) {
   return out;
 }
 
-std::size_t ArgParser::get_threads(const std::string& flag) {
-  const std::size_t errors_before = errors_.size();
-  const long v = get_int(flag, -1);
-  if (!has(flag)) return 0;  // absent = auto
-  if (errors_.size() > errors_before) return 0;  // get_int already complained
+bool ArgParser::check_count(const std::string& flag, long v, std::size_t max,
+                            const std::string& noun, const std::string& raw) {
   if (v <= 0) {
-    // An explicit 0 (or negative) worker count is a mistake, not "auto":
-    // the caller typed a value and the pool cannot run on zero workers.
-    errors_.push_back("--" + flag + " expects a positive thread count, got '" +
-                      get_string(flag) + "'");
-    return 0;
+    // An explicit 0 (or negative) count is a mistake, not "auto": the
+    // caller typed a value and nothing can run on zero workers or chunks.
+    errors_.push_back("--" + flag + " expects a positive " + noun +
+                      ", got '" + raw + "'");
+    return false;
   }
+  if (static_cast<unsigned long>(v) > max) {
+    errors_.push_back("--" + flag + " expects a " + noun + " of at most " +
+                      std::to_string(max) + ", got '" + raw + "'");
+    return false;
+  }
+  return true;
+}
+
+std::optional<std::size_t> ArgParser::get_count(const std::string& flag,
+                                                std::size_t max,
+                                                const std::string& noun) {
+  const std::size_t errors_before = errors_.size();
+  const long v = get_int(flag, 0);
+  if (!has(flag)) return std::nullopt;
+  if (errors_.size() > errors_before) return std::nullopt;  // get_int said so
+  if (!check_count(flag, v, max, noun, get_string(flag))) return std::nullopt;
   return static_cast<std::size_t>(v);
+}
+
+std::size_t ArgParser::get_threads(const std::string& flag) {
+  return get_count(flag, kMaxThreads, "thread count").value_or(0);
+}
+
+std::vector<std::size_t> ArgParser::get_thread_list(const std::string& flag) {
+  const std::size_t errors_before = errors_.size();
+  const std::vector<long> values = get_int_list(flag);
+  if (errors_.size() > errors_before) return {};
+  std::vector<std::size_t> out;
+  for (const long v : values) {
+    if (!check_count(flag, v, kMaxThreads, "thread count", std::to_string(v)))
+      return {};
+    out.push_back(static_cast<std::size_t>(v));
+  }
+  return out;
 }
 
 void ArgParser::apply_execution(ExecutionPolicy& exec) {
   ThreadPool::set_global_threads(get_threads());
-  exec.grain = static_cast<std::size_t>(
-      get_int("grain", static_cast<long>(exec.grain)));
+  if (const auto grain = get_count(
+          "grain", std::numeric_limits<std::size_t>::max(), "chunk size"))
+    exec.grain = *grain;
   exec.seed = static_cast<std::uint64_t>(
       get_int("seed", static_cast<long>(exec.seed)));
 }

@@ -1,7 +1,7 @@
 // Fixed-size worker thread pool with task futures and a grain-controlled
-// parallel_for — the substrate behind the parallel Monte-Carlo experiment
-// engine (core/experiment) and the blocked linalg kernels (linalg/matrix,
-// linalg/qr).
+// parallel_for — the substrate behind the parallel Monte-Carlo trial
+// engine (core/checkpoint_runner.hpp). Trials are the only parallel level:
+// nothing below a trial (linalg, LP, probe simulation) dispatches here.
 //
 // Design rules that keep every caller bit-reproducible:
 //   * parallel_for hands each index range to exactly one task, so any
@@ -73,9 +73,9 @@ class ThreadPool {
                          const std::function<void(std::size_t)>& body);
 
   // ------------------------------------------------------------- global --
-  // Process-wide pool used by the linalg kernels and any caller that does
-  // not thread an explicit pool through. Created lazily with the configured
-  // thread count (default: hardware concurrency).
+  // Process-wide pool the trial engine runs on when its ExecutionPolicy
+  // does not ask for a dedicated one (threads == 0). Created lazily with the
+  // configured thread count (default: hardware concurrency).
 
   static ThreadPool& global();
 

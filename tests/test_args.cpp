@@ -105,6 +105,55 @@ TEST(Args, ThreadsRejectsGarbage) {
   EXPECT_FALSE(a.errors().empty());
 }
 
+// Counts above the bound are refused at parse time; no pool is started here.
+TEST(Args, ThreadsRejectsCountsAboveTheBound) {
+  ArgParser at = parse({"attack", "--threads", "256"});
+  EXPECT_EQ(at.get_threads(), kMaxThreads);
+  EXPECT_TRUE(at.errors().empty());
+
+  ArgParser above = parse({"attack", "--threads", "257"});
+  EXPECT_EQ(above.get_threads(), 0u);
+  ASSERT_EQ(above.errors().size(), 1u);
+  EXPECT_NE(above.errors()[0].find("at most 256"), std::string::npos);
+
+  ArgParser huge = parse({"attack", "--threads=1000000"});
+  EXPECT_EQ(huge.get_threads(), 0u);
+  ASSERT_EQ(huge.errors().size(), 1u);
+  EXPECT_NE(huge.errors()[0].find("'1000000'"), std::string::npos);
+}
+
+TEST(Args, ThreadListHoldsEveryEntryToTheThreadsRange) {
+  ArgParser ok = parse({"bench", "--threads", "1,2,256"});
+  EXPECT_EQ(ok.get_thread_list(), (std::vector<std::size_t>{1, 2, 256}));
+  EXPECT_TRUE(ok.errors().empty());
+
+  EXPECT_TRUE(parse({"bench"}).get_thread_list().empty());
+
+  for (const char* bad : {"1,-1", "0", "4,257", "2,x"}) {
+    ArgParser a = parse({"bench", "--threads", bad});
+    EXPECT_TRUE(a.get_thread_list().empty()) << bad;
+    EXPECT_EQ(a.errors().size(), 1u) << bad;
+  }
+}
+
+TEST(Args, GrainRejectsZeroAndNegative) {
+  for (const char* bad : {"--grain=0", "--grain=-1"}) {
+    ArgParser a = parse({"fig7", "--threads", "1", bad});
+    ExecutionPolicy exec(0, /*grain=*/8, /*seed=*/5);
+    a.apply_execution(exec);
+    EXPECT_EQ(exec.grain, 8u) << bad;  // the default is kept
+    ASSERT_EQ(a.errors().size(), 1u) << bad;
+    EXPECT_NE(a.errors()[0].find("--grain expects a positive chunk size"),
+              std::string::npos)
+        << a.errors()[0];
+  }
+  ArgParser good = parse({"fig7", "--threads", "1", "--grain", "3"});
+  ExecutionPolicy exec(0, /*grain=*/8, /*seed=*/5);
+  good.apply_execution(exec);
+  EXPECT_EQ(exec.grain, 3u);
+  EXPECT_TRUE(good.errors().empty());
+}
+
 TEST(Args, IntOverflowIsRangeError) {
   ArgParser a = parse({"attack", "--seed", "999999999999999999999999"});
   EXPECT_EQ(a.get_int("seed", 3), 3);

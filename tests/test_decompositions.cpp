@@ -127,6 +127,9 @@ TEST(Qr, RankOfZeroAndIdentity) {
   EXPECT_EQ(matrix_rank(Matrix(4, 4, 0.0)), 0u);
   EXPECT_EQ(matrix_rank(Matrix::identity(5)), 5u);
   EXPECT_EQ(matrix_rank(Matrix(0, 0)), 0u);
+  EXPECT_EQ(matrix_rank(Matrix(0, 4)), 0u);
+  EXPECT_EQ(matrix_rank(Matrix(4, 0)), 0u);
+  EXPECT_EQ(matrix_rank(Matrix{{3.0}}), 1u);
 }
 
 TEST(Qr, RankOfWideMatrix) {

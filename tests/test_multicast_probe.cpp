@@ -1,7 +1,6 @@
 // The multicast probe simulator: counter bookkeeping, delivery statistics,
-// grey-hole adversary semantics (independent vs exclusive coins), the
-// histogram cap, and the bitwise thread-count-independence contract the
-// header promises.
+// grey-hole adversary semantics (independent vs exclusive coins) and the
+// histogram cap.
 
 #include "simnet/multicast_probe.hpp"
 
@@ -132,41 +131,6 @@ TEST(MulticastProbe, HistogramSkipsTreesOverTheLeafCap) {
   const MulticastProbeRun run = run_multicast_probes(*tree, opt);
   EXPECT_TRUE(run.outcome_counts.empty());
   EXPECT_EQ(run.obs.reach_count[0], 50u);  // OR counts still accumulate
-}
-
-TEST(MulticastProbe, ScheduleIsBitwiseIdenticalAcrossThreadCounts) {
-  // Deeper tree + adversary + lossy links, so every code path participates.
-  Graph g(7);
-  g.add_link(0, 1);
-  g.add_link(1, 2);
-  g.add_link(2, 3);
-  g.add_link(2, 4);
-  g.add_link(1, 5);
-  g.add_link(5, 6);
-  const auto tree = build_multicast_tree(g, 0, {3, 4, 6});
-  ASSERT_TRUE(tree.ok());
-  MulticastAdversary adv;
-  adv.rules = {{2, 3}, {2, 4}};
-  adv.drop_rate = 0.25;
-  adv.exclusive = true;
-  MulticastProbeOptions opt;
-  opt.probes = 4111;  // deliberately not a multiple of any chunk size
-  opt.seed = 0xdecafULL;
-  opt.link_delivery = {0.95, 0.9, 0.85, 0.8, 0.99, 0.75};
-  opt.adversary = &adv;
-
-  opt.threads = 1;
-  const MulticastProbeRun base = run_multicast_probes(*tree, opt);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    opt.threads = threads;
-    const MulticastProbeRun run = run_multicast_probes(*tree, opt);
-    EXPECT_EQ(run.probes_sent, base.probes_sent) << threads;
-    EXPECT_EQ(run.obs.reach_count, base.obs.reach_count)
-        << threads << " threads";
-    EXPECT_EQ(run.leaf_reached, base.leaf_reached) << threads << " threads";
-    EXPECT_EQ(run.outcome_counts, base.outcome_counts)
-        << threads << " threads";
-  }
 }
 
 }  // namespace

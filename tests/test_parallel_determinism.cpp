@@ -113,9 +113,10 @@ TEST(ParallelDeterminism, DetectionSeriesIdenticalAcrossThreadCounts) {
   }
 }
 
-// Per-trial estimates, not just aggregates: the estimator's x̂ = R⁺y solve
-// (which internally uses the pool-parallel QR / pseudo-inverse kernels) must
-// produce the same bits under any global thread count.
+// Per-trial estimates, not just aggregates: the scenario build and the
+// estimator's x̂ = R⁺y solve (serial QR / pseudo-inverse kernels, whatever
+// the global pool's size) must produce the same bits under any global
+// thread count.
 TEST(ParallelDeterminism, PerTrialEstimatesBitwiseIdentical) {
   auto build = [] {
     Rng rng(2024);
