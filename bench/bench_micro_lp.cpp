@@ -22,7 +22,7 @@ Model attack_shaped_lp(std::size_t vars, std::size_t rows, Rng& rng) {
       const double c = rng.uniform(-0.2, 0.6);
       if (std::abs(c) > 0.05) terms.push_back({j, c});
     }
-    m.add_constraint(std::move(terms), RowType::kLessEqual,
+    m.add_constraint(std::move(terms), -kInfinity,
                      rng.uniform(50.0, 500.0));
   }
   return m;
@@ -52,7 +52,7 @@ void BM_SimplexPhase1Infeasible(benchmark::State& state) {
   for (std::size_t j = 0; j < n; ++j) m.add_variable(0.0, 1.0, 1.0);
   std::vector<Term> all;
   for (std::size_t j = 0; j < n; ++j) all.push_back({j, 1.0});
-  m.add_constraint(all, RowType::kGreaterEqual, static_cast<double>(n + 5));
+  m.add_constraint(all, static_cast<double>(n + 5), kInfinity);
   for (auto _ : state) {
     Solution s = solve(m);
     benchmark::DoNotOptimize(s);

@@ -30,6 +30,8 @@ AttackResult solve_attack_lp(const AttackContext& ctx,
 
   for (const LinkBand& band : bands) {
     if (band.link >= num_links) return result;  // kInfeasible, unsolved
+    // A band open at both ends constrains nothing.
+    if (band.lower == -lp::kInfinity && band.upper == lp::kInfinity) continue;
     const double base = ctx.x_true[band.link];
     std::vector<lp::Term> terms;
     for (std::size_t k = 0; k < support.size(); ++k) {
@@ -45,11 +47,9 @@ AttackResult solve_attack_lp(const AttackContext& ctx,
       }
       continue;
     }
-    if (std::isfinite(band.upper))
-      model.add_constraint(terms, lp::RowType::kLessEqual, band.upper - base);
-    if (std::isfinite(band.lower))
-      model.add_constraint(std::move(terms), lp::RowType::kGreaterEqual,
-                           band.lower - base);
+    // An infinite end stays infinite after the shift.
+    model.add_constraint(std::move(terms), band.lower - base,
+                         band.upper - base);
   }
 
   const lp::Solution sol = lp::solve(model);
@@ -85,10 +85,8 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
   for (const LinkBand& band : bands) {
     if (band.link >= num_links) return result;  // kInfeasible, unsolved
     const double base = ctx.x_true[band.link];
-    const double lb = std::isfinite(band.lower) ? band.lower - base
-                                                : -lp::kInfinity;
-    const double ub = std::isfinite(band.upper) ? band.upper - base
-                                                : lp::kInfinity;
+    const double lb = band.lower - base;
+    const double ub = band.upper - base;
     if (lb > ub) {
       result.status = lp::SolveStatus::kInfeasible;
       return result;
@@ -97,21 +95,16 @@ AttackResult solve_consistent_attack_lp(const AttackContext& ctx,
     banded_links.push_back(band.link);
   }
 
-  // Constraint 1 on m = R Δx̂: attacker-free paths must see exactly 0;
-  // every path must see 0 ≤ mᵢ ≤ cap.
+  // Constraint 1 on m = R Δx̂: every path must see 0 ≤ mᵢ ≤ cap, and
+  // attacker-free paths exactly 0.
   std::vector<bool> has_attacker(num_paths, false);
   for (std::size_t i : ctx.attacker_path_indices()) has_attacker[i] = true;
   const std::vector<std::vector<lp::Term>> rows =
       restricted_rows(r, banded_links);
   for (std::size_t i = 0; i < num_paths; ++i) {
     if (rows[i].empty()) continue;  // mᵢ identically 0
-    if (!has_attacker[i]) {
-      model.add_constraint(rows[i], lp::RowType::kEqual, 0.0);
-    } else {
-      model.add_constraint(rows[i], lp::RowType::kGreaterEqual, 0.0);
-      model.add_constraint(rows[i], lp::RowType::kLessEqual,
-                           ctx.per_path_cap);
-    }
+    model.add_constraint(rows[i], 0.0, has_attacker[i] ? ctx.per_path_cap
+                                                       : 0.0);
   }
 
   const lp::Solution sol = lp::solve(model);

@@ -59,8 +59,7 @@ AttackResult sparse_aware_attack(const AttackContext& ctx,
   auto add_delta = [&](LinkId link, double lower, double upper) -> bool {
     const double base = ctx.x_true[link];
     const double lb = std::max(lower - base, -base);
-    const double ub =
-        std::isfinite(upper) ? upper - base : lp::kInfinity;
+    const double ub = upper - base;
     if (lb > ub) return false;
     model.add_variable(lb, ub, 0.0);
     banded_links.push_back(link);
@@ -94,24 +93,15 @@ AttackResult sparse_aware_attack(const AttackContext& ctx,
       restricted_rows(ctx.estimator->sparse_r(), banded_links);
   for (std::size_t i = 0; i < num_paths; ++i) {
     std::vector<lp::Term> terms = std::move(rows[i]);
+    double row_eps = eps;
     if (has_attacker[i]) {
       // |(RΔx̂)ᵢ − mᵢ| ≤ ε.
       terms.push_back({m_var[i], -1.0});
-      model.add_constraint(terms, lp::RowType::kLessEqual, eps);
-      model.add_constraint(std::move(terms), lp::RowType::kGreaterEqual,
-                           -eps);
     } else {
       if (terms.empty()) continue;  // (RΔx̂)ᵢ ≡ 0: inside any budget
-      const double row_eps =
-          opt.scope == LeakageScope::kAllPaths ? eps : 0.0;
-      if (row_eps == 0.0) {
-        model.add_constraint(std::move(terms), lp::RowType::kEqual, 0.0);
-      } else {
-        model.add_constraint(terms, lp::RowType::kLessEqual, row_eps);
-        model.add_constraint(std::move(terms), lp::RowType::kGreaterEqual,
-                             -row_eps);
-      }
+      if (opt.scope != LeakageScope::kAllPaths) row_eps = 0.0;
     }
+    model.add_constraint(std::move(terms), -row_eps, row_eps);
   }
 
   const lp::Solution sol = lp::solve(model);

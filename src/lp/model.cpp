@@ -13,21 +13,28 @@ std::size_t Model::add_variable(double lower, double upper, double objective,
   return variables_.size() - 1;
 }
 
-void Model::add_constraint(std::vector<Term> terms, RowType type, double rhs,
-                           std::string name) {
+void Model::add_constraint(std::vector<Term> terms, double lower,
+                           double upper, std::string name) {
   constraints_.push_back(
-      Constraint{std::move(terms), type, rhs, std::move(name)});
+      Constraint{std::move(terms), lower, upper, std::move(name)});
 }
 
+namespace {
+
+// Also false when either end is NaN.
+bool valid_range(double lower, double upper) {
+  return lower <= upper && lower != kInfinity && upper != -kInfinity;
+}
+
+}  // namespace
+
 bool Model::well_formed() const {
-  for (const Variable& v : variables_) {
-    // Also false when either bound is NaN.
-    if (!(v.lower <= v.upper) || v.lower == kInfinity ||
-        v.upper == -kInfinity)
-      return false;
-  }
+  for (const Variable& v : variables_)
+    if (!valid_range(v.lower, v.upper)) return false;
   for (const Constraint& c : constraints_) {
-    if (!std::isfinite(c.rhs)) return false;
+    if (!valid_range(c.lower, c.upper) ||
+        (c.lower == -kInfinity && c.upper == kInfinity))
+      return false;
     for (const Term& t : c.terms)
       if (t.var >= variables_.size() || !std::isfinite(t.coeff)) return false;
   }
@@ -52,17 +59,8 @@ double Model::max_violation(const std::vector<double>& x) const {
   for (const Constraint& c : constraints_) {
     double lhs = 0.0;
     for (const Term& t : c.terms) lhs += t.coeff * x[t.var];
-    switch (c.type) {
-      case RowType::kLessEqual:
-        worst = std::max(worst, lhs - c.rhs);
-        break;
-      case RowType::kGreaterEqual:
-        worst = std::max(worst, c.rhs - lhs);
-        break;
-      case RowType::kEqual:
-        worst = std::max(worst, std::abs(lhs - c.rhs));
-        break;
-    }
+    worst = std::max(worst, c.lower - lhs);
+    worst = std::max(worst, lhs - c.upper);
   }
   return worst;
 }
@@ -83,18 +81,7 @@ std::string to_string(const Model& model) {
     const Constraint& c = model.constraint(i);
     os << ';';
     for (const Term& t : c.terms) os << ' ' << t.coeff << "*x" << t.var;
-    switch (c.type) {
-      case RowType::kLessEqual:
-        os << " <= ";
-        break;
-      case RowType::kGreaterEqual:
-        os << " >= ";
-        break;
-      case RowType::kEqual:
-        os << " == ";
-        break;
-    }
-    os << c.rhs;
+    os << " in [" << c.lower << ',' << c.upper << ']';
   }
   return os.str();
 }

@@ -4,8 +4,12 @@
 // attack manipulation vector m (maximize ‖m‖₁ = Σ mᵢ subject to Constraint 1
 // and link-state constraints on the manipulated tomography estimate). This
 // model type is the neutral LP surface between the attack formulations and
-// the simplex solver: named variables with box bounds, sparse constraint
-// rows with ≤ / = / ≥ senses, and a linear objective.
+// the simplex solver: named variables with box bounds, sparse ranged
+// constraint rows lower ≤ aᵀx ≤ upper, and a linear objective.
+//
+// A row and a variable follow one bound rule: either end may be infinite
+// (a one-sided row), lower == upper makes the row an equality, and a band
+// such as |rᵢΔx̂ − mᵢ| ≤ ε is one row, not two.
 
 #pragma once
 
@@ -18,7 +22,6 @@ namespace scapegoat::lp {
 inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 enum class Sense { kMaximize, kMinimize };
-enum class RowType { kLessEqual, kGreaterEqual, kEqual };
 
 // One sparse coefficient: variable index and value.
 struct Term {
@@ -26,10 +29,11 @@ struct Term {
   double coeff;
 };
 
+// lower ≤ Σ coeff·x[var] ≤ upper.
 struct Constraint {
   std::vector<Term> terms;
-  RowType type = RowType::kLessEqual;
-  double rhs = 0.0;
+  double lower = -kInfinity;
+  double upper = kInfinity;
   std::string name;
 };
 
@@ -52,8 +56,10 @@ class Model {
   std::size_t add_variable(double lower, double upper, double objective,
                            std::string name = {});
 
-  // Terms are taken as given; see well_formed().
-  void add_constraint(std::vector<Term> terms, RowType type, double rhs,
+  // Adds the row lower ≤ Σ terms ≤ upper: `lower` may be -inf or `upper`
+  // +inf, and lower == upper is an equality. Taken as given; see
+  // well_formed().
+  void add_constraint(std::vector<Term> terms, double lower, double upper,
                       std::string name = {});
 
   std::size_t num_variables() const { return variables_.size(); }
@@ -62,11 +68,12 @@ class Model {
   const Variable& variable(std::size_t i) const { return variables_[i]; }
   const Constraint& constraint(std::size_t i) const { return constraints_[i]; }
 
-  // True when every variable has lower ≤ upper, with neither bound NaN,
-  // lower ≠ +inf and upper ≠ -inf (lower == upper fixes the variable), and
-  // when every term names a variable of this model and every term
-  // coefficient and rhs is finite. Both solvers refuse any other model with
-  // kInfeasible before building anything from it.
+  // True when every variable and every row has lower ≤ upper, with neither
+  // end NaN, lower ≠ +inf and upper ≠ -inf (lower == upper fixes the
+  // variable or makes the row an equality), when no row has both ends
+  // infinite, and when every term names a variable of this model with a
+  // finite coefficient. lp::solve refuses any other model with kInfeasible
+  // before building anything from it.
   bool well_formed() const;
 
   // Objective value of a candidate point (no feasibility check).
@@ -81,8 +88,9 @@ class Model {
   std::vector<Constraint> constraints_;
 };
 
-// Compact single-line rendering — "max 2x0 -x1 | x0 in [0,3] ...; 2x0+x1 <=
-// 4; ..." — for logs and property-test counterexample reports.
+// Compact single-line rendering — "max 2*x0 -1*x1 | x0 in [0,3] ...; 2*x0
+// 1*x1 in [-inf,4]; ..." — for logs and property-test counterexample
+// reports.
 std::string to_string(const Model& model);
 
 }  // namespace scapegoat::lp

@@ -30,21 +30,25 @@ struct VarMap {
   bool split = false;
 };
 
-// How a model constraint maps into a standard-form row with rhs ≥ 0: the
-// row is negated when its shifted rhs is negative (which flips ≤ and ≥), a
-// ≤ row gets a slack (+1), a ≥ row a surplus (−1) and an artificial, an =
-// row an artificial alone.
+// How a model row lower ≤ aᵀx ≤ upper maps into a standard-form row with
+// rhs ≥ 0. A row with lower < upper gets a slack s ∈ [lower, upper],
+// shifted the way a variable is: s = lower + s′ when lower is finite, so s′
+// enters aᵀx − s′ = lower with coefficient −1, else s = upper − s′ and s′
+// enters aᵀx + s′ = upper with +1. Either way s′ ∈ [0, upper − lower]. An
+// equality row has no slack. The row is negated when its shifted rhs is
+// negative, and gets an artificial unless its slack starts basic.
 struct RowForm {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   double sign = 1.0;
-  std::size_t slack = kNone;  // slack or surplus column
-  double slack_coeff = 1.0;
+  std::size_t slack = kNone;
+  double slack_coeff = 1.0;  // in the negated row when sign < 0
   std::size_t artificial = kNone;
 };
 
 // Condensed (Tucker) bounded-variable tableau: min cᵀu s.t. T u = rhs,
 // 0 ≤ u ≤ range. A boxed model variable keeps its lower-bound shift and
-// gets range = upper − lower; every other column has an infinite range. A
+// gets range = upper − lower, and so does the slack of a row with both ends
+// finite; every other column has an infinite range. A
 // basic column is a unit vector with a zero reduced cost, so only the
 // nonbasic columns are stored: one row-major m × nn buffer, with
 // nonbasic_[p] naming the column at position p as basis_[i] names the one
@@ -69,7 +73,8 @@ class Tableau {
 
   double* row(std::size_t i) { return a_.data() + i * nn_; }
 
-  // The model row's rhs after the bound shifts, before any negation.
+  // The model row's anchor (lower if finite, else upper) after the bound
+  // shifts, before any negation.
   double shifted_rhs(std::size_t i) const;
   // Calls f(column id, coefficient) for every term of standard-form row i,
   // its slack and artificial included. A column may be named more than once
@@ -137,7 +142,7 @@ class Tableau {
 
 double Tableau::shifted_rhs(std::size_t i) const {
   const Constraint& c = model_.constraint(i);
-  double rhs = c.rhs;
+  double rhs = c.lower != -kInfinity ? c.lower : c.upper;
   for (const Term& t : c.terms) {
     const VarMap& m = var_map_[t.var];
     if (!m.split) rhs -= t.coeff * m.shift;
@@ -191,37 +196,35 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
   const std::size_t structural_cols = col;
 
   // 2. Each row's rhs after the bound shifts, made ≥ 0 by negating the row,
-  //    and its slack, surplus and artificial columns. Slacks are numbered
+  //    and its slack and artificial columns. The slack starts basic when its
+  //    coefficient in the negated row is +1 (a lower-shifted slack's start
+  //    value must be strictly above 0, an upper-shifted one's at least 0)
+  //    and its start value is within its range. Otherwise it starts
+  //    nonbasic, at 0 or, when its start value is above its range,
+  //    reflected there, and the row gets an artificial. Slacks are numbered
   //    after the structurals, artificials after every slack.
   m_ = model.num_constraints();
   rows_.resize(m_);
   rhs_.assign(m_, 0.0);
-  std::vector<RowType> types(m_, RowType::kLessEqual);
-  std::size_t num_slacks = 0, num_surplus = 0;
+  std::vector<char> slack_basic(m_, 0);
+  std::size_t num_slacks = 0, num_stored_slacks = 0;
   for (std::size_t i = 0; i < m_; ++i) {
-    types[i] = model.constraint(i).type;
-    rhs_[i] = shifted_rhs(i);
-    if (rhs_[i] < 0.0) {
-      rows_[i].sign = -1.0;
-      rhs_[i] = -rhs_[i];
-      if (types[i] == RowType::kLessEqual)
-        types[i] = RowType::kGreaterEqual;
-      else if (types[i] == RowType::kGreaterEqual)
-        types[i] = RowType::kLessEqual;
-    }
-    if (types[i] != RowType::kEqual) ++num_slacks;
-    if (types[i] == RowType::kGreaterEqual) ++num_surplus;
+    const Constraint& c = model.constraint(i);
+    RowForm& rf = rows_[i];
+    const double r = shifted_rhs(i);
+    rf.sign = r < 0.0 ? -1.0 : 1.0;
+    rhs_[i] = rf.sign * r;
+    if (c.lower == c.upper) continue;
+    rf.slack_coeff = c.lower != -kInfinity ? -rf.sign : rf.sign;
+    ++num_slacks;
+    if (rf.slack_coeff > 0.0 && rhs_[i] <= c.upper - c.lower)
+      slack_basic[i] = 1;
+    else
+      ++num_stored_slacks;
   }
   first_artificial_ = structural_cols + num_slacks;
-  std::size_t slack_col = structural_cols;
-  std::size_t art_col = first_artificial_;
-  for (std::size_t i = 0; i < m_; ++i) {
-    RowForm& rf = rows_[i];
-    if (types[i] != RowType::kEqual) rf.slack = slack_col++;
-    if (types[i] == RowType::kGreaterEqual) rf.slack_coeff = -1.0;
-    if (types[i] != RowType::kLessEqual) rf.artificial = art_col++;
-  }
-  total_cols_ = art_col;
+  const std::size_t num_artificials = m_ - (num_slacks - num_stored_slacks);
+  total_cols_ = first_artificial_ + num_artificials;
   range_.assign(total_cols_, kInfinity);
   reflected_.assign(total_cols_, 0);
   for (std::size_t j = 0; j < n; ++j) {
@@ -229,31 +232,48 @@ Tableau::Tableau(const Model& model, const SimplexOptions& opt)
     if (!var_map_[j].split && v.lower != -kInfinity && v.upper != kInfinity)
       range_[var_map_[j].col] = v.upper - v.lower;
   }
+  std::size_t slack_col = structural_cols;
+  std::size_t art_col = first_artificial_;
+  for (std::size_t i = 0; i < m_; ++i) {
+    const Constraint& c = model.constraint(i);
+    RowForm& rf = rows_[i];
+    if (!slack_basic[i]) rf.artificial = art_col++;
+    if (c.lower == c.upper) continue;
+    rf.slack = slack_col++;
+    range_[rf.slack] = c.upper - c.lower;
+    if (!slack_basic[i] && rf.slack_coeff > 0.0) {
+      // Starts above its range: reflected there, with the rest of the row
+      // (still > 0) on the artificial.
+      reflected_[rf.slack] = 1;
+      rhs_[i] -= range_[rf.slack];
+    }
+  }
+  assert(art_col == total_cols_);
 
-  // 3. The starting basis is the slack of every ≤ row and the artificial of
-  //    every ≥ and = row, so the stored columns are the structurals followed
-  //    by the surpluses, all at 0.
-  nn_ = structural_cols + num_surplus;
+  // 3. The starting basis is each basic slack and every other row's
+  //    artificial, so the stored columns are the structurals followed by
+  //    the nonbasic slacks, all at 0 in their stored orientation.
+  nn_ = structural_cols + num_stored_slacks;
   a_.assign(m_ * nn_, 0.0);
   nonbasic_.resize(nn_);
   basis_.assign(m_, 0);
   for (std::size_t p = 0; p < structural_cols; ++p) nonbasic_[p] = p;
-  std::size_t surplus_pos = structural_cols;
+  std::size_t slack_pos = structural_cols;
   for (std::size_t i = 0; i < m_; ++i) {
     const RowForm& rf = rows_[i];
-    const bool ge = types[i] == RowType::kGreaterEqual;
-    if (ge) nonbasic_[surplus_pos] = rf.slack;
-    basis_[i] = types[i] == RowType::kLessEqual ? rf.slack : rf.artificial;
+    const bool stored = rf.slack != RowForm::kNone && !slack_basic[i];
+    if (stored) nonbasic_[slack_pos] = rf.slack;
+    basis_[i] = slack_basic[i] ? rf.slack : rf.artificial;
     double* r = row(i);
     for_each_entry(i, [&](std::size_t id, double coeff) {
       if (id < structural_cols)
         r[id] += coeff;
-      else if (ge && id == rf.slack)
-        r[surplus_pos] = coeff;
+      else if (stored && id == rf.slack)
+        r[slack_pos] = reflected_[id] ? -coeff : coeff;
     });
-    if (ge) ++surplus_pos;
+    if (stored) ++slack_pos;
   }
-  assert(surplus_pos == nn_);
+  assert(slack_pos == nn_);
 
   // Phase-2 costs: minimization form of the model objective on structural
   // columns. (Shifts contribute a constant handled at extraction time; we

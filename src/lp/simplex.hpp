@@ -10,7 +10,16 @@
 //
 // The tableau has one row per model constraint. A doubly-bounded variable,
 // such as a manipulation 0 ≤ mᵢ ≤ cap, keeps its lower-bound shift and gets
-// a range u = upper − lower instead of a row of its own. Each nonbasic
+// a range u = upper − lower instead of a row of its own. A ranged row
+// lower ≤ aᵀx ≤ upper with lower < upper gets one slack s ∈ [lower, upper],
+// shifted like a variable (s = lower + s′ when lower is finite, else
+// s = upper − s′), so s′ has the range upper − lower and a two-sided row
+// such as 0 ≤ rᵢΔx̂ ≤ cap costs one row, not two. The slack starts basic
+// when its start value (every structural column at 0) lies in its range,
+// strictly above 0 when lower-shifted; otherwise it starts nonbasic at 0,
+// or reflected at its range when it starts above it, and the row gets a
+// phase-1 artificial. An equality row (lower == upper) has no slack, only
+// an artificial. Each nonbasic
 // column sits at 0 or at its range; a column at 0 may enter when its reduced
 // cost is below −kCostTol, one at its range when it is above +kCostTol. The
 // ratio test lets a basic column block at 0 or at its range, and the

@@ -111,19 +111,11 @@ lp::Model gen_lp_model(Source& src, const LpModelLimits& limits) {
       if (coeff != 0.0) terms.push_back({j, coeff});
     }
     const double rhs = src.grid(0.5, 20);
-    lp::RowType type = lp::RowType::kLessEqual;
-    switch (src.choice(2)) {
-      case 1:
-        type = lp::RowType::kGreaterEqual;
-        break;
-      case 2:
-        type = lp::RowType::kEqual;
-        break;
-      default:
-        break;
-    }
+    // 0: ≤ rhs, 1: ≥ rhs, 2: = rhs.
+    const std::uint64_t shape = src.choice(2);
     if (terms.empty()) continue;  // vacuous row: 0 ⋛ rhs tells us nothing
-    model.add_constraint(std::move(terms), type, rhs);
+    model.add_constraint(std::move(terms), shape == 0 ? -lp::kInfinity : rhs,
+                         shape == 1 ? lp::kInfinity : rhs);
   }
   return model;
 }

@@ -55,10 +55,13 @@ ReferenceLpResult solve_lp_by_vertex_enumeration(const lp::Model& model,
 
   std::vector<Hyperplane> planes;
   for (std::size_t i = 0; i < model.num_constraints(); ++i) {
+    // One hyperplane per finite end; an equality row has one.
     const lp::Constraint& c = model.constraint(i);
-    Hyperplane h{std::vector<double>(n, 0.0), c.rhs};
-    for (const lp::Term& t : c.terms) h.coeffs[t.var] += t.coeff;
-    planes.push_back(std::move(h));
+    std::vector<double> coeffs(n, 0.0);
+    for (const lp::Term& t : c.terms) coeffs[t.var] += t.coeff;
+    if (c.lower != -lp::kInfinity) planes.push_back({coeffs, c.lower});
+    if (c.upper != lp::kInfinity && c.upper != c.lower)
+      planes.push_back({std::move(coeffs), c.upper});
   }
   for (std::size_t j = 0; j < n; ++j) {
     const lp::Variable& v = model.variable(j);

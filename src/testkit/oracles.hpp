@@ -26,7 +26,7 @@ namespace scapegoat::testkit {
 // For models whose variables all carry finite box bounds the feasible set is
 // a polytope: if it is non-empty it has a vertex, and some vertex attains
 // the optimum. The oracle enumerates every n-subset of the hyperplane set
-// {constraint rows as equalities} ∪ {x_j = lower_j} ∪ {x_j = upper_j},
+// {aᵢᵀx = each finite end of row i} ∪ {x_j = lower_j} ∪ {x_j = upper_j},
 // solves the square system, keeps feasible solutions, and maximizes /
 // minimizes the objective over them.
 

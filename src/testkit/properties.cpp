@@ -103,6 +103,94 @@ bool prop_lp_simplex_matches_reference(Source& src) {
   return true;
 }
 
+// ---- lp_ranged_rows_match_split_rows ---------------------------------------
+
+bool prop_lp_ranged_rows_match_split_rows(Source& src) {
+  const lp::Model base = gen_lp_model(src);
+  // Widen some rows into two-sided ranges: a ≤ row gains a lower end, a ≥
+  // row an upper end, and an equality row opens on both sides (a width of 0
+  // keeps or makes an equality). These draws follow the generator's, so
+  // gen_lp_model decodes every tape to the model it always did. The split
+  // twin writes each range as two one-sided rows.
+  lp::Model ranged(base.sense());
+  lp::Model split(base.sense());
+  for (std::size_t j = 0; j < base.num_variables(); ++j) {
+    const lp::Variable& v = base.variable(j);
+    ranged.add_variable(v.lower, v.upper, v.objective);
+    split.add_variable(v.lower, v.upper, v.objective);
+  }
+  for (std::size_t i = 0; i < base.num_constraints(); ++i) {
+    const lp::Constraint& c = base.constraint(i);
+    double lower = c.lower, upper = c.upper;
+    if (src.maybe(0.5)) {
+      const double width = src.grid_nonneg(0.5, 16);
+      if (lower == -lp::kInfinity) {
+        lower = upper - width;
+      } else if (upper == lp::kInfinity) {
+        upper = lower + width;
+      } else {
+        lower -= width;
+        upper += src.grid_nonneg(0.5, 16);
+      }
+    }
+    ranged.add_constraint(c.terms, lower, upper);
+    if (lower == upper) {
+      split.add_constraint(c.terms, lower, upper);
+      continue;
+    }
+    if (lower != -lp::kInfinity)
+      split.add_constraint(c.terms, lower, lp::kInfinity);
+    if (upper != lp::kInfinity)
+      split.add_constraint(c.terms, -lp::kInfinity, upper);
+  }
+
+  // Feasibility decided by less than 1e-4 of slack is borderline: either
+  // verdict stands there, as in lp_simplex_matches_reference.
+  const ReferenceLpResult ref = solve_lp_by_vertex_enumeration(ranged);
+  const bool clearly_infeasible =
+      !ref.feasible && !solve_lp_by_vertex_enumeration(ranged, 1e-4).feasible;
+  const bool clearly_feasible =
+      ref.feasible && solve_lp_by_vertex_enumeration(ranged, 1e-9).feasible;
+  const lp::SolveStatus want = clearly_feasible ? lp::SolveStatus::kOptimal
+                                                : lp::SolveStatus::kInfeasible;
+  auto check = [&](const std::string& label, const lp::Model& model,
+                   const lp::Solution& sol) {
+    if ((clearly_feasible || clearly_infeasible) && sol.status != want) {
+      src.note(label + " model: " + lp::to_string(sol.status) +
+               ", oracle: " + lp::to_string(want));
+      return false;
+    }
+    if (!sol.optimal()) return true;
+    if (model.max_violation(sol.x) > lp::kFeasTol) {
+      src.note(label + " point violates its model by " +
+               std::to_string(model.max_violation(sol.x)));
+      return false;
+    }
+    if (ref.feasible && std::abs(sol.objective - ref.objective) >
+                            1e-6 * (1.0 + std::abs(ref.objective))) {
+      src.note(label + " objective " + std::to_string(sol.objective) +
+               " vs reference " + std::to_string(ref.objective));
+      return false;
+    }
+    return true;
+  };
+  const lp::Solution got = lp::solve(ranged);
+  const lp::Solution twin = lp::solve(split);
+  if (!check("ranged", ranged, got) || !check("split", split, twin)) {
+    src.note(describe_model(ranged));
+    return false;
+  }
+  if (got.optimal() && twin.optimal() &&
+      std::abs(got.objective - twin.objective) >
+          1e-6 * (1.0 + std::abs(twin.objective))) {
+    src.note("ranged objective " + std::to_string(got.objective) +
+             " vs split " + std::to_string(twin.objective));
+    src.note(describe_model(ranged));
+    return false;
+  }
+  return true;
+}
+
 // ---- linalg properties ----------------------------------------------------
 
 // ---- linalg_sparse_matches_dense -------------------------------------------
@@ -1157,6 +1245,8 @@ const std::map<std::string, NamedProperty>& property_registry() {
   static const std::map<std::string, NamedProperty> registry = {
       {"lp_simplex_matches_reference",
        {prop_lp_simplex_matches_reference, 200, 1}},
+      {"lp_ranged_rows_match_split_rows",
+       {prop_lp_ranged_rows_match_split_rows, 200, 1}},
       {"linalg_sparse_matches_dense", {prop_sparse_matches_dense, 200, 1}},
       {"linalg_sparse_row_append_matches_rebuild",
        {prop_sparse_row_append_matches_rebuild, 200, 1}},

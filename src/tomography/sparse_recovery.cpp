@@ -69,20 +69,15 @@ robust::Expected<SparseRecoveryResult> SparseRecoveryEstimator::recover(
 
   SparseRecoveryResult result;
 
-  // One ℓ1 solve at ball radius eps (eps == 0 emits equality rows).
+  // One ℓ1 solve at ball radius eps: one row b − ε ≤ rᵢu ≤ b + ε per path,
+  // an equality row when eps == 0.
   auto solve_l1 = [&](double eps) {
     lp::Model model(lp::Sense::kMinimize);
     add_split_variables(model, prior_, 1.0);
     for (std::size_t i = 0; i < num_paths(); ++i) {
       std::vector<lp::Term> terms = path_row(paths()[i], n);
       if (terms.empty()) continue;  // zero row constrains nothing when b≈0
-      if (eps == 0.0) {
-        model.add_constraint(std::move(terms), lp::RowType::kEqual, b[i]);
-      } else {
-        model.add_constraint(terms, lp::RowType::kGreaterEqual, b[i] - eps);
-        model.add_constraint(std::move(terms), lp::RowType::kLessEqual,
-                             b[i] + eps);
-      }
+      model.add_constraint(std::move(terms), b[i] - eps, b[i] + eps);
     }
     lp::Solution sol = lp::solve(model);
     result.lp_iterations += sol.iterations;
@@ -103,9 +98,9 @@ robust::Expected<SparseRecoveryResult> SparseRecoveryEstimator::recover(
       std::vector<lp::Term> terms = path_row(paths()[i], n);
       if (terms.empty()) continue;
       terms.push_back({t_var, -1.0});
-      cheb.add_constraint(terms, lp::RowType::kLessEqual, b[i]);
+      cheb.add_constraint(terms, -lp::kInfinity, b[i]);
       terms.back().coeff = 1.0;
-      cheb.add_constraint(std::move(terms), lp::RowType::kGreaterEqual, b[i]);
+      cheb.add_constraint(std::move(terms), b[i], lp::kInfinity);
     }
     lp::Solution aux = lp::solve(cheb);
     result.lp_iterations += aux.iterations;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <exception>
+#include <memory>
 
 #include "obs/obs.hpp"
 
@@ -40,7 +41,7 @@ bool ThreadPool::on_worker_thread() const { return t_worker_pool == this; }
 void ThreadPool::enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    assert(!stopping_ && "submit on a stopping pool");
+    assert(!stopping_ && "enqueue on a stopping pool");
     queue_.push_back(std::move(task));
     // "pool." metrics are scheduling-dependent — outside the determinism
     // contract (see obs/obs.hpp).
@@ -130,14 +131,6 @@ void ThreadPool::parallel_for(
   state->done_cv.wait(lock,
                       [&] { return state->done.load() == chunks; });
   if (state->error) std::rethrow_exception(state->error);
-}
-
-void ThreadPool::parallel_for_each(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t)>& body) {
-  parallel_for(begin, end, grain, [&body](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
 }
 
 namespace {

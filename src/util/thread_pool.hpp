@@ -1,5 +1,5 @@
-// Fixed-size worker thread pool with task futures and a grain-controlled
-// parallel_for — the substrate behind the parallel Monte-Carlo trial
+// Fixed-size worker thread pool with a grain-controlled parallel_for — the
+// substrate behind the parallel Monte-Carlo trial
 // engine (core/checkpoint_runner.hpp). Trials are the only parallel level:
 // nothing below a trial (linalg, LP, probe simulation) dispatches here.
 //
@@ -14,9 +14,9 @@
 //   * The calling thread participates in parallel_for (caller-runs), so a
 //     1-worker pool degrades to plain serial execution with no handoff.
 //
-// Destruction drains the queue: tasks already submitted run to completion
-// before the workers join. Exceptions thrown by a task are captured and
-// rethrown from the future (submit) or from parallel_for's caller.
+// Destruction drains the queue: tasks already queued run to completion
+// before the workers join. An exception thrown by a parallel_for body is
+// captured and rethrown to parallel_for's caller.
 
 #pragma once
 
@@ -24,11 +24,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace scapegoat {
@@ -47,17 +44,6 @@ class ThreadPool {
   // True when called from one of this pool's worker threads.
   bool on_worker_thread() const;
 
-  // Queue a task; the future reports its result or rethrows its exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> out = task->get_future();
-    enqueue([task] { (*task)(); });
-    return out;
-  }
-
   // Split [begin, end) into chunks of at most `grain` indices and run
   // `body(chunk_begin, chunk_end)` across the pool, caller included. Chunk
   // boundaries are a pure function of (begin, end, grain) — results of
@@ -67,10 +53,6 @@ class ThreadPool {
   // is itself a pool worker.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
-
-  // Convenience: per-index body.
-  void parallel_for_each(std::size_t begin, std::size_t end, std::size_t grain,
-                         const std::function<void(std::size_t)>& body);
 
   // ------------------------------------------------------------- global --
   // Process-wide pool the trial engine runs on when its ExecutionPolicy

@@ -414,8 +414,8 @@ TEST(SimplexWatchdog, ExpiredBudgetReturnsTimeLimitWithBasis) {
   lp::Model m(lp::Sense::kMaximize);
   const auto x = m.add_variable(0, lp::kInfinity, 3.0, "x");
   const auto y = m.add_variable(0, lp::kInfinity, 2.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, lp::RowType::kLessEqual, 4.0);
-  m.add_constraint({{x, 1.0}, {y, 3.0}}, lp::RowType::kLessEqual, 6.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, -lp::kInfinity, 4.0);
+  m.add_constraint({{x, 1.0}, {y, 3.0}}, -lp::kInfinity, 6.0);
 
   // The ambient trial deadline is the solver's one wall budget.
   Watchdog expired{Budget{1e-7, 0}};

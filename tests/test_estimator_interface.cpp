@@ -129,9 +129,11 @@ TEST_F(EstimatorInterfaceTest, SharedFactorizationIsSafeAcrossThreads) {
   }
   std::vector<Matrix> gs(kCalls);
   ThreadPool pool(4);
-  pool.parallel_for_each(0, kCalls, 1, [&](std::size_t k) {
-    parallel[k] = est.estimate(ys[k]);
-    gs[k] = est.pseudo_inverse();
+  pool.parallel_for(0, kCalls, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      parallel[k] = est.estimate(ys[k]);
+      gs[k] = est.pseudo_inverse();
+    }
   });
   for (std::size_t k = 0; k < kCalls; ++k) {
     ASSERT_EQ(gs[k].rows(), g.rows());

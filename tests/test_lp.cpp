@@ -19,8 +19,8 @@ TEST(Simplex, SimpleMaximization) {
   Model m(Sense::kMaximize);
   auto x = m.add_variable(0, kInfinity, 3.0, "x");
   auto y = m.add_variable(0, kInfinity, 2.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kLessEqual, 4.0);
-  m.add_constraint({{x, 1.0}, {y, 3.0}}, RowType::kLessEqual, 6.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, -kInfinity, 4.0);
+  m.add_constraint({{x, 1.0}, {y, 3.0}}, -kInfinity, 6.0);
   Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 12.0, 1e-8);
@@ -33,7 +33,7 @@ TEST(Simplex, SimpleMinimizationWithGe) {
   Model m(Sense::kMinimize);
   auto x = m.add_variable(0, 6.0, 2.0);
   auto y = m.add_variable(0, kInfinity, 3.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kGreaterEqual, 10.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 10.0, kInfinity);
   Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 24.0, 1e-8);
@@ -46,7 +46,7 @@ TEST(Simplex, EqualityConstraint) {
   Model m(Sense::kMaximize);
   auto x = m.add_variable(0, 2.0, 1.0);
   auto y = m.add_variable(0, kInfinity, 1.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 5.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 5.0, 5.0);
   Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 5.0, 1e-8);
@@ -57,8 +57,8 @@ TEST(Simplex, DetectsInfeasibility) {
   // x ≤ 1 and x ≥ 2 simultaneously.
   Model m(Sense::kMaximize);
   auto x = m.add_variable(0, kInfinity, 1.0);
-  m.add_constraint({{x, 1.0}}, RowType::kLessEqual, 1.0);
-  m.add_constraint({{x, 1.0}}, RowType::kGreaterEqual, 2.0);
+  m.add_constraint({{x, 1.0}}, -kInfinity, 1.0);
+  m.add_constraint({{x, 1.0}}, 2.0, kInfinity);
   EXPECT_EQ(solve(m).status, SolveStatus::kInfeasible);
 }
 
@@ -66,8 +66,8 @@ TEST(Simplex, DetectsInfeasibleEqualities) {
   Model m(Sense::kMinimize);
   auto x = m.add_variable(0, kInfinity, 1.0);
   auto y = m.add_variable(0, kInfinity, 1.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 1.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 2.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 1.0, 1.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 2.0, 2.0);
   EXPECT_EQ(solve(m).status, SolveStatus::kInfeasible);
 }
 
@@ -75,7 +75,7 @@ TEST(Simplex, DetectsUnboundedness) {
   Model m(Sense::kMaximize);
   auto x = m.add_variable(0, kInfinity, 1.0);
   auto y = m.add_variable(0, kInfinity, 0.0);
-  m.add_constraint({{x, 1.0}, {y, -1.0}}, RowType::kLessEqual, 1.0);
+  m.add_constraint({{x, 1.0}, {y, -1.0}}, -kInfinity, 1.0);
   EXPECT_EQ(solve(m).status, SolveStatus::kUnbounded);
 }
 
@@ -93,7 +93,7 @@ TEST(Simplex, HandlesShiftedLowerBounds) {
   Model m(Sense::kMinimize);
   auto x = m.add_variable(-3.0, kInfinity, 1.0);
   auto y = m.add_variable(0.0, 2.0, 0.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 0.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 0.0, 0.0);
   Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.x[0], -2.0, 1e-8);
@@ -105,7 +105,7 @@ TEST(Simplex, HandlesFreeVariables) {
   // is free both ways).
   Model m(Sense::kMinimize);
   auto x = m.add_variable(-kInfinity, kInfinity, 1.0);
-  m.add_constraint({{x, 1.0}}, RowType::kGreaterEqual, -5.0);
+  m.add_constraint({{x, 1.0}}, -5.0, kInfinity);
   Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.x[0], -5.0, 1e-8);
@@ -128,10 +128,10 @@ TEST(Simplex, DegenerateProblemTerminates) {
   auto x3 = m.add_variable(0, kInfinity, -9.0);
   auto x4 = m.add_variable(0, kInfinity, -24.0);
   m.add_constraint({{x1, 0.5}, {x2, -5.5}, {x3, -2.5}, {x4, 9.0}},
-                   RowType::kLessEqual, 0.0);
+                   -kInfinity, 0.0);
   m.add_constraint({{x1, 0.5}, {x2, -1.5}, {x3, -0.5}, {x4, 1.0}},
-                   RowType::kLessEqual, 0.0);
-  m.add_constraint({{x1, 1.0}}, RowType::kLessEqual, 1.0);
+                   -kInfinity, 0.0);
+  m.add_constraint({{x1, 1.0}}, -kInfinity, 1.0);
   Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 1.0, 1e-7);
@@ -142,8 +142,8 @@ TEST(Simplex, SolutionIsFeasibleForModel) {
   auto a = m.add_variable(0, 10, 1.0);
   auto b = m.add_variable(2, 8, 2.0);
   auto c = m.add_variable(-3, 3, -1.0);
-  m.add_constraint({{a, 1.0}, {b, 2.0}, {c, 1.0}}, RowType::kLessEqual, 15.0);
-  m.add_constraint({{a, 1.0}, {b, -1.0}}, RowType::kGreaterEqual, -4.0);
+  m.add_constraint({{a, 1.0}, {b, 2.0}, {c, 1.0}}, -kInfinity, 15.0);
+  m.add_constraint({{a, 1.0}, {b, -1.0}}, -4.0, kInfinity);
   Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_LE(m.max_violation(s.x), 1e-7);
@@ -167,7 +167,7 @@ TEST_P(RandomLpSweep, OptimalAndFeasible) {
     std::vector<Term> terms;
     for (std::size_t j = 0; j < n; ++j)
       terms.push_back({j, rng.uniform(0.0, 1.0)});
-    m.add_constraint(std::move(terms), RowType::kLessEqual,
+    m.add_constraint(std::move(terms), -kInfinity,
                      rng.uniform(1.0, 6.0));
   }
   Solution s = solve(m);
@@ -205,7 +205,7 @@ TEST(Simplex, IterationLimitReturnsBasisCertificate) {
     std::vector<Term> terms;
     for (std::size_t j = 0; j < n; ++j)
       terms.push_back({j, rng.uniform(0.0, 1.0)});
-    m.add_constraint(std::move(terms), RowType::kLessEqual,
+    m.add_constraint(std::move(terms), -kInfinity,
                      rng.uniform(1.0, 6.0));
   }
 
@@ -229,8 +229,8 @@ TEST(Simplex, OptimalSolutionCarriesExitBasis) {
   Model m(Sense::kMaximize);
   auto x = m.add_variable(0, kInfinity, 3.0, "x");
   auto y = m.add_variable(0, kInfinity, 2.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kLessEqual, 4.0);
-  m.add_constraint({{x, 1.0}, {y, 3.0}}, RowType::kLessEqual, 6.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, -kInfinity, 4.0);
+  m.add_constraint({{x, 1.0}, {y, 3.0}}, -kInfinity, 6.0);
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   ASSERT_EQ(s.basis.size(), 2u);  // one basic column per constraint row
@@ -251,17 +251,17 @@ Model two_variable_model() {
   Model m(Sense::kMaximize);
   m.add_variable(0.0, 4.0, 1.0);
   m.add_variable(-1.0, kInfinity, 1.0);
-  m.add_constraint({{0, 1.0}, {1, 1.0}}, RowType::kLessEqual, 5.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, -kInfinity, 5.0);
   return m;
 }
 
 TEST(MalformedModel, TermNamingUnknownVariableIsRefused) {
   Model m = two_variable_model();
-  m.add_constraint({{0, 1.0}, {2, 1.0}}, RowType::kGreaterEqual, 1.0);
+  m.add_constraint({{0, 1.0}, {2, 1.0}}, 1.0, kInfinity);
   expect_refused(m);
   Model far = two_variable_model();
   far.add_constraint({{std::numeric_limits<std::size_t>::max(), 1.0}},
-                     RowType::kEqual, 0.0);
+                     0.0, 0.0);
   expect_refused(far);
 }
 
@@ -269,7 +269,7 @@ TEST(MalformedModel, NonFiniteCoefficientIsRefused) {
   for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInfinity,
                      -kInfinity}) {
     Model m = two_variable_model();
-    m.add_constraint({{0, 1.0}, {1, bad}}, RowType::kLessEqual, 3.0);
+    m.add_constraint({{0, 1.0}, {1, bad}}, -kInfinity, 3.0);
     expect_refused(m);
   }
 }
@@ -278,7 +278,7 @@ TEST(MalformedModel, NonFiniteRhsIsRefused) {
   for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInfinity,
                      -kInfinity}) {
     Model m = two_variable_model();
-    m.add_constraint({{0, 1.0}}, RowType::kGreaterEqual, bad);
+    m.add_constraint({{0, 1.0}}, bad, kInfinity);
     expect_refused(m);
   }
 }
@@ -308,6 +308,40 @@ TEST(MalformedModel, UpperBoundAtMinusInfinityIsRefused) {
 TEST(MalformedModel, LowerAboveUpperIsRefused) {
   Model m = two_variable_model();
   m.add_variable(2.0, 1.0, 1.0);
+  expect_refused(m);
+}
+
+TEST(MalformedModel, RowWithLowerAboveUpperIsRefused) {
+  Model m = two_variable_model();
+  m.add_constraint({{0, 1.0}}, 2.0, 1.0);
+  expect_refused(m);
+}
+
+TEST(MalformedModel, RowWithANanEndIsRefused) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Model lower = two_variable_model();
+  lower.add_constraint({{0, 1.0}}, nan, 1.0);
+  expect_refused(lower);
+  Model upper = two_variable_model();
+  upper.add_constraint({{0, 1.0}}, 0.0, nan);
+  expect_refused(upper);
+}
+
+TEST(MalformedModel, RowWithLowerEndAtPlusInfinityIsRefused) {
+  Model m = two_variable_model();
+  m.add_constraint({{0, 1.0}}, kInfinity, kInfinity);
+  expect_refused(m);
+}
+
+TEST(MalformedModel, RowWithUpperEndAtMinusInfinityIsRefused) {
+  Model m = two_variable_model();
+  m.add_constraint({{0, 1.0}}, -kInfinity, -kInfinity);
+  expect_refused(m);
+}
+
+TEST(MalformedModel, RowOpenAtBothEndsIsRefused) {
+  Model m = two_variable_model();
+  m.add_constraint({{0, 1.0}}, -kInfinity, kInfinity);
   expect_refused(m);
 }
 
@@ -347,7 +381,7 @@ TEST(BoundedTableau, EnteringColumnFlipsToItsUpperBound) {
   Model m(Sense::kMaximize);
   m.add_variable(0.0, 3.0, 1.0);
   m.add_variable(0.0, 3.0, 1.0);
-  m.add_constraint({{0, 1.0}, {1, 1.0}}, RowType::kLessEqual, 5.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, -kInfinity, 5.0);
   const CountedSolve c = solve_counting_flips(m);
   ASSERT_EQ(c.solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(c.solution.objective, 5.0, 1e-12);
@@ -385,9 +419,10 @@ TEST(BoundedTableau, BasisHasOneColumnPerModelRow) {
     std::vector<Term> terms;
     for (std::size_t j = 0; j < 8; ++j)
       terms.push_back({j, rng.uniform(0.1, 1.0)});
-    m.add_constraint(std::move(terms), i % 2 == 0 ? RowType::kLessEqual
-                                                  : RowType::kGreaterEqual,
-                     i % 2 == 0 ? rng.uniform(3.0, 6.0) : 0.5);
+    if (i % 2 == 0)
+      m.add_constraint(std::move(terms), -kInfinity, rng.uniform(3.0, 6.0));
+    else
+      m.add_constraint(std::move(terms), 0.5, kInfinity);
   }
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -401,13 +436,120 @@ TEST(BoundedTableau, FixedVariableStaysFixedUnderMaximization) {
   Model m(Sense::kMaximize);
   m.add_variable(0.0, kInfinity, 1.0);
   m.add_variable(2.0, 2.0, 5.0);
-  m.add_constraint({{0, 1.0}, {1, 1.0}}, RowType::kLessEqual, 10.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, -kInfinity, 10.0);
   EXPECT_TRUE(m.well_formed());
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_EQ(s.x[1], 2.0);
   EXPECT_NEAR(s.x[0], 8.0, 1e-12);
   EXPECT_NEAR(s.objective, 18.0, 1e-12);
+}
+
+// ---- Ranged rows ------------------------------------------------------------
+//
+// A row lower ≤ aᵀx ≤ upper with lower < upper has one slack s′ with range
+// upper − lower. Column ids are the structurals, then the slacks in row
+// order, then the artificials, so a solve allowed no pivot shows the
+// starting basis.
+
+std::vector<std::size_t> starting_basis(const Model& m) {
+  SimplexOptions no_pivots;
+  no_pivots.max_iterations = 0;
+  const Solution s = solve(m, no_pivots);
+  EXPECT_EQ(s.status, SolveStatus::kIterationLimit);
+  return s.basis;
+}
+
+TEST(RangedRow, SlackInsideItsRangeStartsBasic) {
+  // −1 ≤ x ≤ 5 with x ∈ [0, 10] starting at 0: s′ = x + 1 = 1 lies in
+  // [0, 6], so the slack (column 1) starts basic and there is no phase 1.
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, 10.0, 0.0);
+  m.add_constraint({{0, 1.0}}, -1.0, 5.0);
+  EXPECT_EQ(starting_basis(m), std::vector<std::size_t>{1});
+  const Solution s = solve(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_EQ(s.iterations, 0u);
+  EXPECT_EQ(s.x[0], 0.0);
+}
+
+TEST(RangedRow, SlackBelowItsRangeStartsAtZeroBehindAnArtificial) {
+  // 1 ≤ x ≤ 5 with x ∈ [0, 10] starting at 0: s′ = x − 1 = −1, so the
+  // slack starts nonbasic at 0 and the artificial (column 2) is basic.
+  Model m(Sense::kMinimize);
+  m.add_variable(0.0, 10.0, 1.0);
+  m.add_constraint({{0, 1.0}}, 1.0, 5.0);
+  EXPECT_EQ(starting_basis(m), std::vector<std::size_t>{2});
+  const Solution s = solve(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(s.x[0], 1.0, 1e-12);
+  EXPECT_NEAR(s.objective, 1.0, 1e-12);
+}
+
+TEST(RangedRow, SlackAboveItsRangeStartsReflectedBehindAnArtificial) {
+  // 1 ≤ x − y ≤ 5 with x ∈ [7, 10], y ∈ [0, 10] starting at (7, 0):
+  // s′ = x − y − 1 = 6 is above its range 4, so the slack starts reflected
+  // at 4 and the artificial (column 3) carries the remaining 2. One phase-1
+  // pivot, y entering up to 2, then lands on the optimum of min y with no
+  // flip. (A slack started at 0 instead would leave y at 6 and need a flip
+  // of the slack to its range.)
+  Model m(Sense::kMinimize);
+  m.add_variable(7.0, 10.0, 0.0);
+  m.add_variable(0.0, 10.0, 1.0);
+  m.add_constraint({{0, 1.0}, {1, -1.0}}, 1.0, 5.0);
+  EXPECT_EQ(starting_basis(m), std::vector<std::size_t>{3});
+  const CountedSolve c = solve_counting_flips(m);
+  ASSERT_EQ(c.solution.status, SolveStatus::kOptimal);
+  EXPECT_EQ(c.solution.iterations, 1u);
+  EXPECT_EQ(c.flips, 0u);
+  EXPECT_NEAR(c.solution.x[0], 7.0, 1e-12);
+  EXPECT_NEAR(c.solution.x[1], 2.0, 1e-12);
+  EXPECT_NEAR(c.solution.objective, 2.0, 1e-12);
+}
+
+TEST(RangedRow, BasicSlackLeavesTheBasisAtItsRange) {
+  // max x s.t. −1 ≤ x ≤ 5, x ∈ [0, 10]: as x enters, the basic slack
+  // s′ = x + 1 reaches its range 6 (x = 5) before x reaches its own bound,
+  // so it leaves there: one pivot, no flip.
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, 10.0, 1.0);
+  m.add_constraint({{0, 1.0}}, -1.0, 5.0);
+  const CountedSolve c = solve_counting_flips(m);
+  ASSERT_EQ(c.solution.status, SolveStatus::kOptimal);
+  EXPECT_EQ(c.solution.iterations, 1u);
+  EXPECT_EQ(c.flips, 0u);
+  EXPECT_EQ(c.solution.basis, std::vector<std::size_t>{0});
+  EXPECT_NEAR(c.solution.x[0], 5.0, 1e-12);
+}
+
+TEST(RangedRow, EqualityRowHasNoSlack) {
+  // x + y = 3 written as lower == upper: no slack column, so the artificial
+  // is column 2. max x − y over x, y ∈ [0, 5] → (3, 0).
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, 5.0, 1.0);
+  m.add_variable(0.0, 5.0, -1.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, 3.0, 3.0);
+  EXPECT_EQ(starting_basis(m), std::vector<std::size_t>{2});
+  const Solution s = solve(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(s.x[0], 3.0, 1e-12);
+  EXPECT_NEAR(s.x[1], 0.0, 1e-12);
+  EXPECT_NEAR(s.objective, 3.0, 1e-12);
+}
+
+TEST(RangedRow, MaxViolationMeasuresTheViolatedEnd) {
+  Model m(Sense::kMaximize);
+  m.add_variable(-10.0, 10.0, 0.0);
+  m.add_constraint({{0, 2.0}}, 1.0, 5.0);
+  EXPECT_EQ(m.max_violation({0.0}), 1.0);  // 2x = 0: 1 below lower
+  EXPECT_EQ(m.max_violation({1.5}), 0.0);
+  EXPECT_EQ(m.max_violation({4.0}), 3.0);  // 2x = 8: 3 above upper
+  Model eq(Sense::kMaximize);
+  eq.add_variable(-10.0, 10.0, 0.0);
+  eq.add_constraint({{0, 1.0}}, 2.0, 2.0);
+  EXPECT_EQ(eq.max_violation({3.0}), 1.0);
+  EXPECT_EQ(eq.max_violation({1.0}), 1.0);
+  EXPECT_EQ(eq.max_violation({2.0}), 0.0);
 }
 
 // ---- Known-answer battery ------------------------------------------------
@@ -421,7 +563,7 @@ TEST(RevisedSimplex, SolvesKnownMaximization) {
   Model m(Sense::kMaximize);
   const std::size_t x = m.add_variable(0.0, 1.0, 1.0, "x");
   const std::size_t y = m.add_variable(0.0, 1.0, 1.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kLessEqual, 1.5);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, -kInfinity, 1.5);
 
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -435,7 +577,7 @@ TEST(RevisedSimplex, SolvesKnownMinimization) {
   Model m(Sense::kMinimize);
   const std::size_t x = m.add_variable(0.0, 3.0, 1.0, "x");
   const std::size_t y = m.add_variable(0.0, 3.0, 2.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 2.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 2.0, 2.0);
 
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -447,7 +589,7 @@ TEST(RevisedSimplex, SolvesKnownMinimization) {
 TEST(RevisedSimplex, DetectsInfeasibility) {
   Model m(Sense::kMaximize);
   const std::size_t x = m.add_variable(0.0, 1.0, 1.0);
-  m.add_constraint({{x, 1.0}}, RowType::kGreaterEqual, 2.0);
+  m.add_constraint({{x, 1.0}}, 2.0, kInfinity);
   EXPECT_EQ(solve(m).status, SolveStatus::kInfeasible);
 }
 
@@ -455,7 +597,7 @@ TEST(RevisedSimplex, DetectsUnboundedness) {
   Model m(Sense::kMaximize);
   const std::size_t x = m.add_variable(0.0, kInfinity, 1.0);
   const std::size_t y = m.add_variable(0.0, kInfinity, 0.0);
-  m.add_constraint({{x, 1.0}, {y, -1.0}}, RowType::kLessEqual, 1.0);
+  m.add_constraint({{x, 1.0}, {y, -1.0}}, -kInfinity, 1.0);
   EXPECT_EQ(solve(m).status, SolveStatus::kUnbounded);
 }
 
@@ -465,8 +607,8 @@ TEST(RevisedSimplex, HandlesFreeVariables) {
   Model m(Sense::kMinimize);
   const std::size_t x = m.add_variable(-kInfinity, kInfinity, 2.0, "x");
   const std::size_t y = m.add_variable(0.0, 10.0, 1.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 1.0);
-  m.add_constraint({{x, 1.0}}, RowType::kGreaterEqual, -3.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 1.0, 1.0);
+  m.add_constraint({{x, 1.0}}, -3.0, kInfinity);
 
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -481,7 +623,7 @@ TEST(RevisedSimplex, NegativeAndShiftedBounds) {
   Model m(Sense::kMaximize);
   const std::size_t x = m.add_variable(-5.0, -1.0, 1.0);
   const std::size_t y = m.add_variable(2.0, 4.0, 1.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kLessEqual, 1.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, -kInfinity, 1.0);
 
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -513,9 +655,9 @@ TEST(RevisedSimplex, EqualityChainSystem) {
   const std::size_t n = 20;
   for (std::size_t j = 0; j < n; ++j)
     m.add_variable(0.0, kInfinity, j + 1 == n ? -1.0 : 0.0);
-  m.add_constraint({{0, 1.0}}, RowType::kEqual, 1.0);
+  m.add_constraint({{0, 1.0}}, 1.0, 1.0);
   for (std::size_t j = 0; j + 1 < n; ++j)
-    m.add_constraint({{j + 1, 1.0}, {j, -1.0}}, RowType::kEqual, 1.0);
+    m.add_constraint({{j + 1, 1.0}, {j, -1.0}}, 1.0, 1.0);
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   for (std::size_t j = 0; j < n; ++j)
@@ -527,7 +669,7 @@ TEST(RevisedSimplex, RedundantRowsDoNotConfusePhase1) {
   auto x = m.add_variable(0.0, kInfinity, 1.0);
   auto y = m.add_variable(0.0, kInfinity, 1.0);
   for (int rep = 0; rep < 3; ++rep)
-    m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 4.0);
+    m.add_constraint({{x, 1.0}, {y, 1.0}}, 4.0, 4.0);
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 4.0, 1e-8);
@@ -542,7 +684,7 @@ TEST(RevisedSimplex, IterationLimitReturnsCertificate) {
     std::vector<Term> terms;
     for (std::size_t j = 0; j < vars; ++j)
       terms.push_back({j, rng.uniform(0.1, 1.0)});
-    m.add_constraint(std::move(terms), RowType::kLessEqual,
+    m.add_constraint(std::move(terms), -kInfinity,
                      rng.uniform(50.0, 200.0));
   }
   SimplexOptions opt;
@@ -570,7 +712,7 @@ TEST(RevisedSimplex, RefactorizationSurvivesLongPivotSequences) {
       if (std::abs(c) > 0.3) terms.push_back({j, c});
     }
     if (terms.empty()) continue;
-    m.add_constraint(std::move(terms), RowType::kLessEqual,
+    m.add_constraint(std::move(terms), -kInfinity,
                      rng.uniform(5.0, 50.0));
   }
   const Solution s = solve(m);

@@ -1,7 +1,8 @@
 // Differential property suite: two-phase simplex vs the brute-force
-// vertex-enumeration reference LP (testkit/oracles.hpp), plus direct sanity
-// checks that the oracle itself solves known models correctly — a wrong
-// oracle would make the differential test vacuous.
+// vertex-enumeration reference LP (testkit/oracles.hpp), ranged rows vs the
+// same rows split into one-sided pairs, plus direct sanity checks that the
+// oracle itself solves known models correctly — a wrong oracle would make
+// the differential test vacuous.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,10 @@ TEST(PropLp, SimplexMatchesVertexEnumeration) {
   SCAPEGOAT_RUN_PROPERTY("lp_simplex_matches_reference");
 }
 
+TEST(PropLp, RangedRowsMatchSplitRows) {
+  SCAPEGOAT_RUN_PROPERTY("lp_ranged_rows_match_split_rows");
+}
+
 // ---- oracle self-checks on hand-computable models -------------------------
 
 TEST(LpOracle, SolvesKnownMaximization) {
@@ -27,7 +32,7 @@ TEST(LpOracle, SolvesKnownMaximization) {
   lp::Model m(lp::Sense::kMaximize);
   const std::size_t x = m.add_variable(0.0, 1.0, 1.0, "x");
   const std::size_t y = m.add_variable(0.0, 1.0, 1.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, lp::RowType::kLessEqual, 1.5);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, -lp::kInfinity, 1.5);
 
   const ReferenceLpResult ref = solve_lp_by_vertex_enumeration(m);
   ASSERT_TRUE(ref.feasible);
@@ -43,7 +48,7 @@ TEST(LpOracle, DetectsInfeasibleBox) {
   // x in [0, 1] but x >= 2 is required: infeasible for both solvers.
   lp::Model m(lp::Sense::kMaximize);
   const std::size_t x = m.add_variable(0.0, 1.0, 1.0, "x");
-  m.add_constraint({{x, 1.0}}, lp::RowType::kGreaterEqual, 2.0);
+  m.add_constraint({{x, 1.0}}, 2.0, lp::kInfinity);
 
   const ReferenceLpResult ref = solve_lp_by_vertex_enumeration(m);
   EXPECT_FALSE(ref.feasible);
@@ -56,7 +61,7 @@ TEST(LpOracle, HandlesEqualityConstraints) {
   lp::Model m(lp::Sense::kMinimize);
   const std::size_t x = m.add_variable(0.0, 3.0, 1.0, "x");
   const std::size_t y = m.add_variable(0.0, 3.0, 2.0, "y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, lp::RowType::kEqual, 2.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, 2.0, 2.0);
 
   const ReferenceLpResult ref = solve_lp_by_vertex_enumeration(m);
   ASSERT_TRUE(ref.feasible);

@@ -57,16 +57,15 @@ AnchoredLp make_anchored_lp(Rng& rng) {
     // Pick a sense and an rhs that keeps the anchor feasible.
     switch (rng.uniform_int(0, 2)) {
       case 0:
-        out.model.add_constraint(std::move(terms), RowType::kLessEqual,
+        out.model.add_constraint(std::move(terms), -kInfinity,
                                  at_anchor + rng.uniform(0.0, 2.0));
         break;
       case 1:
-        out.model.add_constraint(std::move(terms), RowType::kGreaterEqual,
-                                 at_anchor - rng.uniform(0.0, 2.0));
+        out.model.add_constraint(std::move(terms),
+                                 at_anchor - rng.uniform(0.0, 2.0), kInfinity);
         break;
       default:
-        out.model.add_constraint(std::move(terms), RowType::kEqual,
-                                 at_anchor);
+        out.model.add_constraint(std::move(terms), at_anchor, at_anchor);
         break;
     }
   }
@@ -120,7 +119,7 @@ TEST(SimplexStress, LargeAttackShapedProblem) {
       const double c = rng.uniform(-0.1, 0.3);
       if (std::abs(c) > 0.03) terms.push_back({j, c});
     }
-    m.add_constraint(std::move(terms), RowType::kLessEqual,
+    m.add_constraint(std::move(terms), -kInfinity,
                      rng.uniform(100.0, 2000.0));
   }
   const Solution s = solve(m);
@@ -136,9 +135,9 @@ TEST(SimplexStress, EqualityChainSystem) {
   const std::size_t n = 20;
   for (std::size_t j = 0; j < n; ++j)
     m.add_variable(0.0, kInfinity, j + 1 == n ? -1.0 : 0.0);
-  m.add_constraint({{0, 1.0}}, RowType::kEqual, 1.0);
+  m.add_constraint({{0, 1.0}}, 1.0, 1.0);
   for (std::size_t j = 0; j + 1 < n; ++j)
-    m.add_constraint({{j + 1, 1.0}, {j, -1.0}}, RowType::kEqual, 1.0);
+    m.add_constraint({{j + 1, 1.0}, {j, -1.0}}, 1.0, 1.0);
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   for (std::size_t j = 0; j < n; ++j)
@@ -152,7 +151,7 @@ TEST(SimplexStress, RedundantRowsDoNotConfusePhase1) {
   auto x = m.add_variable(0.0, kInfinity, 1.0);
   auto y = m.add_variable(0.0, kInfinity, 1.0);
   for (int rep = 0; rep < 3; ++rep)
-    m.add_constraint({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 4.0);
+    m.add_constraint({{x, 1.0}, {y, 1.0}}, 4.0, 4.0);
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 4.0, 1e-8);
@@ -191,7 +190,7 @@ Model degenerate_lp(std::uint64_t seed, std::size_t n, std::size_t rows) {
       if (c != 0) terms.push_back({j, static_cast<double>(c)});
     }
     if (!terms.empty())
-      m.add_constraint(std::move(terms), RowType::kLessEqual, 0.0);
+      m.add_constraint(std::move(terms), -kInfinity, 0.0);
   }
   return m;
 }
@@ -199,6 +198,8 @@ Model degenerate_lp(std::uint64_t seed, std::size_t n, std::size_t rows) {
 // The attack LPs solve_attack_lp and solve_consistent_attack_lp build for a
 // chosen-victim attack on each link of the Fig. 1 scenario: attacker links
 // kept normal, the victim pushed abnormal, bystanders kept below abnormal.
+// A band is written here as one-sided rows (a path's 0 ≤ mᵢ ≤ cap as two),
+// so the pinned hash covers one-sided and equality rows only.
 std::vector<Model> fig1_attack_lps() {
   Rng rng(121);
   const Scenario scenario = Scenario::fig1(rng);
@@ -241,12 +242,12 @@ std::vector<Model> fig1_attack_lps() {
       }
       if (!terms.empty()) {
         if (std::isfinite(band.upper))
-          unrestricted.add_constraint(terms, RowType::kLessEqual,
+          unrestricted.add_constraint(terms, -kInfinity,
                                       band.upper - base);
         if (std::isfinite(band.lower))
           unrestricted.add_constraint(std::move(terms),
-                                      RowType::kGreaterEqual,
-                                      band.lower - base);
+                                      band.lower - base,
+                                      kInfinity);
       }
       consistent.add_variable(
           std::isfinite(band.lower) ? band.lower - base : -kInfinity,
@@ -258,10 +259,10 @@ std::vector<Model> fig1_attack_lps() {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (rows[i].empty()) continue;
       if (!has_attacker[i]) {
-        consistent.add_constraint(rows[i], RowType::kEqual, 0.0);
+        consistent.add_constraint(rows[i], 0.0, 0.0);
       } else {
-        consistent.add_constraint(rows[i], RowType::kGreaterEqual, 0.0);
-        consistent.add_constraint(rows[i], RowType::kLessEqual,
+        consistent.add_constraint(rows[i], 0.0, kInfinity);
+        consistent.add_constraint(rows[i], -kInfinity,
                                   ctx.per_path_cap);
       }
     }

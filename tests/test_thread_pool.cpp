@@ -1,8 +1,8 @@
-// Unit tests for util/thread_pool: task completion via futures, exception
-// propagation out of workers, parallel_for index coverage (every index
-// exactly once, any grain), nested/inline execution, drain-on-destroy
-// with queued work, and workers leaving an installed metrics registry alone
-// once the work that used it has returned.
+// Unit tests for util/thread_pool: exception propagation out of workers,
+// parallel_for index coverage (every index exactly once, any grain),
+// nested/inline execution, drain-on-destroy with queued work, and workers
+// leaving an installed metrics registry alone once the work that used it
+// has returned.
 
 #include "util/thread_pool.hpp"
 
@@ -10,7 +10,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -20,30 +20,37 @@
 namespace scapegoat {
 namespace {
 
-TEST(ThreadPool, SubmitReturnsTaskResults) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i)
-    futures.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futures[i].get(), i * i);
+// Runs `probe` on one of `pool`'s worker threads through parallel_for and
+// returns its answer. Of the two one-index chunks, one the caller claims
+// waits until a worker has started the other.
+bool on_a_worker(ThreadPool& pool, const std::function<bool()>& probe) {
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> started{false};
+  bool answer = false;
+  pool.parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      if (!started.exchange(true)) answer = probe();
+      return;
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!started.load() && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+  });
+  EXPECT_TRUE(started.load()) << "no worker ran a chunk";
+  return answer;
 }
 
-TEST(ThreadPool, SubmitVoidTaskCompletes) {
+TEST(ThreadPool, WorkerExceptionReachesTheCaller) {
   ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  auto f = pool.submit([&ran] { ++ran; });
-  f.get();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit(
-      []() -> int { throw std::runtime_error("worker boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_THROW(on_a_worker(pool,
+                           []() -> bool {
+                             throw std::runtime_error("worker boom");
+                           }),
+               std::runtime_error);
   // The pool stays usable after a task threw.
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+  EXPECT_TRUE(on_a_worker(pool, [] { return true; }));
 }
 
 TEST(ThreadPool, ParallelForPropagatesBodyException) {
@@ -56,7 +63,8 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
       std::logic_error);
   // Still usable afterwards.
   std::atomic<std::size_t> count{0};
-  pool.parallel_for_each(0, 10, 1, [&](std::size_t) { ++count; });
+  pool.parallel_for(0, 10, 1,
+                    [&](std::size_t lo, std::size_t hi) { count += hi - lo; });
   EXPECT_EQ(count.load(), 10u);
 }
 
@@ -81,16 +89,22 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ParallelForEmptyAndSingleIndexRanges) {
   ThreadPool pool(3);
   std::atomic<std::size_t> count{0};
-  pool.parallel_for_each(10, 10, 4, [&](std::size_t) { ++count; });
+  pool.parallel_for(10, 10, 4,
+                    [&](std::size_t lo, std::size_t hi) { count += hi - lo; });
   EXPECT_EQ(count.load(), 0u);
-  pool.parallel_for_each(10, 11, 4, [&](std::size_t i) {
-    EXPECT_EQ(i, 10u);
+  pool.parallel_for(10, 11, 4, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(lo, 10u);
+    EXPECT_EQ(hi, 11u);
     ++count;
   });
   EXPECT_EQ(count.load(), 1u);
   // grain 0 is treated as 1.
-  pool.parallel_for_each(0, 5, 0, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 6u);
+  std::atomic<std::size_t> calls{0};
+  pool.parallel_for(0, 5, 0, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(hi - lo, 1u);
+    ++calls;
+  });
+  EXPECT_EQ(calls.load(), 5u);
 }
 
 TEST(ThreadPool, SingleWorkerPoolRunsInline) {
@@ -111,8 +125,10 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   pool.parallel_for(0, 8, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t outer = lo; outer < hi; ++outer) {
       // Nested call from a worker thread must execute inline (serially).
-      pool.parallel_for_each(outer * 8, (outer + 1) * 8, 2,
-                             [&](std::size_t i) { ++hits[i]; });
+      pool.parallel_for(outer * 8, (outer + 1) * 8, 2,
+                        [&](std::size_t lo2, std::size_t hi2) {
+                          for (std::size_t i = lo2; i < hi2; ++i) ++hits[i];
+                        });
     }
   });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
@@ -121,24 +137,25 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
 TEST(ThreadPool, OnWorkerThreadIsScopedToThePool) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.on_worker_thread());
-  EXPECT_TRUE(pool.submit([&pool] { return pool.on_worker_thread(); }).get());
+  EXPECT_TRUE(on_a_worker(pool, [&pool] { return pool.on_worker_thread(); }));
   ThreadPool other(2);
-  EXPECT_FALSE(other.submit([&pool] { return pool.on_worker_thread(); }).get());
+  EXPECT_FALSE(
+      on_a_worker(other, [&pool] { return pool.on_worker_thread(); }));
 }
 
 TEST(ThreadPool, DestructionDrainsQueuedWork) {
+  // parallel_for returns once every chunk is done, but a helper task that
+  // found no chunk left may still be queued; the destructor runs it before
+  // the workers join.
   std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++ran;
-      });
-    }
-    // Destructor joins only after every queued task has executed.
+  for (int round = 0; round < 50; ++round) {
+    ThreadPool pool(4);
+    pool.parallel_for(0, 8, 1, [&ran](std::size_t lo, std::size_t hi) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      ran += static_cast<int>(hi - lo);
+    });
   }
-  EXPECT_EQ(ran.load(), 64);
+  EXPECT_EQ(ran.load(), 50 * 8);
 }
 
 TEST(ThreadPool, RegistryMayBeFreedOnceParallelForReturns) {
